@@ -55,7 +55,6 @@ class RunConfig:
     theta_min: float = 0.0
     theta_max: float = math.pi
     steps: int = 315
-    gh_order: int = 64
     half_width: float = 8.0
     panel_tol: float = 1e-10
     root_tol: float = 1e-6
@@ -64,8 +63,7 @@ class RunConfig:
     allow_flagged: bool = False
 
     def spec(self) -> QuadratureSpec:
-        return QuadratureSpec(gh_order=self.gh_order, half_width=self.half_width,
-                              panel_tol=self.panel_tol)
+        return QuadratureSpec(half_width=self.half_width, panel_tol=self.panel_tol)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"L"}
@@ -95,7 +93,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(field: str, raw: str):
-    if field in ("steps", "gh_order"):
+    if field == "steps":
         return int(raw)
     if field in ("theta", "theta_min", "theta_max", "half_width", "panel_tol", "root_tol"):
         return float(raw)
@@ -143,8 +141,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("theta_min/theta_max: need 0 <= theta_min < theta_max <= pi")
     if config.steps < 2:
         raise ConfigError(f"steps: {config.steps} is below the minimum of 2")
-    if config.gh_order < 2:
-        raise ConfigError(f"gh_order: {config.gh_order} is below the minimum of 2")
     if not config.half_width > 0:
         raise ConfigError(f"half_width: {config.half_width!r} must be positive")
     if not 0.0 < config.panel_tol < 1.0:
@@ -314,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path", default=None, metavar="PATH",
                        help="output file (default: standard output)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--gh-order", dest="gh_order", type=int, default=None,
-                       help="Gauss-Hermite order for moment integrals (default 64)")
         p.add_argument("--half-width", "--L", dest="half_width", type=float, default=None,
                        help="truncation half-width L for panel integrals (default 8)")
         p.add_argument("--panel-tol", dest="panel_tol", type=float, default=None,
@@ -342,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.set_defaults(func=cmd_critical)
 
     p_rep = sub.add_parser("report", help="criteria-coverage report (always JSON)")
-    p_rep.add_argument("--steps", type=int, default=None,
-                       help="accepted for config compatibility; the report derives from "
-                            "critical angles at root_tol precision")
     add_common(p_rep)
     p_rep.set_defaults(func=cmd_report)
     return parser

@@ -26,21 +26,19 @@ from .fock import (
     NATURAL_UNITS,
     UnitSystem,
     _b_zero_hints,
-    _group_indices,
-    _inner_moments,
     _is_uncorrelated,
     _ladder_position,
-    _ladder_position_sq,
     _marginal_zero_hints,
-    _mode2_vector,
-    _osc_table,
+    _moments,
+    _second_moment,
     _view,
+    joint_density,
+    marginal_density,
 )
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
     adaptive_panels,
-    gauss_hermite_rule,
     integrate_entropy_1d,
     integrate_entropy_2d,
 )
@@ -103,27 +101,12 @@ def _effective_width(spec: QuadratureSpec, scale: float) -> float:
     return spec.half_width * max(1.0, scale ** -0.5)
 
 
-def _second_moment_gh(view, rule) -> float:
-    """<b^2> by tensor Gauss-Hermite over the polynomial part; exact to rule degree."""
-    u1 = _osc_table(view.max_n1, rule.nodes, include_gaussian=False)
-    u2 = _osc_table(view.max_n2, rule.nodes, include_gaussian=False)
-    c = np.zeros((rule.order, rule.order), dtype=complex)
-    for n1, n2, amp in zip(view.n1, view.n2, view.amps):
-        c += amp * u1[n1][:, None] * u2[n2][None, :]
-    w_poly = np.abs(c) ** 2
-    w = rule.weights
-    return float(w @ w_poly @ (w * rule.nodes * rule.nodes)) / view.scale
-
-
 def _variance_uncorrelated(view) -> float:
     """Factorized state: mode 2's conditional variance equals its marginal variance,
     evaluated exactly with ladder matrix elements."""
-    beta = _mode2_vector(view)
-    x1 = _ladder_position(view.max_n2, view.scale)
-    x2 = _ladder_position_sq(view.max_n2, view.scale)
-    mean = float(np.real(beta.conj() @ x1 @ beta))
-    second = float(np.real(beta.conj() @ x2 @ beta))
-    return second - mean * mean
+    x1 = _ladder_position(view.max_n2, view.scale)[np.ix_(view.n2, view.n2)]
+    mean = float(np.real(view.amps.conj() @ x1 @ view.amps))
+    return _second_moment(view) - mean * mean
 
 
 def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
@@ -131,20 +114,16 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
     view = _view(state, dom, units)
     if _is_uncorrelated(view):
         return _variance_uncorrelated(view), True
-    rule = gauss_hermite_rule(spec.gh_order)
-    second = _second_moment_gh(view, rule)
-    root = math.sqrt(view.scale)
 
     def ratio(a: np.ndarray) -> np.ndarray:
-        m_phys, n_phys, _ = _inner_moments(view, rule, root * a)
-        good = m_phys > DENSITY_FLOOR
-        den = np.where(good, m_phys, 1.0)
-        return np.where(good, n_phys * n_phys / den, 0.0)
+        m, n = _moments(view, a)
+        good = m > DENSITY_FLOOR
+        return np.where(good, n * n / np.where(good, m, 1.0), 0.0)
 
     width = _effective_width(spec, view.scale)
     cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     correction = adaptive_panels(ratio, -width, width, spec.panel_tol, spec.max_depth, cuts)
-    return max(second - correction.value, 0.0), correction.converged
+    return max(_second_moment(view) - correction.value, 0.0), correction.converged
 
 
 def conditional_variance_min(state: FockState, dom: Domain,
@@ -154,9 +133,10 @@ def conditional_variance_min(state: FockState, dom: Domain,
 
     Delta2_min = <b^2> - int N(a)^2 / M(a) da with N(a) = int b P(a,b) db and M the
     marginal: the cross term of the squared deviation from the conditional mean
-    collapses onto the correction integral. The moments are Gauss-Hermite (exact);
-    the correction integrand is rational, so it goes through the adaptive panel
-    integrator instead. Points with M(a) at or below the density floor contribute zero.
+    collapses onto the correction integral. <b^2>, N(a) and M(a) are exact finite
+    ladder-operator sums over the Fock terms; only the correction integrand, which is
+    rational in a, goes through the adaptive panel integrator. Points with M(a) at or
+    below the density floor contribute zero.
     """
     value, _converged = _conditional_variance(state, dom, spec, units)
     return value
@@ -178,32 +158,19 @@ def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
     )
 
 
-def _entropy_uncorrelated(view, spec: QuadratureSpec) -> tuple[float, bool]:
+def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
+                          units: UnitSystem) -> tuple[float, bool]:
     """Factorized state: h(B2|B1) = h(B2). Exact for pure levels n <= 1; otherwise the
     1-d marginal entropy is integrated numerically."""
-    beta = _mode2_vector(view)
-    occupied = np.flatnonzero(np.abs(beta) > 0.0)
-    if occupied.size == 1:
-        n = int(occupied[0])
-        if n == 0:
+    view = _view(state, dom, units)
+    if view.n2.size == 1 and view.max_n2 <= 1:
+        if view.max_n2 == 0:
             return 0.5 * math.log(math.pi * math.e / view.scale), True
-        if n == 1:
-            return _H_LEVEL1 - 0.5 * math.log(view.scale), True
+        return _H_LEVEL1 - 0.5 * math.log(view.scale), True
     width = _effective_width(spec, view.scale)
-    espec = replace(spec, half_width=width)
-    root = math.sqrt(view.scale)
-    u_levels = occupied
-
-    def marg(b: np.ndarray) -> np.ndarray:
-        yb = root * np.asarray(b, dtype=float)
-        table = _osc_table(int(u_levels.max()), yb)
-        c = np.zeros(yb.shape, dtype=complex)
-        for n in u_levels:
-            c += beta[n] * table[n]
-        return root * np.abs(c) ** 2
-
     cuts = _marginal_zero_hints(view, 2, width) + (0.0,)
-    res = integrate_entropy_1d(marg, espec, breakpoints=cuts)
+    res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, units, mode=2),
+                               replace(spec, half_width=width), breakpoints=cuts)
     return res.value, res.converged
 
 
@@ -211,41 +178,17 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
                          units: UnitSystem) -> tuple[float, bool]:
     view = _view(state, dom, units)
     if _is_uncorrelated(view):
-        return _entropy_uncorrelated(view, spec)
+        return _entropy_uncorrelated(state, dom, spec, units)
     width = _effective_width(spec, view.scale)
     espec = replace(spec, half_width=width)
-    root = math.sqrt(view.scale)
-
-    def joint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ya = root * np.asarray(a, dtype=float)
-        yb = root * np.asarray(b, dtype=float)
-        u1 = _osc_table(view.max_n1, ya)
-        u2 = _osc_table(view.max_n2, yb)
-        c = np.zeros(ya.shape, dtype=complex)
-        for n1, n2, amp in zip(view.n1, view.n2, view.amps):
-            c += amp * u1[n1] * u2[n2]
-        return view.scale * np.abs(c) ** 2
-
-    groups = _group_indices(view, 1)
-
-    def marg(a: np.ndarray) -> np.ndarray:
-        ya = root * np.asarray(a, dtype=float)
-        u1 = _osc_table(view.max_n1, ya)
-        out = np.zeros(ya.shape)
-        for idxs in groups.values():
-            c = np.zeros(ya.shape, dtype=complex)
-            for k in idxs:
-                c += view.amps[k] * u1[view.n1[k]]
-            out += np.abs(c) ** 2
-        return root * out
-
     marg_cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     joint_res = integrate_entropy_2d(
-        joint, espec,
+        lambda a, b: joint_density(state, a, b, dom, units), espec,
         inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
         outer_breakpoints=marg_cuts,
     )
-    marg_res = integrate_entropy_1d(marg, espec, breakpoints=marg_cuts)
+    marg_res = integrate_entropy_1d(lambda a: marginal_density(state, a, dom, units),
+                                    espec, breakpoints=marg_cuts)
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 
 

@@ -16,8 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gauss_hermite_rule
-
 __all__ = [
     "Domain",
     "UnitSystem",
@@ -60,15 +58,12 @@ class DegenerateMarginal(ValueError):
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """hbar is pinned to 1 (the criteria constants 1/4 and ln(pi e) presuppose it);
-    m_omega is the product m*omega, kept configurable for scale-invariance checks."""
+    """m_omega is the product m*omega, kept configurable for scale-invariance checks;
+    hbar is 1 (the criteria constants 1/4 and ln(pi e) presuppose it)."""
 
-    hbar: float = 1.0
     m_omega: float = 1.0
 
     def __post_init__(self):
-        if self.hbar != 1.0:
-            raise ValueError("hbar is fixed to 1 in this library")
         if not self.m_omega > 0:
             raise ValueError("m_omega must be positive")
 
@@ -155,8 +150,7 @@ def _osc_table(n_max: int, y: np.ndarray, include_gaussian: bool = True) -> np.n
     Gaussian so the recurrence never overflows at large n.
 
     u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2); with include_gaussian=False
-    the exp factor is dropped (polynomial part only, used where the Gauss-Hermite
-    weight already carries it).
+    the exp factor is dropped (polynomial part only, used where only zeros matter).
     """
     y = np.asarray(y, dtype=float)
     out = np.empty((n_max + 1,) + y.shape)
@@ -173,7 +167,7 @@ def eigenfunction_x(n: int, x, units: UnitSystem = NATURAL_UNITS):
     if n < 0:
         raise ValueError("n must be nonnegative")
     scalar_in = np.ndim(x) == 0
-    s = units.m_omega / units.hbar
+    s = units.m_omega
     y = math.sqrt(s) * np.asarray(x, dtype=float)
     return _maybe_scalar(s ** 0.25 * _osc_table(n, y)[n], scalar_in)
 
@@ -184,7 +178,7 @@ def eigenfunction_p(n: int, p, units: UnitSystem = NATURAL_UNITS):
     if n < 0:
         raise ValueError("n must be nonnegative")
     scalar_in = np.ndim(p) == 0
-    inv = units.hbar / units.m_omega
+    inv = 1.0 / units.m_omega
     y = math.sqrt(inv) * np.asarray(p, dtype=float)
     val = _PHASE_MINUS_I[n % 4] * (inv ** 0.25 * _osc_table(n, y)[n])
     return _maybe_scalar(val, scalar_in)
@@ -212,21 +206,19 @@ def _view(state: FockState, dom: Domain, units: UnitSystem) -> _DomainView:
     n2 = np.array([t[1] for t in state.terms], dtype=np.intp)
     amps = np.array([t[2] for t in state.terms], dtype=complex)
     if dom is Domain.MOMENTUM:
-        scale = units.hbar / units.m_omega
+        scale = 1.0 / units.m_omega
         amps = amps * np.array([_PHASE_MINUS_I[int(k) % 4] for k in (n1 + n2)])
     else:
-        scale = units.m_omega / units.hbar
+        scale = units.m_omega
     for arr in (n1, n2, amps):
         arr.setflags(write=False)
     return _DomainView(scale=scale, n1=n1, n2=n2, amps=amps,
                        max_n1=int(n1.max()), max_n2=int(n2.max()))
 
 
-def wavefunction(state: FockState, a, b, dom: Domain = Domain.POSITION,
-                 units: UnitSystem = NATURAL_UNITS):
-    """Complex amplitude at (a, b) in the requested domain; broadcasts over a, b."""
-    scalar_in = np.ndim(a) == 0 and np.ndim(b) == 0
-    v = _view(state, dom, units)
+def _amplitude_sum(v: _DomainView, a, b) -> np.ndarray:
+    """sum_k amp_k u_{n1_k}(sqrt(s) a) u_{n2_k}(sqrt(s) b): the amplitude without its
+    sqrt(s) normalization, so the density is s |sum|^2 with no complex temporary."""
     root = math.sqrt(v.scale)
     ya, yb = np.broadcast_arrays(root * np.asarray(a, float), root * np.asarray(b, float))
     u1 = _osc_table(v.max_n1, ya)
@@ -234,15 +226,23 @@ def wavefunction(state: FockState, a, b, dom: Domain = Domain.POSITION,
     out = np.zeros(ya.shape, dtype=complex)
     for n1, n2, amp in zip(v.n1, v.n2, v.amps):
         out += amp * u1[n1] * u2[n2]
-    return _maybe_scalar(math.sqrt(v.scale) * out, scalar_in)
+    return out
+
+
+def wavefunction(state: FockState, a, b, dom: Domain = Domain.POSITION,
+                 units: UnitSystem = NATURAL_UNITS):
+    """Complex amplitude at (a, b) in the requested domain; broadcasts over a, b."""
+    v = _view(state, dom, units)
+    out = math.sqrt(v.scale) * _amplitude_sum(v, a, b)
+    return _maybe_scalar(out, np.ndim(a) == 0 and np.ndim(b) == 0)
 
 
 def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
                   units: UnitSystem = NATURAL_UNITS):
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
-    psi = wavefunction(state, a, b, dom, units)
-    out = np.abs(np.asarray(psi)) ** 2
-    return _maybe_scalar(out, np.ndim(psi) == 0)
+    v = _view(state, dom, units)
+    out = v.scale * np.abs(_amplitude_sum(v, a, b)) ** 2
+    return _maybe_scalar(out, np.ndim(a) == 0 and np.ndim(b) == 0)
 
 
 def _group_indices(view: _DomainView, mode: int) -> dict[int, list[int]]:
@@ -254,6 +254,21 @@ def _group_indices(view: _DomainView, mode: int) -> dict[int, list[int]]:
     return groups
 
 
+def _term_rows(v: _DomainView, mode: int, y: np.ndarray) -> np.ndarray:
+    """amp_k u_{n_k}(y) for every term k, n_k its index in ``mode``: (terms,) + y.shape."""
+    kept = v.n1 if mode == 1 else v.n2
+    table = _osc_table(int(kept.max()), y)
+    return v.amps.reshape((-1,) + (1,) * y.ndim) * table[kept]
+
+
+def _grouped_marginal(v: _DomainView, mode: int, rows: np.ndarray) -> np.ndarray:
+    """sum_g |sum_{k in g} rows_k|^2 over the groups of _group_indices (no sqrt(s))."""
+    out = np.zeros(rows.shape[1:])
+    for idxs in _group_indices(v, mode).values():
+        out += np.abs(rows[idxs].sum(axis=0)) ** 2
+    return out
+
+
 def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
                      units: UnitSystem = NATURAL_UNITS, mode: int = 1):
     """Closed-form marginal of the requested mode, via Fock orthonormality.
@@ -263,18 +278,10 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    scalar_in = np.ndim(a) == 0
     v = _view(state, dom, units)
-    kept = v.n1 if mode == 1 else v.n2
-    ya = math.sqrt(v.scale) * np.asarray(a, dtype=float)
-    u = _osc_table(int(kept.max()), ya)
-    out = np.zeros(ya.shape)
-    for idxs in _group_indices(v, mode).values():
-        c = np.zeros(ya.shape, dtype=complex)
-        for k in idxs:
-            c += v.amps[k] * u[kept[k]]
-        out += np.abs(c) ** 2
-    return _maybe_scalar(math.sqrt(v.scale) * out, scalar_in)
+    root = math.sqrt(v.scale)
+    rows = _term_rows(v, mode, root * np.asarray(a, dtype=float))
+    return _maybe_scalar(root * _grouped_marginal(v, mode, rows), np.ndim(a) == 0)
 
 
 def _ladder_position(n_max: int, scale: float) -> np.ndarray:
@@ -295,33 +302,30 @@ def _ladder_position_sq(n_max: int, scale: float) -> np.ndarray:
     return m
 
 
-def _inner_moments(view: _DomainView, rule, ya: np.ndarray):
-    """Gauss-Hermite inner moments of mode 2 at fixed first coordinates.
+def _moments(view: _DomainView, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M(a), N(a)) = (int P(a, b) db, int b P(a, b) db), exact finite Fock sums.
 
-    Returns (M, N, S2) where, with P the joint density and a = ya/sqrt(scale),
-    M = int P db (physical marginal), N = int b P db, S2 = int b^2 P db. The rule sums
-    run over the polynomial part (the exp(-v^2) Gaussian is the rule's weight), so all
-    three are exact up to the rule degree.
+    With rows F_k = amp_k u_{n1_k}(sqrt(s) a), integrating b out leaves mode-2 matrix
+    elements: M = sqrt(s) sum_kl conj(F_k) F_l delta(n2_k, n2_l) is the mode-1 marginal
+    (its grouped sum), and N = sqrt(s) sum_kl conj(F_k) F_l <n2_k| x |n2_l>.
     """
-    v = view
-    u1 = _osc_table(v.max_n1, ya, include_gaussian=False)
-    u2 = _osc_table(v.max_n2, rule.nodes, include_gaussian=False)
-    c = np.zeros((ya.size, rule.order), dtype=complex)
-    for n1, n2, amp in zip(v.n1, v.n2, v.amps):
-        c += amp * u1[n1][:, None] * u2[n2][None, :]
-    w_poly = np.abs(c) ** 2
-    w = rule.weights
-    nodes = rule.nodes
-    envelope = np.exp(-ya * ya)
-    m_phys = math.sqrt(v.scale) * envelope * (w_poly @ w)
-    n_phys = envelope * (w_poly @ (w * nodes))
-    s2_phys = envelope / math.sqrt(v.scale) * (w_poly @ (w * nodes * nodes))
-    return m_phys, n_phys, s2_phys
+    root = math.sqrt(view.scale)
+    rows = _term_rows(view, 1, root * np.asarray(a, dtype=float))
+    x = _ladder_position(view.max_n2, view.scale)[np.ix_(view.n2, view.n2)]
+    m = root * _grouped_marginal(view, 1, rows)
+    n = root * np.real(np.sum(rows.conj() * (x @ rows), axis=0))
+    return m, n
+
+
+def _second_moment(view: _DomainView) -> float:
+    """<b^2> = sum_kl conj(c_k) c_l delta(n1_k, n1_l) <n2_k| x^2 |n2_l>, exact."""
+    x2 = _ladder_position_sq(view.max_n2, view.scale)[np.ix_(view.n2, view.n2)]
+    same = view.n1[:, None] == view.n1[None, :]
+    return float(np.real(view.amps.conj() @ np.where(same, x2, 0.0) @ view.amps))
 
 
 def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
-                     units: UnitSystem = NATURAL_UNITS,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                     units: UnitSystem = NATURAL_UNITS) -> float:
     """E[b | a] = int b P(a, b) db / marginal(a): the estimator minimizing the
     conditional variance.
 
@@ -329,13 +333,10 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     floor; callers forming weighted averages must treat such points as contributing
     zero (their weight is the marginal itself).
     """
-    v = _view(state, dom, units)
-    rule = gauss_hermite_rule(spec.gh_order)
-    ya = np.array([math.sqrt(v.scale) * float(a)])
-    m_phys, n_phys, _ = _inner_moments(v, rule, ya)
-    if not m_phys[0] > DENSITY_FLOOR:
-        raise DegenerateMarginal(f"marginal at {a!r} is {m_phys[0]!r}")
-    return float(n_phys[0] / m_phys[0])
+    m, n = _moments(_view(state, dom, units), np.array([float(a)]))
+    if not m[0] > DENSITY_FLOOR:
+        raise DegenerateMarginal(f"marginal at {a!r} is {m[0]!r}")
+    return float(n[0] / m[0])
 
 
 def _hermite_monomial_rows(n_max: int) -> np.ndarray:
@@ -437,11 +438,3 @@ def _is_uncorrelated(view: _DomainView) -> bool:
     """True when every term shares the same first-mode index: the state factorizes and
     mode 2's conditional statistics equal its marginal statistics."""
     return bool(np.all(view.n1 == view.n1[0]))
-
-
-def _mode2_vector(view: _DomainView) -> np.ndarray:
-    """Mode-2 coefficient vector for a factorized state (see _is_uncorrelated)."""
-    beta = np.zeros(view.max_n2 + 1, dtype=complex)
-    for n2, amp in zip(view.n2, view.amps):
-        beta[n2] = amp
-    return beta

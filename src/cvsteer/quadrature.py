@@ -1,18 +1,14 @@
-"""Numerical integration engines.
+"""Adaptive Gauss-Kronrod panel integration.
 
-Two deliberately separate tools:
-
-* Gauss-Hermite rules for moment integrals of the form polynomial x exp(-scale*r^2),
-  which they integrate exactly up to the rule degree.
-* An adaptive Gauss-Kronrod panel integrator for differential-entropy integrands
-  ``-g ln g``, whose integrable logarithmic zeros rule out fixed polynomial rules.
+Serves the differential-entropy integrands ``-g ln g``, whose integrable logarithmic
+zeros rule out fixed polynomial rules, and the rational correction integrand of the
+inference-variance criterion. Moments of the Fock states need no quadrature: they are
+exact finite ladder-operator sums (see ``fock``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,46 +16,31 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
-    "GaussHermiteRule",
-    "gauss_hermite_rule",
-    "ConvergenceFailure",
     "IntegralResult",
-    "integrate_moment_1d",
-    "integrate_moment_2d",
     "integrate_entropy_1d",
     "integrate_entropy_2d",
     "adaptive_panels",
     "ENTROPY_FLOOR",
 ]
 
-SQRT_PI = math.sqrt(math.pi)
-
 # Densities below this floor contribute exactly 0 to entropy integrands (0*ln 0 = 0).
 ENTROPY_FLOOR = 1e-300
-
-
-class ConvergenceFailure(RuntimeError):
-    """Gauss-Hermite rule construction failed; signals a bug, not user error."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Precision budget shared by all integration routines.
 
-    gh_order    tensor Gauss-Hermite order for moment integrals
     half_width  truncation L of panel integrals to [-L, L]
     panel_tol   absolute tolerance for one adaptive panel integral
     max_depth   bisection depth limit per panel
     """
 
-    gh_order: int = 64
     half_width: float = 8.0
     panel_tol: float = 1e-10
     max_depth: int = 40
 
     def __post_init__(self):
-        if self.gh_order < 2:
-            raise ValueError("gh_order must be >= 2")
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         if not 0.0 < self.panel_tol < 1.0:
@@ -69,95 +50,6 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class GaussHermiteRule:
-    """Nodes and weights for the weight function exp(-y^2) on the real line.
-
-    ``modified_weights`` are weights[i] * exp(nodes[i]^2); they stay O(1) at any order
-    and let integrands carry their own Gaussian without underflow.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    modified_weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
-
-def _osc_pair(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal oscillator functions (u_{order-1}, u_order) at x, co-evaluated with
-    their Gaussian so the recurrence stays bounded at any order."""
-    prev = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    cur = math.sqrt(2.0) * x * prev
-    for n in range(2, order + 1):
-        prev, cur = cur, math.sqrt(2.0 / n) * x * cur - math.sqrt((n - 1.0) / n) * prev
-    return prev, cur
-
-
-@lru_cache(maxsize=64)
-def gauss_hermite_rule(order: int) -> GaussHermiteRule:
-    """Golub-Welsch construction: eigen-decompose the Hermite Jacobi matrix.
-
-    The Jacobi matrix for the (physicists') Hermite weight has zero diagonal and
-    off-diagonal entries sqrt(k/2); its eigenvalues are the nodes. Eigenvector-based
-    weights lose all relative accuracy in the far tail (the extreme components sit at
-    the eigensolver's absolute noise floor), so after a Newton polish of the nodes the
-    weights come from the orthonormal-function identity w_i exp(x_i^2) =
-    1 / (order * u_{order-1}(x_i)^2), which is relatively accurate at every node.
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    k = np.arange(1, order)
-    jacobi = np.diag(np.sqrt(k / 2.0), 1) + np.diag(np.sqrt(k / 2.0), -1)
-    try:
-        nodes = np.linalg.eigvalsh(jacobi)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - library failure path
-        raise ConvergenceFailure(f"Hermite Jacobi eigen-decomposition failed at order {order}") from exc
-    for _ in range(2):
-        u_prev, u_cur = _osc_pair(order, nodes)
-        deriv = math.sqrt(2.0 * order) * u_prev - nodes * u_cur
-        step = u_cur / deriv
-        if not np.all(np.isfinite(step)):  # pragma: no cover - would signal a bug
-            raise ConvergenceFailure(f"Newton polish failed at order {order}")
-        nodes = nodes - step
-    # Enforce the exact +/- symmetry of the rule.
-    nodes = 0.5 * (nodes - nodes[::-1])
-    u_prev, _ = _osc_pair(order, nodes)
-    modified = 1.0 / (order * u_prev * u_prev)
-    modified = 0.5 * (modified + modified[::-1])
-    weights = modified * np.exp(-nodes * nodes)
-    for arr in (nodes, weights, modified):
-        arr.setflags(write=False)
-    return GaussHermiteRule(nodes=nodes, weights=weights, modified_weights=modified)
-
-
-def integrate_moment_1d(f: Callable[[np.ndarray], np.ndarray], rule: GaussHermiteRule,
-                        gaussian_scale: float = 1.0) -> float:
-    """Integrate f over the real line, f = polynomial x exp(-gaussian_scale*a^2).
-
-    Exact (to rounding) for polynomial degree <= 2*order - 1.
-    """
-    root = math.sqrt(gaussian_scale)
-    x = rule.nodes / root
-    return float(rule.modified_weights @ np.asarray(f(x), dtype=float)) / root
-
-
-def integrate_moment_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rule: GaussHermiteRule,
-                        gaussian_scale: float = 1.0) -> float:
-    """Tensor-product Gauss-Hermite integral of f(a, b) = poly x exp(-scale*(a^2+b^2)).
-
-    The change of variables absorbs ``gaussian_scale``; f is evaluated on the full
-    node mesh in one call and must broadcast.
-    """
-    root = math.sqrt(gaussian_scale)
-    x = rule.nodes / root
-    values = np.asarray(f(x[:, None], x[None, :]), dtype=float)
-    mw = rule.modified_weights
-    return float(mw @ values @ mw) / gaussian_scale
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from cvsteer.criteria import chsh_max, entropic_value, reid_value
 from cvsteer.fock import Domain, UnitSystem, joint_density, make_psi, make_psi_prime, marginal_density
-from cvsteer.quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    gauss_hermite_rule,
-    integrate_entropy_1d,
-    integrate_moment_2d,
-)
+from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
 from cvsteer.sweep import find_critical_angles, hierarchy_report, sweep
 
 BUILDERS = {"psi": make_psi, "psi-prime": make_psi_prime}
@@ -147,7 +142,7 @@ def test_criterion_6_hierarchy_gap_nonempty():
 
 
 def test_criterion_7_numerical_robustness():
-    tight = QuadratureSpec(gh_order=128, panel_tol=1e-11)
+    tight = QuadratureSpec(panel_tol=1e-11)
     worst_precision = 0.0
     worst_units = 0.0
     for state_id, build in BUILDERS.items():
@@ -168,15 +163,17 @@ def test_criterion_7_numerical_robustness():
 
 
 def test_criterion_8_property_suite():
-    rule = gauss_hermite_rule(DEFAULT_SPEC.gh_order)
-    # normalization on a 101-point grid, both domains, both states
+    # normalization on a 101-point grid, both domains, both states, by numpy's 64-point
+    # tensor Gauss-Hermite rule (exact for these polynomial x Gaussian densities)
+    nodes, weights = hermgauss(64)
+    modified = weights * np.exp(nodes ** 2)
     worst_norm = 0.0
     for build in BUILDERS.values():
         for theta in np.linspace(0.0, math.pi, 101):
             state = build(theta)
             for dom in Domain:
-                total = integrate_moment_2d(
-                    lambda a, b: joint_density(state, a, b, dom), rule, 1.0)
+                total = float(modified @ joint_density(state, nodes[:, None], nodes[None, :], dom)
+                              @ modified)
                 worst_norm = max(worst_norm, abs(total - 1.0))
     assert worst_norm < 1e-9, worst_norm
 

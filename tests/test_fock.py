@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss, hermval
 
 from cvsteer.fock import (
     DegenerateMarginal,
@@ -21,15 +23,32 @@ from cvsteer.fock import (
     marginal_density,
     wavefunction,
 )
-from cvsteer.quadrature import gauss_hermite_rule, integrate_moment_1d, integrate_moment_2d
+from cvsteer.fock import _second_moment, _view
 
 SQPI = math.sqrt(math.pi)
-RULE = gauss_hermite_rule(64)
+
+# numpy's 64-point Gauss-Hermite rule, weights times exp(node^2) so integrands carry
+# their own Gaussian: exact for polynomial x Gaussian up to polynomial degree 127.
+GH_NODES, GH_WEIGHTS = hermgauss(64)
+GH_MODIFIED = GH_WEIGHTS * np.exp(GH_NODES ** 2)
+
+
+def gh_1d(f, gaussian_scale=1.0):
+    """int f over the real line, f = polynomial x exp(-gaussian_scale * x^2)."""
+    root = math.sqrt(gaussian_scale)
+    return float(GH_MODIFIED @ np.asarray(f(GH_NODES / root), dtype=float)) / root
+
+
+def gh_2d(f, gaussian_scale=1.0):
+    """Tensor-product version of gh_1d for f(a, b) = poly x exp(-scale (a^2 + b^2))."""
+    x = GH_NODES / math.sqrt(gaussian_scale)
+    values = np.asarray(f(x[:, None], x[None, :]), dtype=float)
+    return float(GH_MODIFIED @ values @ GH_MODIFIED) / gaussian_scale
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, depth=30):
     """Independent oracle integrator (plain recursive Simpson), used to cross-check
-    conditional moments computed by the Gauss-Hermite path."""
+    conditional moments computed by the ladder-operator sums."""
 
     def simpson(lo, hi):
         mid = 0.5 * (lo + hi)
@@ -83,14 +102,14 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_normalization(self, n):
-        val = integrate_moment_1d(lambda x: eigenfunction_x(n, x) ** 2, RULE, 1.0)
+        val = gh_1d(lambda x: eigenfunction_x(n, x) ** 2)
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_momentum_ground_state(self):
         assert eigenfunction_p(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
 
     def test_momentum_unitarity(self):
-        val = integrate_moment_1d(lambda p: np.abs(eigenfunction_p(1, p)) ** 2, RULE, 1.0)
+        val = gh_1d(lambda p: np.abs(eigenfunction_p(1, p)) ** 2)
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_momentum_phase_convention(self):
@@ -185,7 +204,7 @@ class TestDensities:
     def test_joint_normalization_quadrature_oracle(self):
         st0 = make_psi(0.9)
         for dom in Domain:
-            val = integrate_moment_2d(lambda a, b: joint_density(st0, a, b, dom), RULE, 1.0)
+            val = gh_2d(lambda a, b: joint_density(st0, a, b, dom))
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_marginal_closed_form(self):
@@ -203,13 +222,12 @@ class TestDensities:
         st0 = make_psi_prime(theta)
         for dom in Domain:
             for a in (0.0, 0.6, -1.2):
-                numeric = integrate_moment_1d(
-                    lambda b: joint_density(st0, a, b, dom), RULE, 1.0)
+                numeric = gh_1d(lambda b: joint_density(st0, a, b, dom))
                 assert marginal_density(st0, a, dom) == pytest.approx(numeric, abs=1e-10)
 
     def test_marginal_normalization(self):
         st0 = make_psi(1.1)
-        val = integrate_moment_1d(lambda x: marginal_density(st0, x, Domain.POSITION), RULE, 1.0)
+        val = gh_1d(lambda x: marginal_density(st0, x, Domain.POSITION))
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_mode2_marginal_of_psi_prime(self):
@@ -257,7 +275,7 @@ class TestInvariantsAndScaling:
         for theta in np.linspace(0.0, math.pi, 11):
             state = builder(theta)
             for dom in Domain:
-                val = integrate_moment_2d(lambda a, b: joint_density(state, a, b, dom), RULE, 1.0)
+                val = gh_2d(lambda a, b: joint_density(state, a, b, dom))
                 assert abs(val - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n", [0, 1, 3])
@@ -266,12 +284,12 @@ class TestInvariantsAndScaling:
         for m_omega in (0.5, 1.0, 2.0):
             units = UnitSystem(m_omega=m_omega)
             state = FockState.from_terms([(n, n, 1.0)])
-            var_x = integrate_moment_2d(
+            var_x = gh_2d(
                 lambda a, b: b * b * joint_density(state, a, b, Domain.POSITION, units),
-                RULE, m_omega)
-            var_p = integrate_moment_2d(
+                m_omega)
+            var_p = gh_2d(
                 lambda a, b: b * b * joint_density(state, a, b, Domain.MOMENTUM, units),
-                RULE, 1.0 / m_omega)
+                1.0 / m_omega)
             assert var_x == pytest.approx((n + 0.5) / m_omega, abs=1e-9)
             assert var_p == pytest.approx((n + 0.5) * m_omega, abs=1e-9)
 
@@ -280,15 +298,11 @@ class TestInvariantsAndScaling:
         theta = 0.9
         state = make_psi(theta)
         u1, u2 = NATURAL_UNITS, UnitSystem(m_omega=2.0)
-        m_x1 = integrate_moment_2d(
-            lambda a, b: b * b * joint_density(state, a, b, Domain.POSITION, u1), RULE, 1.0)
-        m_x2 = integrate_moment_2d(
-            lambda a, b: b * b * joint_density(state, a, b, Domain.POSITION, u2), RULE, 2.0)
+        m_x1 = gh_2d(lambda a, b: b * b * joint_density(state, a, b, Domain.POSITION, u1), 1.0)
+        m_x2 = gh_2d(lambda a, b: b * b * joint_density(state, a, b, Domain.POSITION, u2), 2.0)
         assert m_x2 == pytest.approx(0.5 * m_x1, rel=1e-10)
-        m_p1 = integrate_moment_2d(
-            lambda a, b: b * b * joint_density(state, a, b, Domain.MOMENTUM, u1), RULE, 1.0)
-        m_p2 = integrate_moment_2d(
-            lambda a, b: b * b * joint_density(state, a, b, Domain.MOMENTUM, u2), RULE, 0.5)
+        m_p1 = gh_2d(lambda a, b: b * b * joint_density(state, a, b, Domain.MOMENTUM, u1), 1.0)
+        m_p2 = gh_2d(lambda a, b: b * b * joint_density(state, a, b, Domain.MOMENTUM, u2), 0.5)
         assert m_p2 == pytest.approx(2.0 * m_p1, rel=1e-10)
 
     @given(st.floats(min_value=0.05, max_value=math.pi - 0.05),
@@ -309,6 +323,49 @@ class TestInvariantsAndScaling:
 
     def test_units_validation(self):
         with pytest.raises(ValueError):
-            UnitSystem(hbar=2.0)
-        with pytest.raises(ValueError):
             UnitSystem(m_omega=0.0)
+
+
+class TestExactMoments:
+    """Conditional means and <b^2> (exact ladder-operator sums) against an oracle built
+    here from numpy's Hermite series and Gauss-Hermite rule, not the library's tables."""
+
+    # Terms whose mode-2 indices differ by one couple in N(a), and the two n1 = 0 terms
+    # (n2 = 2, 4) couple in <b^2>; generic phases keep both couplings nonzero in both
+    # domains.
+    STATE = FockState.from_terms([(0, 2, 0.5), (5, 3, 0.5 * cmath.exp(0.9j)), (6, 1, -0.5),
+                                  (0, 4, 0.5 * cmath.exp(0.4j))])
+    # The mode-1 marginal is a sum of |amp|^2 phi_n1(a)^2 over distinct mode-2 groups,
+    # one with n1 = 0, so it has no zeros.
+    ABSCISSAE = (-2.1, -1.4, -0.8, -0.3, 0.25, 0.7, 1.1, 1.6, 2.3)
+    NODES, WEIGHTS = hermgauss(40)  # exact to polynomial degree 79; the density has 24
+
+    @staticmethod
+    def _phi(n, x, dom, scale):
+        y = math.sqrt(scale) * np.asarray(x, dtype=float)
+        norm = (scale / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
+        u = norm * hermval(y, [0.0] * n + [1.0]) * np.exp(-0.5 * y * y)
+        return u if dom is Domain.POSITION else (-1j) ** n * u
+
+    def _density(self, a, b, dom, scale):
+        amp = sum(c * self._phi(n1, a, dom, scale) * self._phi(n2, b, dom, scale)
+                  for n1, n2, c in self.STATE.terms)
+        return np.abs(amp) ** 2
+
+    @pytest.mark.parametrize("dom", list(Domain))
+    @pytest.mark.parametrize("m_omega", [0.5, 1.0, 2.0])
+    def test_against_hermgauss_oracle(self, m_omega, dom):
+        units = UnitSystem(m_omega=m_omega)
+        scale = m_omega if dom is Domain.POSITION else 1.0 / m_omega
+        # int f(b) db = sum_i w_i exp(t_i^2) f(t_i / sqrt(s)) / sqrt(s) for f = poly x exp(-s b^2)
+        b = self.NODES / math.sqrt(scale)
+        w = self.WEIGHTS * np.exp(self.NODES ** 2) / math.sqrt(scale)
+        for a in self.ABSCISSAE:
+            p = self._density(a, b, dom, scale)
+            expected = float(w @ (b * p)) / float(w @ p)
+            got = conditional_mean(self.STATE, a, dom, units)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        p2 = self._density(b[:, None], b[None, :], dom, scale)
+        expected_b2 = float(w @ p2 @ (w * b * b))
+        got_b2 = _second_moment(_view(self.STATE, dom, units))
+        assert got_b2 == pytest.approx(expected_b2, rel=1e-12, abs=0.0)

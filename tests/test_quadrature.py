@@ -9,104 +9,19 @@ from cvsteer.quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
     adaptive_panels,
-    gauss_hermite_rule,
     integrate_entropy_1d,
     integrate_entropy_2d,
-    integrate_moment_1d,
-    integrate_moment_2d,
 )
 
 SQPI = math.sqrt(math.pi)
 
 
-class TestGaussHermiteRule:
-    def test_order_two_closed_form(self):
-        # Two-point rule from the Jacobi matrix: nodes +-1/sqrt(2), weights sqrt(pi)/2
-        rule = gauss_hermite_rule(2)
-        assert rule.nodes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-15)
-        assert rule.weights == pytest.approx([SQPI / 2, SQPI / 2], abs=1e-15)
-
-    def test_zeroth_moment(self):
-        rule = gauss_hermite_rule(10)
-        assert rule.weights.sum() == pytest.approx(SQPI, rel=1e-12)
-
-    def test_fourth_moment(self):
-        # gamma(5/2) = (3/4) sqrt(pi)
-        rule = gauss_hermite_rule(10)
-        assert (rule.weights * rule.nodes**4).sum() == pytest.approx(0.75 * SQPI, rel=1e-12)
-
-    def test_nodes_symmetric(self):
-        for order in (7, 32, 64):
-            rule = gauss_hermite_rule(order)
-            np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
-            np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
-
-    @pytest.mark.parametrize("order", [2, 5, 10])
-    def test_exact_for_all_moments_up_to_degree(self, order):
-        # Gaussian-moment oracle: int y^k e^{-y^2} dy = gamma((k+1)/2) for even k, 0 odd.
-        # Odd moments cancel pairwise; "relative" there means relative to the summand
-        # scale sum w |y|^k, the roundoff floor of any dot product.
-        rule = gauss_hermite_rule(order)
-        for k in range(2 * order):
-            got = float(rule.weights @ rule.nodes**k)
-            scale = float(rule.weights @ np.abs(rule.nodes) ** k)
-            expected = math.gamma((k + 1) / 2) if k % 2 == 0 else 0.0
-            assert got == pytest.approx(expected, abs=1e-12 * scale)
-
-    def test_modified_weights(self):
-        rule = gauss_hermite_rule(64)
-        # w * exp(x^2) stays O(1); spot-check against direct computation mid-range
-        mid = np.abs(rule.nodes) < 4
-        np.testing.assert_allclose(
-            rule.modified_weights[mid],
-            rule.weights[mid] * np.exp(rule.nodes[mid] ** 2),
-            rtol=1e-12,
-        )
-        assert np.all(np.isfinite(rule.modified_weights))
-
-    def test_rejects_tiny_order(self):
-        with pytest.raises(ValueError):
-            gauss_hermite_rule(1)
-
-    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=12))
-    @settings(max_examples=40, deadline=None)
-    def test_moment_exactness_property(self, order, k):
-        rule = gauss_hermite_rule(order)
-        if k > 2 * order - 1:
-            return
-        got = float(rule.weights @ rule.nodes**k)
-        scale = float(rule.weights @ np.abs(rule.nodes) ** k)
-        expected = math.gamma((k + 1) / 2) if k % 2 == 0 else 0.0
-        assert got == pytest.approx(expected, abs=1e-12 * scale)
-
-
-class TestMomentIntegrals:
-    def test_gaussian_normalization_1d(self):
-        rule = gauss_hermite_rule(16)
-        val = integrate_moment_1d(lambda a: np.exp(-2.0 * a * a), rule, gaussian_scale=2.0)
-        assert val == pytest.approx(math.sqrt(math.pi / 2), rel=1e-13)
-
-    def test_second_moment_2d(self):
-        # int b^2 (1/pi) e^{-(a^2+b^2)} = 1/2
-        rule = gauss_hermite_rule(32)
-        val = integrate_moment_2d(
-            lambda a, b: b * b / math.pi * np.exp(-(a * a + b * b)), rule, 1.0)
-        assert val == pytest.approx(0.5, rel=1e-13)
-
-    def test_scale_change_of_variables(self):
-        rule = gauss_hermite_rule(32)
-        val = integrate_moment_2d(
-            lambda a, b: (3.0 / math.pi) * np.exp(-3.0 * (a * a + b * b)), rule, 3.0)
-        assert val == pytest.approx(1.0, rel=1e-13)
-
-
 class TestQuadratureSpec:
     def test_defaults(self):
-        assert DEFAULT_SPEC == QuadratureSpec(gh_order=64, half_width=8.0,
-                                              panel_tol=1e-10, max_depth=40)
+        assert DEFAULT_SPEC == QuadratureSpec(half_width=8.0, panel_tol=1e-10, max_depth=40)
 
     @pytest.mark.parametrize("kwargs", [
-        {"gh_order": 1},
+        {"half_width": float("nan")},
         {"half_width": 0.0},
         {"panel_tol": 0.0},
         {"panel_tol": 1.5},

@@ -24,7 +24,7 @@ CROSSINGS = {
     ("psi-prime", "entropic"): (0.6669521870667777, 2.474640466523016),
 }
 
-FAST_SPEC = QuadratureSpec(gh_order=32, panel_tol=1e-8)
+FAST_SPEC = QuadratureSpec(panel_tol=1e-8)
 
 
 def crossings_of(roots):
