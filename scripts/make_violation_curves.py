@@ -18,7 +18,7 @@ from cvsteer.sweep import find_critical_angles
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out", help="output directory (default ./out)")
-    parser.add_argument("--steps", type=int, default=315)
+    parser.add_argument("--steps", type=int, default=RunConfig.steps)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)

@@ -196,16 +196,16 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec
     """-int int g ln g over [-L, L]^2 by iterated adaptive panels.
 
     ``g(a, b)`` must evaluate elementwise on same-length arrays. The inner (b) integrals
-    for all pending outer abscissae are refined together in shared vectorized sweeps;
-    results are cached per outer abscissa. ``inner_breakpoints(a_values)`` may return an
-    (n, r) array (NaN-padded) of known zeros of b -> g(a, b) used as panel pre-splits.
+    for all pending outer abscissae are refined together in shared vectorized sweeps.
+    ``inner_breakpoints(a_values)`` may return an (n, r) array (NaN-padded) of known
+    zeros of b -> g(a, b) used as panel pre-splits.
     """
     L = spec.half_width
     inner_tol = spec.panel_tol / (8.0 * L)
-    cache: dict[float, float] = {}
-    inner_ok = [True]
+    inner_ok = True
 
-    def _inner_batch(avals: np.ndarray) -> None:
+    def outer_f(avals: np.ndarray) -> np.ndarray:
+        nonlocal inner_ok
         seg_task: list[int] = []
         seg_lo: list[float] = []
         seg_hi: list[float] = []
@@ -221,20 +221,12 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec
             seg_task, seg_lo, seg_hi,
             np.full(avals.size, inner_tol), spec.max_depth, avals.size,
         )
-        if not ok.all():
-            inner_ok[0] = False
-        for a, v in zip(avals.tolist(), vals.tolist()):
-            cache[a] = v
-
-    def outer_f(x: np.ndarray) -> np.ndarray:
-        missing = [a for a in x.tolist() if a not in cache]
-        if missing:
-            _inner_batch(np.asarray(missing))
-        return np.array([cache[a] for a in x.tolist()])
+        inner_ok = inner_ok and bool(ok.all())
+        return vals
 
     outer = adaptive_panels(outer_f, -L, L, spec.panel_tol, spec.max_depth, outer_breakpoints)
     return IntegralResult(
         value=outer.value,
         error=outer.error + 2.0 * L * inner_tol,
-        converged=outer.converged and inner_ok[0],
+        converged=outer.converged and inner_ok,
     )

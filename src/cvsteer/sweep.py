@@ -1,11 +1,12 @@
 """Parameter sweeps over the built-in state families, critical-angle location, and the
 criteria-coverage report.
 
-Angles where a criterion crosses its classical bound are located by a fixed-step scan
-followed by bisection; angles where the value only touches the bound (no sign change)
-are found separately by locating local minima of |value - bound| and refining them by
-golden-section search. Crossings and touch-points are distinguished by ``kind`` and by
-a zero-width bracket.
+Critical angles come from one uniform sweep of the criterion over [0, pi]: sign changes
+of value - bound between samples are bisected (kind ``crossing``), and samples where
+the value equals the bound exactly with no sign change are touch-points (kind
+``touch``, zero-width bracket). The bound is met exactly only where the evaluators are
+exact, at product states; for every family cos(theta)|A> + sin(theta)|B> those sit at
+0, pi/2 and pi, which an odd sample count places on the grid.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ STATE_BUILDERS: Mapping[str, Callable[[float], FockState]] = {
     "psi-prime": make_psi_prime,
 }
 
-_SCAN_STEP = 0.01       # two orders below every inter-root gap of the built-in families
-_TOUCH_TOL = 1e-9       # |value - bound| at a refined extremum to count as a touch-point
-_TOUCH_GATE = 1e-3      # coarse gate on grid values before refining an extremum
-_SNAP_TOL = 1e-4        # touch angles this close to 0, pi/2, pi snap to the exact point
+_SCAN_POINTS = 315  # odd, so the uniform grid on [0, pi] holds 0, pi/2 and pi exactly
 
 
 class NoRootInRange(LookupError):
@@ -64,7 +62,6 @@ class SweepResult:
     state_id: str
     thetas: tuple[float, ...]
     values: Mapping[str, tuple[float, ...]]
-    criticals: tuple[CriticalAngle, ...] = ()
     flagged: tuple[tuple[str, float], ...] = ()  # (criterion, theta) with unmet tolerance
 
 
@@ -105,23 +102,25 @@ def _evaluate(criterion: str, state: FockState, spec: QuadratureSpec, theta: flo
 
 def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
           spec: QuadratureSpec = DEFAULT_SPEC, theta_min: float = 0.0,
-          theta_max: float = math.pi, locate_criticals: bool = False) -> SweepResult:
+          theta_max: float = math.pi) -> SweepResult:
     """Evaluate the requested criteria on a uniform theta grid.
 
     Results are emitted in grid order; the per-theta evaluations are independent, so
     the output does not depend on any execution interleaving. Unmet quadrature
-    tolerances are collected in ``flagged`` without aborting the sweep. With
-    ``locate_criticals`` the bound-meeting angles of each requested criterion are
-    attached (see find_critical_angles).
+    tolerances are collected in ``flagged`` without aborting the sweep.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
     build = _builder(state_id)
-    wanted = [c for c in CRITERIA if c in set(criteria_set)]
-    if not wanted:
-        raise ValueError("criteria_set must name at least one known criterion")
+    requested = set(criteria_set)
+    if not requested:
+        raise ValueError("criteria_set must name at least one criterion")
+    unknown = sorted(requested.difference(CRITERIA))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; expected names from {CRITERIA}")
+    wanted = [c for c in CRITERIA if c in requested]
     thetas = np.linspace(theta_min, theta_max, n_points)
     columns: dict[str, list[float]] = {c: [] for c in wanted}
     flagged: list[tuple[str, float]] = []
@@ -132,20 +131,10 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
             columns[c].append(res.value)
             if not res.converged:
                 flagged.append((c, theta))
-    criticals: tuple[CriticalAngle, ...] = ()
-    if locate_criticals:
-        located: list[CriticalAngle] = []
-        for c in wanted:
-            try:
-                located.extend(find_critical_angles(state_id, c, spec))
-            except NoRootInRange:
-                pass
-        criticals = tuple(sorted(located, key=lambda r: (r.angle, r.criterion)))
     return SweepResult(
         state_id=state_id,
         thetas=tuple(thetas.tolist()),
         values={c: tuple(col) for c, col in columns.items()},
-        criticals=criticals,
         flagged=tuple(flagged),
     )
 
@@ -165,37 +154,15 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
     return angle, (lo, hi), abs(f(angle))
 
 
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def _refine_minimum(f: Callable[[float], float], lo: float, hi: float,
-                    root_tol: float) -> tuple[float, float]:
-    """Golden-section minimization of |f| (for bound-touching extrema)."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = abs(f(c)), abs(f(d))
-    while hi - lo > root_tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = abs(f(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = abs(f(d))
-    angle = 0.5 * (lo + hi)
-    return angle, abs(f(angle))
-
-
 def find_critical_angles(state_id: str, criterion: str,
                          spec: QuadratureSpec = DEFAULT_SPEC,
                          root_tol: float = 1e-6) -> tuple[CriticalAngle, ...]:
     """Locate every angle in [0, pi] where the criterion meets its classical bound.
 
-    A 0.01-step scan finds sign changes of value - bound, each bisected to width
-    <= root_tol. Bound-touching extrema (no sign change) are detected from local
-    minima of the scanned |value - bound| and refined by golden section; they are
-    reported with kind="touch" and a zero-width bracket. Raises NoRootInRange when
+    A sweep on 315 uniform angles (0, pi/2 and pi among them) finds the sign changes
+    of value - bound, each bisected to width <= root_tol (kind="crossing"). Samples
+    where the value equals the bound exactly without a sign change are reported with
+    kind="touch", a zero-width bracket and residual 0. Raises NoRootInRange when
     neither kind exists. Results are memoized: the location is a pure deterministic
     function of its arguments, and the report layer re-requests the same scans.
     """
@@ -215,16 +182,17 @@ def _find_critical_angles_cached(state_id: str, criterion: str, spec: Quadrature
     def f(theta: float) -> float:
         return _evaluate(criterion, build(theta), spec, theta).value - bound
 
-    grid = np.append(np.arange(0.0, math.pi, _SCAN_STEP), math.pi)
-    values = np.array([f(t) for t in grid.tolist()])
+    scan = sweep(state_id, (criterion,), _SCAN_POINTS, spec)
+    grid = scan.thetas
+    values = np.array(scan.values[criterion]) - bound
 
     found: list[CriticalAngle] = []
-    for i in range(grid.size - 1):
+    for i in range(len(grid) - 1):
         f0, f1 = values[i], values[i + 1]
         if f0 == 0.0 or f1 == 0.0:
             continue  # exact grid zeros are classified below
         if (f0 > 0.0) != (f1 > 0.0):
-            angle, bracket, residual = _bisect(f, float(grid[i]), float(grid[i + 1]), float(f0), root_tol)
+            angle, bracket, residual = _bisect(f, grid[i], grid[i + 1], float(f0), root_tol)
             found.append(CriticalAngle(criterion, angle, bracket, residual, "crossing"))
 
     for i in np.flatnonzero(values == 0.0):
@@ -234,29 +202,12 @@ def _find_critical_angles_cached(state_id: str, criterion: str, spec: Quadrature
             kind = "crossing"
         else:
             kind = "touch"
-        angle = float(grid[i])
+        angle = grid[i]
         found.append(CriticalAngle(criterion, angle, (angle, angle), 0.0, kind))
-
-    for i in range(1, grid.size - 1):
-        fi = values[i]
-        if fi == 0.0 or abs(fi) > _TOUCH_GATE:
-            continue
-        if abs(fi) <= abs(values[i - 1]) and abs(fi) <= abs(values[i + 1]) \
-                and (values[i - 1] > 0.0) == (fi > 0.0) == (values[i + 1] > 0.0):
-            angle, residual = _refine_minimum(f, float(grid[i - 1]), float(grid[i + 1]), root_tol)
-            if residual <= _TOUCH_TOL:
-                found.append(CriticalAngle(criterion, angle, (angle, angle), residual, "touch"))
 
     if not found:
         raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}")
     return tuple(sorted(found, key=lambda r: r.angle))
-
-
-def _snap(angle: float) -> float:
-    for special in (0.0, 0.5 * math.pi, math.pi):
-        if abs(angle - special) < _SNAP_TOL:
-            return special
-    return angle
 
 
 def _violation_spans(state_id: str, criterion: str, roots: tuple[CriticalAngle, ...],
@@ -267,9 +218,8 @@ def _violation_spans(state_id: str, criterion: str, roots: tuple[CriticalAngle, 
     bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
     cuts = [0.0]
     for r in roots:
-        a = _snap(r.angle)
-        if cuts[-1] + 1e-9 < a < math.pi - 1e-9:
-            cuts.append(a)
+        if cuts[-1] < r.angle < math.pi:
+            cuts.append(r.angle)
     cuts.append(math.pi)
     spans = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):

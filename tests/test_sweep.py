@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from cvsteer.criteria import CriterionResult
-from cvsteer.quadrature import QuadratureSpec
+from cvsteer.criteria import CHSH_CLASSICAL_BOUND, CriterionResult
+from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec
 from cvsteer.sweep import (
     NoRootInRange,
     find_critical_angles,
@@ -75,12 +75,6 @@ class TestSweep:
         b = sweep("psi", {"reid", "chsh"}, 9, spec=FAST_SPEC)
         assert a == b
 
-    def test_attached_criticals(self):
-        res = sweep("psi", {"reid"}, 5, locate_criticals=True)
-        xs = [r.angle for r in res.criticals if r.kind == "crossing"]
-        assert len(xs) == 2
-        assert xs[0] == pytest.approx(CROSSINGS[("psi", "reid")][0], abs=5e-4)
-
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             sweep("psi", {"reid"}, 1)
@@ -90,6 +84,8 @@ class TestSweep:
             sweep("psi", set(), 5)
         with pytest.raises(ValueError):
             sweep("nope", {"reid"}, 5)
+        with pytest.raises(ValueError, match="entropc"):
+            sweep("psi", {"chsh", "entropc"}, 3)
 
 
 class TestFindCriticalAngles:
@@ -123,17 +119,34 @@ class TestFindCriticalAngles:
         for criterion in ("reid", "entropic"):
             roots = find_critical_angles("psi-prime", criterion)
             touch = touches_of(roots)
-            assert any(abs(r.angle - math.pi / 2) < 1e-4 for r in touch), roots
+            assert any(r.angle == math.pi / 2 for r in touch), roots
             for r in touch:
                 assert r.bracket == (r.angle, r.angle)
-                assert r.residual <= 1e-9
+                assert r.residual == 0.0
 
     def test_chsh_touches_only(self):
         roots = find_critical_angles("psi", "chsh")
         assert not crossings_of(roots)
         angles = [r.angle for r in touches_of(roots)]
         assert angles[0] == 0.0 and angles[-1] == math.pi
-        assert any(abs(a - math.pi / 2) < 1e-4 for a in angles)
+        assert math.pi / 2 in angles
+        assert all(r.residual == 0.0 for r in touches_of(roots))
+
+    @pytest.mark.parametrize("state_id", ["psi", "psi-prime"])
+    @pytest.mark.parametrize("criterion", ["reid", "entropic", "chsh"])
+    def test_touches_exact_at_product_points(self, state_id, criterion):
+        # The bound is met exactly only at product states, which for both families sit
+        # at 0, pi/2 and pi: every touch is one of those angles, with the evaluated
+        # value there equal to the bound
+        bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+        build = sweep_mod.STATE_BUILDERS[state_id]
+        touches = touches_of(find_critical_angles(state_id, criterion))
+        assert touches
+        for r in touches:
+            assert r.angle in (0.0, math.pi / 2, math.pi), r
+            assert r.residual == 0.0 and r.bracket == (r.angle, r.angle)
+            value = sweep_mod._evaluate(criterion, build(r.angle), DEFAULT_SPEC, r.angle).value
+            assert value == bound, (r, value)
 
     def test_monotone_refinement(self):
         coarse = crossings_of(find_critical_angles("psi", "reid", root_tol=1e-4))
