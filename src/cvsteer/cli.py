@@ -141,10 +141,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("theta_min/theta_max: need 0 <= theta_min < theta_max <= pi")
     if config.steps < 2:
         raise ConfigError(f"steps: {config.steps} is below the minimum of 2")
-    if not config.half_width > 0:
-        raise ConfigError(f"half_width: {config.half_width!r} must be positive")
-    if not 0.0 < config.panel_tol < 1.0:
-        raise ConfigError(f"panel_tol: {config.panel_tol!r} must lie in (0, 1)")
+    try:
+        config.spec()
+    except ValueError as exc:  # the message starts with the field name
+        raise ConfigError(str(exc)) from exc
     if not config.root_tol > 0:
         raise ConfigError(f"root_tol: {config.root_tol!r} must be positive")
     if config.format not in ("csv", "json"):

@@ -95,10 +95,14 @@ class CorrelationMatrix:
         return np.linalg.svd(self.t, compute_uv=False)
 
 
-def _effective_width(spec: QuadratureSpec, scale: float) -> float:
-    # A domain with scale < 1 has densities wider than natural; stretch the window so
-    # the truncated tail stays below 1e-12.
-    return spec.half_width * max(1.0, scale ** -0.5)
+def _effective_width(spec: QuadratureSpec, view) -> float:
+    # A domain with scale < 1 has densities wider than natural, and level n reaches its
+    # turning point sqrt(2n+1) in y = sqrt(scale) x: stretch the window past both so the
+    # truncated tail stays below 1e-12 (a margin of 4.2 in y leaves two-sided tails of
+    # |u_n|^2 below 2e-13 for every n <= 40).
+    turning = math.sqrt(2 * max(view.max_n1, view.max_n2) + 1)
+    return max(spec.half_width * max(1.0, view.scale ** -0.5),
+               (turning + 4.2) / math.sqrt(view.scale))
 
 
 def _variance_uncorrelated(view) -> float:
@@ -120,7 +124,7 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
         good = m > DENSITY_FLOOR
         return np.where(good, n * n / np.where(good, m, 1.0), 0.0)
 
-    width = _effective_width(spec, view.scale)
+    width = _effective_width(spec, view)
     cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     correction = adaptive_panels(ratio, -width, width, spec.panel_tol, spec.max_depth, cuts)
     return max(_second_moment(view) - correction.value, 0.0), correction.converged
@@ -167,7 +171,7 @@ def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
         if view.max_n2 == 0:
             return 0.5 * math.log(math.pi * math.e / view.scale), True
         return _H_LEVEL1 - 0.5 * math.log(view.scale), True
-    width = _effective_width(spec, view.scale)
+    width = _effective_width(spec, view)
     cuts = _marginal_zero_hints(view, 2, width) + (0.0,)
     res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, units, mode=2),
                                replace(spec, half_width=width), breakpoints=cuts)
@@ -179,7 +183,7 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
     view = _view(state, dom, units)
     if _is_uncorrelated(view):
         return _entropy_uncorrelated(state, dom, spec, units)
-    width = _effective_width(spec, view.scale)
+    width = _effective_width(spec, view)
     espec = replace(spec, half_width=width)
     marg_cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     joint_res = integrate_entropy_2d(

@@ -339,17 +339,31 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     return float(n[0] / m[0])
 
 
-def _hermite_monomial_rows(n_max: int) -> np.ndarray:
-    """Monomial coefficients of H_n (row n, ascending powers), exact in doubles for
-    the small n used here."""
-    rows = np.zeros((n_max + 1, n_max + 1))
-    rows[0, 0] = 1.0
-    if n_max >= 1:
-        rows[1, 1] = 2.0
-    for n in range(2, n_max + 1):
-        rows[n, 1:] = 2.0 * rows[n - 1, :-1]
-        rows[n, :] -= 2.0 * (n - 1) * rows[n - 2, :]
-    return rows
+def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
+    """Real roots of sum_j coeff[j, i] u_j(y) e^(y^2/2) for every column i at once.
+
+    Returns shape (columns, rows - 1), each row sorted ascending and NaN-padded. The
+    roots are the eigenvalues of the Jacobi matrix of y u_j = sqrt(j/2) u_{j-1} +
+    sqrt((j+1)/2) u_{j+1}, its last row closed by -sqrt(d/2) c[:d] / c[d] (numpy's
+    hermcompanion in the oscillator basis; Golub & Welsch 1969, Barnett 1975). A
+    column's degree d is the index of its last coefficient above 1e-14 of its largest,
+    so columns whose leading coefficients vanish are solved at their lower degree.
+    """
+    mag = np.abs(coeff)
+    big = mag > 1e-14 * mag.max(axis=0)
+    degree = np.where(big.any(axis=0), coeff.shape[0] - 1 - np.argmax(big[::-1], axis=0), 0)
+    out = np.full((coeff.shape[1], coeff.shape[0] - 1), np.nan)
+    for d in np.unique(degree[degree > 0]).tolist():
+        cols = np.flatnonzero(degree == d)
+        c = coeff[:d + 1, cols].T
+        off = np.sqrt(np.arange(1, d) / 2.0)
+        mats = np.broadcast_to(np.diag(off, 1) + np.diag(off, -1), (cols.size, d, d)).copy()
+        mats[:, -1, :] -= math.sqrt(d / 2.0) * c[:, :d] / c[:, d:]
+        # A 1x1 matrix is its own eigenvalue
+        roots = mats[:, :, 0] if d == 1 else np.linalg.eigvals(mats)
+        real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
+        out[cols, :d] = np.sort(np.where(real, roots.real, np.nan), axis=1)
+    return out
 
 
 def _real_aligned(amps: np.ndarray) -> np.ndarray | None:
@@ -365,73 +379,36 @@ def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray 
     """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
 
     Zero *curves* of the density exist only when the wavefunction is real up to a
-    global phase; then b -> psi(a, b) is a degree-max_n2 polynomial (times a Gaussian)
-    whose real roots are returned, NaN-padded to shape (len(a), max_n2).
+    global phase; then b -> psi(a, b) is a degree-max_n2 oscillator series whose real
+    roots inside (-limit, limit) are returned, NaN-padded to shape (len(a), max_n2).
     """
     amps = _real_aligned(view.amps)
-    if amps is None or view.max_n2 == 0:
+    if amps is None:
         return None
     root_scale = math.sqrt(view.scale)
-    ya = root_scale * np.asarray(a, dtype=float)
-    u1 = _osc_table(view.max_n1, ya, include_gaussian=False)
-    deg = view.max_n2
-    # Coefficients of the polynomial in yb, in the monomial basis.
-    herm = _hermite_monomial_rows(deg)
-    coeff = np.zeros((deg + 1, ya.size))
-    for n1, n2, amp in zip(view.n1, view.n2, amps):
-        norm = 1.0 / math.sqrt(2.0 ** int(n2) * math.factorial(int(n2)))
-        coeff += (amp * norm) * np.outer(herm[n2], u1[n1])
-    out = np.full((ya.size, deg), np.nan)
-    tiny = 1e-14 * max(np.max(np.abs(coeff)), 1.0)
-    if deg == 1:
-        c0, c1 = coeff
-        ok = np.abs(c1) > tiny
-        out[ok, 0] = -c0[ok] / c1[ok]
-    elif deg == 2:
-        c0, c1, c2 = coeff
-        quad = np.abs(c2) > tiny
-        disc = np.where(quad, c1 * c1 - 4.0 * c2 * c0, -1.0)
-        real2 = quad & (disc >= 0.0)
-        sq = np.sqrt(np.where(real2, disc, 0.0))
-        denom = np.where(real2, 2.0 * c2, 1.0)
-        out[real2, 0] = (-c1[real2] - sq[real2]) / denom[real2]
-        out[real2, 1] = (-c1[real2] + sq[real2]) / denom[real2]
-        lin = ~quad & (np.abs(c1) > tiny)
-        out[lin, 0] = -c0[lin] / c1[lin]
-    else:
-        for i in range(ya.size):
-            roots = np.roots(coeff[::-1, i])
-            reals = [r.real for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
-            out[i, :len(reals)] = sorted(reals)[:deg]
-    out /= root_scale
+    u1 = _osc_table(view.max_n1, root_scale * np.asarray(a, dtype=float), include_gaussian=False)
+    coeff = np.zeros((view.max_n2 + 1, u1.shape[1]))
+    np.add.at(coeff, view.n2, amps[:, None] * u1[view.n1])
+    out = _oscillator_roots(coeff) / root_scale
     out[np.abs(out) >= limit] = np.nan
     return out
 
 
 def _marginal_zero_hints(view: _DomainView, mode: int, limit: float) -> tuple[float, ...]:
-    """Real zeros of the mode's marginal. Nonempty only when a single orthogonality
-    group survives (the marginal is then |polynomial|^2 x Gaussian)."""
+    """Real zeros of the mode's marginal inside (-limit, limit). Nonempty only when a
+    single orthogonality group survives (the marginal is then |series|^2 x Gaussian)."""
     groups = _group_indices(view, mode)
     if len(groups) != 1:
         return ()
-    kept = view.n1 if mode == 1 else view.n2
     (idxs,) = groups.values()
     amps = _real_aligned(view.amps[idxs])
     if amps is None:
         return ()
-    deg = int(max(kept[k] for k in idxs))
-    if deg == 0:
-        return ()
-    herm = _hermite_monomial_rows(deg)
-    coeff = np.zeros(deg + 1)
-    for amp, k in zip(amps, idxs):
-        n = int(kept[k])
-        coeff[:n + 1] += amp * herm[n, :n + 1] / math.sqrt(2.0 ** n * math.factorial(n))
-    roots = np.roots(coeff[::-1])
-    root_scale = math.sqrt(view.scale)
-    zeros = sorted(r.real / root_scale for r in roots
-                   if abs(r.imag) <= 1e-9 * (1.0 + abs(r)) and abs(r.real / root_scale) < limit)
-    return tuple(zeros)
+    kept = (view.n1 if mode == 1 else view.n2)[idxs]
+    coeff = np.zeros((int(kept.max()) + 1, 1))
+    coeff[kept, 0] = amps
+    zeros = _oscillator_roots(coeff)[0] / math.sqrt(view.scale)
+    return tuple(zeros[np.abs(zeros) < limit].tolist())
 
 
 def _is_uncorrelated(view: _DomainView) -> bool:

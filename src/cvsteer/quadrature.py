@@ -83,14 +83,22 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-def _segments(lo: float, hi: float, breakpoints: Sequence[float]) -> list[tuple[float, float]]:
-    """Initial panels of [lo, hi] pre-split at the given interior breakpoints."""
-    cuts = [lo]
-    for p in sorted(float(b) for b in breakpoints):
-        if lo < p < hi and p - cuts[-1] > 1e-14 * (hi - lo):
-            cuts.append(p)
-    cuts.append(hi)
-    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1) if cuts[i + 1] > cuts[i]]
+def _segments(lo: float, hi: float,
+              cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial panels of [lo, hi] for each row of ``cuts``, pre-split at its entries.
+
+    ``cuts`` has shape (rows, r); NaN entries, entries outside (lo, hi) and entries
+    within 1e-14 (hi - lo) of the previous one split nothing. Returns (row, seg_lo,
+    seg_hi), rows in order and each row's panels ascending.
+    """
+    edges = np.full((cuts.shape[0], cuts.shape[1] + 2), float(hi))
+    edges[:, 0] = lo
+    edges[:, 1:-1] = np.sort(np.where((cuts > lo) & (cuts < hi), cuts, hi), axis=1)
+    close = np.diff(edges[:, :-1], axis=1) <= 1e-14 * (hi - lo)
+    edges[:, 1:-1][close] = hi
+    edges.sort(axis=1)
+    row, pos = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    return row, edges[row, pos], edges[row, pos + 1]
 
 
 def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_tasks):
@@ -152,12 +160,10 @@ def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                     tol: float, max_depth: int,
                     breakpoints: Sequence[float] = ()) -> IntegralResult:
     """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``."""
-    segs = _segments(lo, hi, breakpoints)
+    row, seg_lo, seg_hi = _segments(lo, hi, np.reshape(breakpoints, (1, -1)))
     vals, errs, ok = _adaptive_many(
         lambda _t, x: np.asarray(f(x), dtype=float),
-        np.zeros(len(segs), dtype=np.intp),
-        [s[0] for s in segs], [s[1] for s in segs],
-        np.array([tol]), max_depth, 1,
+        row, seg_lo, seg_hi, np.array([tol]), max_depth, 1,
     )
     return IntegralResult(value=float(vals[0]), error=float(errs[0]), converged=bool(ok[0]))
 
@@ -197,8 +203,9 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec
 
     ``g(a, b)`` must evaluate elementwise on same-length arrays. The inner (b) integrals
     for all pending outer abscissae are refined together in shared vectorized sweeps.
-    ``inner_breakpoints(a_values)`` may return an (n, r) array (NaN-padded) of known
-    zeros of b -> g(a, b) used as panel pre-splits.
+    ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array whose row i
+    holds known zeros of b -> g(a_values[i], b), or None; ``_segments`` turns it into
+    the pre-split inner panels of every abscissa in one batch.
     """
     L = spec.half_width
     inner_tol = spec.panel_tol / (8.0 * L)
@@ -206,16 +213,9 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec
 
     def outer_f(avals: np.ndarray) -> np.ndarray:
         nonlocal inner_ok
-        seg_task: list[int] = []
-        seg_lo: list[float] = []
-        seg_hi: list[float] = []
         hints = inner_breakpoints(avals) if inner_breakpoints is not None else None
-        for t, a in enumerate(avals):
-            row = () if hints is None else tuple(h for h in np.atleast_1d(hints[t]) if np.isfinite(h))
-            for s_lo, s_hi in _segments(-L, L, row):
-                seg_task.append(t)
-                seg_lo.append(s_lo)
-                seg_hi.append(s_hi)
+        cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
+        seg_task, seg_lo, seg_hi = _segments(-L, L, cuts)
         vals, _errs, ok = _adaptive_many(
             lambda tid, b: _neg_plogp(np.asarray(g(avals[tid], b), dtype=float)),
             seg_task, seg_lo, seg_hi,

@@ -42,6 +42,7 @@ STATE_BUILDERS: Mapping[str, Callable[[float], FockState]] = {
 }
 
 _SCAN_POINTS = 315  # odd, so the uniform grid on [0, pi] holds 0, pi/2 and pi exactly
+_ROOT_TOL = 1e-6  # default bisection width; hierarchy_report reads its scans at it
 
 
 class NoRootInRange(LookupError):
@@ -156,7 +157,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
 
 def find_critical_angles(state_id: str, criterion: str,
                          spec: QuadratureSpec = DEFAULT_SPEC,
-                         root_tol: float = 1e-6) -> tuple[CriticalAngle, ...]:
+                         root_tol: float = _ROOT_TOL) -> tuple[CriticalAngle, ...]:
     """Locate every angle in [0, pi] where the criterion meets its classical bound.
 
     A sweep on 315 uniform angles (0, pi/2 and pi among them) finds the sign changes
@@ -169,13 +170,17 @@ def find_critical_angles(state_id: str, criterion: str,
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
     _builder(state_id)  # validate before normalizing the cache key
-    return _find_critical_angles_cached(state_id.replace("_", "-").lower(),
-                                        criterion, spec, root_tol)
+    found, _values = _find_critical_angles_cached(state_id.replace("_", "-").lower(),
+                                                  criterion, spec, root_tol)
+    if not found:
+        raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}")
+    return found
 
 
 @lru_cache(maxsize=128)
 def _find_critical_angles_cached(state_id: str, criterion: str, spec: QuadratureSpec,
-                                 root_tol: float) -> tuple[CriticalAngle, ...]:
+                                 root_tol: float) -> tuple[tuple[CriticalAngle, ...], np.ndarray]:
+    """The sorted bound-meeting angles (possibly none) and the scan's value - bound."""
     build = _builder(state_id)
     bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
 
@@ -185,6 +190,7 @@ def _find_critical_angles_cached(state_id: str, criterion: str, spec: Quadrature
     scan = sweep(state_id, (criterion,), _SCAN_POINTS, spec)
     grid = scan.thetas
     values = np.array(scan.values[criterion]) - bound
+    values.setflags(write=False)
 
     found: list[CriticalAngle] = []
     for i in range(len(grid) - 1):
@@ -205,28 +211,29 @@ def _find_critical_angles_cached(state_id: str, criterion: str, spec: Quadrature
         angle = grid[i]
         found.append(CriticalAngle(criterion, angle, (angle, angle), 0.0, kind))
 
-    if not found:
-        raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}")
-    return tuple(sorted(found, key=lambda r: r.angle))
+    return tuple(sorted(found, key=lambda r: r.angle)), values
 
 
-def _violation_spans(state_id: str, criterion: str, roots: tuple[CriticalAngle, ...],
+def _violation_spans(state_id: str, criterion: str,
                      spec: QuadratureSpec) -> tuple[tuple[float, float], ...]:
     """Open intervals between consecutive bound-meeting angles where the criterion is
-    strictly violated (probed at interval midpoints)."""
-    build = _builder(state_id)
-    bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+    strictly violated, read from the samples of the scan that located the angles.
+
+    A sign change between two samples always puts an angle between them, so the
+    nonzero samples inside one interval share a sign: the interval is violated when
+    any of them exceeds the bound. No criterion is evaluated again.
+    """
+    roots = find_critical_angles(state_id, criterion, spec)
+    values = _find_critical_angles_cached(state_id.replace("_", "-").lower(),
+                                          criterion, spec, _ROOT_TOL)[1]
+    grid = np.linspace(0.0, math.pi, _SCAN_POINTS)
     cuts = [0.0]
     for r in roots:
         if cuts[-1] < r.angle < math.pi:
             cuts.append(r.angle)
     cuts.append(math.pi)
-    spans = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        if _evaluate(criterion, build(mid), spec, mid).value > bound:
-            spans.append((lo, hi))
-    return tuple(spans)
+    return tuple((lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])
+                 if np.any(values[(grid >= lo) & (grid <= hi)] > 0.0))
 
 
 def _subtract_spans(spans, minus):
@@ -255,12 +262,9 @@ def hierarchy_report(state_id: str, spec: QuadratureSpec = DEFAULT_SPEC) -> Hier
     region). Nonempty for both built-in families: in that set the state is Bell
     nonlocal, hence steerable, yet neither steering criterion fires.
     """
-    reid_spans = _violation_spans(state_id, "reid",
-                                  find_critical_angles(state_id, "reid", spec), spec)
-    ent_spans = _violation_spans(state_id, "entropic",
-                                 find_critical_angles(state_id, "entropic", spec), spec)
-    chsh_spans = _violation_spans(state_id, "chsh",
-                                  find_critical_angles(state_id, "chsh", spec), spec)
+    reid_spans = _violation_spans(state_id, "reid", spec)
+    ent_spans = _violation_spans(state_id, "entropic", spec)
+    chsh_spans = _violation_spans(state_id, "chsh", spec)
     undetected = _subtract_spans(_subtract_spans(chsh_spans, reid_spans), ent_spans)
     return HierarchyReport(
         state_id=state_id,

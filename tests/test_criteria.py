@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cvsteer.criteria import (
     LN_PI_E,
+    _effective_width,
     chsh_max,
     conditional_entropy,
     conditional_variance_min,
@@ -15,6 +16,7 @@ from cvsteer.criteria import (
     reid_value,
 )
 from cvsteer.fock import Domain, FockState, UnitSystem, make_psi, make_psi_prime, marginal_density
+from cvsteer.fock import _view
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
 
 # Reference values computed before the build with an independent route: the
@@ -295,3 +297,28 @@ class TestThetaReflectionSymmetry:
         for theta in (0.4, 1.2):
             a, b = builder(theta), builder(math.pi - theta)
             assert entropic_value(a).value == pytest.approx(entropic_value(b).value, abs=1e-8)
+
+
+class TestTruncationWidth:
+    def test_high_fock_index_matches_wide_window(self):
+        # A window of L = 8 cuts into the |24> level's tail: the value then moves by
+        # 5.6e-4 while converged stays True
+        state = FockState.from_terms([(0, 0, math.sqrt(0.5)), (0, 24, math.sqrt(0.5))])
+        res = entropic_value(state)
+        wide = entropic_value(state, spec=QuadratureSpec(half_width=16.0))
+        assert res.converged and wide.converged
+        assert res.value == pytest.approx(wide.value, abs=1e-9)
+
+    @pytest.mark.parametrize("dom", list(Domain))
+    @pytest.mark.parametrize("m_omega", [0.5, 1.0, 2.0])
+    def test_tail_beyond_width_below_1e_12(self, m_omega, dom):
+        from scipy.integrate import quad
+        from scipy.special import eval_hermite, gammaln
+
+        for n in range(31):
+            view = _view(FockState.from_terms([(0, n, 1.0)]), dom, UnitSystem(m_omega=m_omega))
+            y0 = math.sqrt(view.scale) * _effective_width(DEFAULT_SPEC, view)
+            log_norm = n * math.log(2.0) + gammaln(n + 1) + 0.5 * math.log(math.pi)
+            level = lambda y: eval_hermite(n, y) ** 2 * np.exp(-y * y - log_norm)
+            tail, _err = quad(level, y0, np.inf, epsabs=1e-16, epsrel=1e-8)
+            assert 2.0 * tail < 1e-12, (n, y0, tail)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.hermite import hermgauss, hermval
+from numpy.polynomial.hermite import hermgauss, hermroots, hermval
 
 from cvsteer.fock import (
     DegenerateMarginal,
@@ -23,7 +23,7 @@ from cvsteer.fock import (
     marginal_density,
     wavefunction,
 )
-from cvsteer.fock import _second_moment, _view
+from cvsteer.fock import _oscillator_roots, _second_moment, _view
 
 SQPI = math.sqrt(math.pi)
 
@@ -369,3 +369,38 @@ class TestExactMoments:
         expected_b2 = float(w @ p2 @ (w * b * b))
         got_b2 = _second_moment(_view(self.STATE, dom, units))
         assert got_b2 == pytest.approx(expected_b2, rel=1e-12, abs=0.0)
+
+
+class TestOscillatorRoots:
+    """Real roots of oscillator-basis series against numpy's hermroots on the same
+    series rewritten in the physicists' Hermite basis."""
+
+    @staticmethod
+    def _oracle(c):
+        # sum_j c_j u_j(y) e^(y^2/2) = sum_j h_j H_j(y), h_j = c_j pi^(-1/4) / sqrt(2^j j!)
+        h = np.array([cj * math.pi ** -0.25 / math.sqrt(2.0 ** j * math.factorial(j))
+                      for j, cj in enumerate(c)])
+        roots = hermroots(h)
+        return np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
+
+    def test_against_hermroots(self):
+        rng = np.random.default_rng(5)
+        columns = []
+        for degree in range(1, 13):
+            for _ in range(4):
+                c = np.zeros(13)
+                c[:degree + 1] = rng.normal(size=degree + 1)
+                columns.append(c)
+        lowered = rng.normal(size=13)
+        lowered[12] = 1e-20  # negligible leading coefficient: solved at degree 11
+        columns += [lowered, np.eye(13)[0]]  # and a constant series, which has no roots
+        got = _oscillator_roots(np.array(columns).T)
+        assert got.shape == (len(columns), 12)
+        for c, row in zip(columns[:-2], got):
+            expected = self._oracle(np.trim_zeros(c, "b"))
+            assert np.all(np.isnan(row[expected.size:]))
+            np.testing.assert_allclose(row[:expected.size], expected, rtol=1e-9, atol=1e-9)
+        expected = self._oracle(lowered[:12])
+        assert expected.size and np.all(np.isnan(got[-2, expected.size:]))
+        np.testing.assert_allclose(got[-2, :expected.size], expected, rtol=1e-9, atol=1e-9)
+        assert np.all(np.isnan(got[-1]))

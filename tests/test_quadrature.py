@@ -12,6 +12,7 @@ from cvsteer.quadrature import (
     integrate_entropy_1d,
     integrate_entropy_2d,
 )
+from cvsteer.quadrature import _segments
 
 SQPI = math.sqrt(math.pi)
 
@@ -39,15 +40,36 @@ class TestAdaptivePanels:
         assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_breakpoints_recover_kink(self):
-        res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, 40, breakpoints=(0.0,))
-        assert res.converged
-        assert res.value == pytest.approx(1.0, rel=1e-14)
+        # NaN padding, duplicates and cuts outside (lo, hi) split nothing
+        for breakpoints in [(0.0,), (0.0, 0.0), (math.nan, 0.0), (-3.0, 1.0, 0.0, 5.0)]:
+            res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, 40, breakpoints=breakpoints)
+            assert res.converged
+            assert res.value == pytest.approx(1.0, rel=1e-14)
 
     def test_depth_exhaustion_flags(self):
         # Tolerance far below the roundoff floor of the sum cannot be met
         res = adaptive_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-15, 3)
         assert not res.converged
         assert res.value == pytest.approx(SQPI, rel=1e-10)
+
+
+class TestSegments:
+    def test_rows_in_order_with_padding_duplicates_and_outside_cuts(self):
+        nan = math.nan
+        cuts = np.array([
+            [0.5, nan, -0.25],          # unsorted, NaN-padded
+            [nan, nan, nan],            # no cut
+            [2.0, 0.0, 0.0],            # outside (lo, hi), exact duplicate
+            [-1.0, 0.3, 0.3 + 1e-16],   # at lo, a duplicate within 1e-14 (hi - lo)
+        ])
+        row, seg_lo, seg_hi = _segments(-1.0, 1.0, cuts)
+        assert row.tolist() == [0, 0, 0, 1, 2, 2, 3, 3]
+        assert seg_lo.tolist() == [-1.0, -0.25, 0.5, -1.0, -1.0, 0.0, -1.0, 0.3]
+        assert seg_hi.tolist() == [-0.25, 0.5, 1.0, 1.0, 0.0, 1.0, 0.3, 1.0]
+
+    def test_no_cuts(self):
+        row, seg_lo, seg_hi = _segments(-2.0, 3.0, np.empty((2, 0)))
+        assert (row.tolist(), seg_lo.tolist(), seg_hi.tolist()) == ([0, 1], [-2.0, -2.0], [3.0, 3.0])
 
 
 class TestEntropy1d:

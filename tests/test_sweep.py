@@ -229,6 +229,20 @@ class TestHierarchyReport:
         assert spans[-1][0] == pytest.approx(2.474640466523016, abs=5e-4)
         assert spans[-1][1] == math.pi
 
+    def test_spans_read_from_cached_scans(self, reports, monkeypatch):
+        # With the scans cached, span signs come from their samples: no evaluation
+        calls = []
+        evaluate = sweep_mod._evaluate
+
+        def counted(*args):
+            calls.append(args[:1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(sweep_mod, "_evaluate", counted)
+        for state_id, rep in reports.items():
+            assert hierarchy_report(state_id) == rep
+        assert calls == []
+
     def test_criteria_incomplete_for_both(self, reports):
         assert all(rep.criteria_incomplete for rep in reports.values())
 
