@@ -29,7 +29,6 @@ from .fock import (
     conditional_mean,
     eigenfunction_p,
     eigenfunction_x,
-    hermite,
     joint_density,
     make_psi,
     make_psi_prime,
@@ -91,7 +90,6 @@ __all__ = [
     "eigenfunction_x",
     "entropic_value",
     "find_critical_angles",
-    "hermite",
     "hierarchy_report",
     "integrate_entropy_1d",
     "integrate_entropy_2d",

@@ -169,6 +169,10 @@ def _emit(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
+def _warn_unmet(what: str) -> None:
+    print(f"warning: {what} did not meet the quadrature tolerance", file=sys.stderr)
+
+
 def _ordered(criteria: tuple[str, ...]) -> list[str]:
     wanted = set(criteria)
     return [c for c in CRITERIA if c in wanted]
@@ -235,8 +239,7 @@ def cmd_sweep(config: RunConfig) -> int:
             lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
     if result.flagged:
-        print(f"warning: {len(result.flagged)} grid point(s) did not meet the "
-              f"quadrature tolerance", file=sys.stderr)
+        _warn_unmet(f"{len(result.flagged)} grid point(s)")
     return _emit(text, config.output_path)
 
 
@@ -244,18 +247,24 @@ def cmd_critical(config: RunConfig) -> int:
     spec = config.spec()
     records = []
     rootless = []
+    unmet = []
     for criterion in _ordered(config.criteria):
         try:
             roots = find_critical_angles(config.state, criterion, spec, config.root_tol)
-        except NoRootInRange:
-            roots = ()
+            converged = all(r.converged for r in roots)
+        except NoRootInRange as exc:
+            roots, converged = (), exc.converged
         if not any(r.kind == "crossing" for r in roots):
             rootless.append(criterion)
+        if not converged:
+            unmet.append(criterion)
         records.extend(roots)
     records.sort(key=lambda r: (r.angle, r.criterion))
 
     for r in records:
         print(f"{r.criterion} {r.kind} {r.angle:.4f} (residual {r.residual:.2e})")
+    if unmet:
+        _warn_unmet(f"the critical-angle searches for {', '.join(unmet)}")
 
     path = config.output_path or f"critical-{config.state}.{config.format}"
     if config.format == "json":
@@ -288,6 +297,8 @@ def cmd_report(config: RunConfig) -> int:
         "undetected_steering": [list(span) for span in report.undetected_steering],
         "criteria_incomplete": report.criteria_incomplete,
     }
+    if report.flagged:
+        _warn_unmet(f"the critical-angle searches for {', '.join(report.flagged)}")
     return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
 
 
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--panel-tol", dest="panel_tol", type=float, default=None,
                        help="absolute adaptive-panel tolerance (default 1e-10)")
         p.add_argument("--root-tol", dest="root_tol", type=float, default=None,
-                       help="bisection width for critical angles (default 1e-6)")
+                       help="bracket width for critical angles (default 1e-6)")
         p.add_argument("--allow-flagged", dest="allow_flagged", action="store_true", default=None,
                        help="accept results whose quadrature tolerance was not met")
 

@@ -24,7 +24,6 @@ __all__ = [
     "DegenerateMarginal",
     "make_psi",
     "make_psi_prime",
-    "hermite",
     "eigenfunction_x",
     "eigenfunction_p",
     "wavefunction",
@@ -125,24 +124,6 @@ def _maybe_scalar(arr, scalar_in: bool):
     if scalar_in:
         return arr[()].item() if isinstance(arr, np.ndarray) else arr
     return arr
-
-
-def hermite(n: int, y):
-    """Physicists' Hermite polynomial H_n(y) by the three-term recurrence.
-
-    H_{k+1}(y) = 2 y H_k(y) - 2 k H_{k-1}(y); exact for n <= 1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    scalar_in = np.ndim(y) == 0
-    y = np.asarray(y, dtype=float)
-    h_prev = np.ones_like(y)
-    if n == 0:
-        return _maybe_scalar(h_prev, scalar_in)
-    h = 2.0 * y
-    for k in range(1, n):
-        h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
-    return _maybe_scalar(h, scalar_in)
 
 
 def _osc_table(n_max: int, y: np.ndarray, include_gaussian: bool = True) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Parameter sweeps over the built-in state families, critical-angle location, and the
 criteria-coverage report.
 
-Critical angles come from one uniform sweep of the criterion over [0, pi]: sign changes
-of value - bound between samples are bisected (kind ``crossing``), and samples where
-the value equals the bound exactly with no sign change are touch-points (kind
-``touch``, zero-width bracket). The bound is met exactly only where the evaluators are
-exact, at product states; for every family cos(theta)|A> + sin(theta)|B> those sit at
-0, pi/2 and pi, which an odd sample count places on the grid.
+Critical angles come from a Chebyshev proxy of value - bound on each half of [0, pi]
+(Boyd, SIAM J. Numer. Anal. 40 (2002) 1666; Trefethen, Approximation Theory and
+Approximation Practice, ch. 18). Each half, [0, pi/2] and [pi/2, pi], is sampled at
+nested Chebyshev-Lobatto points whose degree doubles from 16 until the trailing
+coefficients fall below 10 * panel_tol, the accuracy the quadrature itself is asked
+for. The real roots of the chopped interpolants are probed on the true criterion;
+each sign change between neighbouring evaluations is polished by Illinois steps
+(kind ``crossing``). Samples where the value equals the bound exactly with no sign
+change are touch-points (kind ``touch``, zero-width bracket). The bound is met exactly
+only where the evaluators are exact, at product states; for every family
+cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2 and pi, the ends of the two halves.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,12 +46,18 @@ STATE_BUILDERS: Mapping[str, Callable[[float], FockState]] = {
     "psi-prime": make_psi_prime,
 }
 
-_SCAN_POINTS = 315  # odd, so the uniform grid on [0, pi] holds 0, pi/2 and pi exactly
-_ROOT_TOL = 1e-6  # default bisection width; hierarchy_report reads its scans at it
+_DEGREE_START = 16  # first Chebyshev degree on each half of [0, pi]
+_DEGREE_MAX = 256  # a half whose coefficients have not decayed by this degree is flagged
+_ROOT_TOL = 1e-6  # default polish width; hierarchy_report reads its searches at it
 
 
 class NoRootInRange(LookupError):
-    """No sign change and no touch-point of the criterion over [0, pi]."""
+    """No sign change and no touch-point of the criterion over [0, pi]. ``converged`` is
+    False when an evaluation of the search that found none missed its tolerance."""
+
+    def __init__(self, message: str, converged: bool = True):
+        super().__init__(message)
+        self.converged = converged
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,7 @@ class CriticalAngle:
     bracket: tuple[float, float]
     residual: float
     kind: str  # "crossing" | "touch"
+    converged: bool = True  # False when an evaluation of its search missed its tolerance
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,8 @@ class HierarchyReport:
     (e.g. pi/2) appears as a zero-width gap between two spans. ``undetected_steering``
     is the CHSH-violating region minus both detected regions: Bell nonlocality there
     guarantees steering that neither criterion sees, hence ``criteria_incomplete``.
+    ``flagged`` names the criteria whose critical-angle search had an evaluation that
+    missed its quadrature tolerance.
     """
 
     state_id: str
@@ -82,6 +96,7 @@ class HierarchyReport:
     entropic_detected: tuple[tuple[float, float], ...]
     undetected_steering: tuple[tuple[float, float], ...]
     criteria_incomplete: bool
+    flagged: tuple[str, ...] = ()
 
 
 def _builder(state_id: str) -> Callable[[float], FockState]:
@@ -140,19 +155,126 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     )
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
-            root_tol: float) -> tuple[float, tuple[float, float], float]:
+def _bound_gap(state_id: str, criterion: str,
+               spec: QuadratureSpec) -> tuple[Callable[[float], float], list[float]]:
+    """theta -> value - bound along the family, and the list it appends to whenever an
+    evaluation misses its quadrature tolerance."""
+    build = _builder(state_id)
+    bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+    missed: list[float] = []
+
+    def f(theta: float) -> float:
+        res = _evaluate(criterion, build(theta), spec, theta)
+        if not res.converged:
+            missed.append(theta)
+        return res.value - bound
+
+    return f, missed
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients c_k of sum_k c_k T_k(x), the degree-n interpolant of values sampled
+    at the Chebyshev-Lobatto points x_j = cos(pi j / n): a DCT-I as one cosine-matrix
+    product, with the first and last sample and coefficient halved."""
+    n = values.size - 1
+    k = np.arange(n + 1)
+    halved = np.ones(n + 1)
+    halved[[0, n]] = 0.5
+    # j k mod 2n keeps every cosine argument in [0, 2 pi)
+    cosines = np.cos(np.pi / n * (np.outer(k, k) % (2 * n)))
+    return (2.0 / n) * halved * (cosines @ (halved * values))
+
+
+def _chebyshev_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots in (-1, 1) of sum_k c_k T_k(x), ascending.
+
+    They are the eigenvalues of the colleague matrix of the recurrence x T_0 = T_1,
+    x T_k = (T_(k-1) + T_(k+1)) / 2, its last row closed by -c[:m] / (2 c[m]) (Good
+    1961; numpy's chebcompanion), with the real filter of ``fock._oscillator_roots``.
+    """
+    m = coeffs.size - 1
+    if m < 1:
+        return np.empty(0)
+    mat = np.diag(np.full(m - 1, 0.5), 1) + np.diag(np.full(m - 1, 0.5), -1)
+    mat[0, 1:2] = 1.0
+    mat[-1] -= (0.5 if m > 1 else 1.0) * coeffs[:m] / coeffs[m]
+    roots = np.linalg.eigvals(mat)
+    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
+    return np.sort(real[np.abs(real) < 1.0])
+
+
+def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
+                    tol: float) -> tuple[np.ndarray, bool]:
+    """Interpolate sample on [lo, hi] at nested Chebyshev-Lobatto points of degree 16,
+    32, ..., each level reusing the last, until the trailing max(5, n/8) coefficients are
+    below tol (Chebfun's classic chop test). lo and hi are sampled exactly. Returns the
+    real roots of the interpolant chopped after its last coefficient >= tol, and whether
+    the tail fell below tol by degree _DEGREE_MAX.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    n = _DEGREE_START
+    thetas = mid + half * np.cos(np.pi / n * np.arange(n + 1))
+    thetas[[0, n]] = hi, lo
+    values = np.array([sample(t) for t in thetas.tolist()])
+    while True:
+        coeffs = _chebyshev_coefficients(values)
+        chopped = bool(np.all(np.abs(coeffs[-max(5, n // 8):]) < tol))
+        if chopped or n >= _DEGREE_MAX:
+            break
+        odd = mid + half * np.cos(np.pi / (2 * n) * np.arange(1, 2 * n, 2))
+        values = np.insert(values, np.arange(1, n + 1), [sample(t) for t in odd.tolist()])
+        n *= 2
+    big = np.flatnonzero(np.abs(coeffs) >= tol)
+    kept = coeffs[:big[-1] + 1] if big.size else coeffs[:0]
+    return mid + half * _chebyshev_roots(kept), chopped
+
+
+class _Proxy(NamedTuple):
+    """value - bound sampled at the Chebyshev points of [0, pi/2] and [pi/2, pi], and the
+    real roots of the two chopped interpolants, the candidate crossings. The polish is
+    cached by the proxy's value, of which it is a pure function."""
+
+    state_id: str
+    criterion: str
+    spec: QuadratureSpec
+    samples: tuple[tuple[float, float], ...]  # (theta, value - bound); 0, pi/2, pi exact
+    candidates: tuple[float, ...]
+    converged: bool  # every sample met its tolerance and both halves were chopped
+
+
+class _Search(NamedTuple):
+    roots: tuple[CriticalAngle, ...]
+    points: tuple[tuple[float, float], ...]  # the samples and probes, ascending in theta
+    converged: bool
+
+
+def _illinois(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float,
+              root_tol: float) -> tuple[float, tuple[float, float], float]:
+    """Shrink a sign-change bracket to width <= root_tol by modified regula falsi (the
+    Illinois rule: an end kept twice in a row has its value halved; Dowell & Jarratt,
+    BIT 11 (1971) 168). Returns the final secant point, the bracket and |f| there."""
+    kept = 0  # -1: lo was kept by the last step, +1: hi was
     while hi - lo > root_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid, (mid, mid), 0.0
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # the bracket is two adjacent floats
+        fx = f(x)
+        if fx == 0.0:
+            return x, (x, x), 0.0
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            f_hi *= 0.5 if kept == 1 else 1.0
+            kept = 1
         else:
-            hi = mid
-    angle = 0.5 * (lo + hi)
-    return angle, (lo, hi), abs(f(angle))
+            hi, f_hi = x, fx
+            f_lo *= 0.5 if kept == -1 else 1.0
+            kept = -1
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    return x, (lo, hi), abs(f(x))
 
 
 def find_critical_angles(state_id: str, criterion: str,
@@ -160,80 +282,100 @@ def find_critical_angles(state_id: str, criterion: str,
                          root_tol: float = _ROOT_TOL) -> tuple[CriticalAngle, ...]:
     """Locate every angle in [0, pi] where the criterion meets its classical bound.
 
-    A sweep on 315 uniform angles (0, pi/2 and pi among them) finds the sign changes
-    of value - bound, each bisected to width <= root_tol (kind="crossing"). Samples
-    where the value equals the bound exactly without a sign change are reported with
-    kind="touch", a zero-width bracket and residual 0. Raises NoRootInRange when
-    neither kind exists. Results are memoized: the location is a pure deterministic
-    function of its arguments, and the report layer re-requests the same scans.
+    value - bound is sampled on each half, [0, pi/2] and [pi/2, pi], at nested
+    Chebyshev-Lobatto points until its Chebyshev coefficients decay below
+    10 * spec.panel_tol; the real roots of the chopped interpolants are the candidate
+    crossings. Each candidate is probed at root_tol/4 on either side, and every sign
+    change between neighbouring samples and probes is shrunk by Illinois steps to a
+    bracket no wider than root_tol (kind="crossing"), so proxy roots where the true
+    criterion keeps its sign are dropped. Samples where the value equals the bound
+    exactly without a sign change are reported with kind="touch", a zero-width bracket
+    and residual 0. ``converged`` is False on every angle when any evaluation of the
+    search missed its quadrature tolerance or a half was not resolved by degree
+    _DEGREE_MAX. Raises NoRootInRange, with the same flag, when neither kind exists. The samples are
+    memoized by (state, criterion, spec) and the polish also by root_tol: both are pure
+    deterministic functions of their arguments, and the report layer re-requests them.
     """
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
+    search = _search(state_id, criterion, spec, root_tol)
+    if not search.roots:
+        raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}",
+                            search.converged)
+    return search.roots
+
+
+def _search(state_id: str, criterion: str, spec: QuadratureSpec, root_tol: float) -> _Search:
     _builder(state_id)  # validate before normalizing the cache key
-    found, _values = _find_critical_angles_cached(state_id.replace("_", "-").lower(),
-                                                  criterion, spec, root_tol)
-    if not found:
-        raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}")
-    return found
+    proxy = _find_critical_angles_cached(state_id.replace("_", "-").lower(), criterion, spec)
+    return _polish(proxy, root_tol)
 
 
 @lru_cache(maxsize=128)
-def _find_critical_angles_cached(state_id: str, criterion: str, spec: QuadratureSpec,
-                                 root_tol: float) -> tuple[tuple[CriticalAngle, ...], np.ndarray]:
-    """The sorted bound-meeting angles (possibly none) and the scan's value - bound."""
-    build = _builder(state_id)
-    bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+def _find_critical_angles_cached(state_id: str, criterion: str,
+                                 spec: QuadratureSpec) -> _Proxy:
+    """The Chebyshev proxy of value - bound for one (state, criterion, spec)."""
+    f, missed = _bound_gap(state_id, criterion, spec)
+    samples: dict[float, float] = {}
 
-    def f(theta: float) -> float:
-        return _evaluate(criterion, build(theta), spec, theta).value - bound
+    def sample(theta: float) -> float:
+        if theta not in samples:  # the halves share pi/2
+            samples[theta] = f(theta)
+        return samples[theta]
 
-    scan = sweep(state_id, (criterion,), _SCAN_POINTS, spec)
-    grid = scan.thetas
-    values = np.array(scan.values[criterion]) - bound
-    values.setflags(write=False)
+    tol = 10.0 * spec.panel_tol
+    halves = [_chebyshev_half(sample, lo, hi, tol)
+              for lo, hi in ((0.0, 0.5 * math.pi), (0.5 * math.pi, math.pi))]
+    return _Proxy(state_id, criterion, spec, tuple(samples.items()),
+                  candidates=tuple(np.concatenate([roots for roots, _ in halves]).tolist()),
+                  converged=not missed and all(chopped for _, chopped in halves))
 
-    found: list[CriticalAngle] = []
-    for i in range(len(grid) - 1):
-        f0, f1 = values[i], values[i + 1]
-        if f0 == 0.0 or f1 == 0.0:
-            continue  # exact grid zeros are classified below
-        if (f0 > 0.0) != (f1 > 0.0):
-            angle, bracket, residual = _bisect(f, grid[i], grid[i + 1], float(f0), root_tol)
-            found.append(CriticalAngle(criterion, angle, bracket, residual, "crossing"))
 
-    for i in np.flatnonzero(values == 0.0):
-        left = values[i - 1] if i > 0 else None
-        right = values[i + 1] if i + 1 < values.size else None
-        if left is not None and right is not None and (left > 0.0) != (right > 0.0):
-            kind = "crossing"
-        else:
-            kind = "touch"
-        angle = grid[i]
-        found.append(CriticalAngle(criterion, angle, (angle, angle), 0.0, kind))
+@lru_cache(maxsize=128)
+def _polish(proxy: _Proxy, root_tol: float) -> _Search:
+    """The sorted bound-meeting angles (possibly none) of one proxy at one root_tol."""
+    f, missed = _bound_gap(proxy.state_id, proxy.criterion, proxy.spec)
+    points = dict(proxy.samples)
+    for r in proxy.candidates:
+        for theta in (r - 0.25 * root_tol, r + 0.25 * root_tol):
+            if 0.0 < theta < math.pi and theta not in points:
+                points[theta] = f(theta)
+    grid = sorted(points.items())
 
-    return tuple(sorted(found, key=lambda r: r.angle)), values
+    found = [_illinois(f, t0, t1, f0, f1, root_tol) + ("crossing",)
+             for (t0, f0), (t1, f1) in zip(grid, grid[1:])
+             if f0 < 0.0 < f1 or f1 < 0.0 < f0]
+    for i, (theta, value) in enumerate(grid):
+        if value == 0.0:
+            between = 0 < i < len(grid) - 1 and (grid[i - 1][1] > 0.0) != (grid[i + 1][1] > 0.0)
+            found.append((theta, (theta, theta), 0.0, "crossing" if between else "touch"))
+
+    converged = proxy.converged and not missed
+    roots = tuple(CriticalAngle(proxy.criterion, angle, bracket, residual, kind, converged)
+                  for angle, bracket, residual, kind in sorted(found))
+    return _Search(roots, tuple(grid), converged)
 
 
 def _violation_spans(state_id: str, criterion: str,
-                     spec: QuadratureSpec) -> tuple[tuple[float, float], ...]:
+                     spec: QuadratureSpec) -> tuple[tuple[tuple[float, float], ...], bool]:
     """Open intervals between consecutive bound-meeting angles where the criterion is
-    strictly violated, read from the samples of the scan that located the angles.
+    strictly violated, read from the samples and probes of the search that located the
+    angles, and whether that search met every tolerance.
 
-    A sign change between two samples always puts an angle between them, so the
-    nonzero samples inside one interval share a sign: the interval is violated when
-    any of them exceeds the bound. No criterion is evaluated again.
+    A sign change between two neighbouring samples always puts an angle between them,
+    so the nonzero samples inside one interval share a sign: the interval is violated
+    when any of them exceeds the bound. No criterion is evaluated again.
     """
     roots = find_critical_angles(state_id, criterion, spec)
-    values = _find_critical_angles_cached(state_id.replace("_", "-").lower(),
-                                          criterion, spec, _ROOT_TOL)[1]
-    grid = np.linspace(0.0, math.pi, _SCAN_POINTS)
+    search = _search(state_id, criterion, spec, _ROOT_TOL)
     cuts = [0.0]
     for r in roots:
         if cuts[-1] < r.angle < math.pi:
             cuts.append(r.angle)
     cuts.append(math.pi)
-    return tuple((lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])
-                 if np.any(values[(grid >= lo) & (grid <= hi)] > 0.0))
+    spans = tuple((lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])
+                  if any(value > 0.0 for theta, value in search.points if lo <= theta <= hi))
+    return spans, search.converged
 
 
 def _subtract_spans(spans, minus):
@@ -262,15 +404,17 @@ def hierarchy_report(state_id: str, spec: QuadratureSpec = DEFAULT_SPEC) -> Hier
     region). Nonempty for both built-in families: in that set the state is Bell
     nonlocal, hence steerable, yet neither steering criterion fires.
     """
-    reid_spans = _violation_spans(state_id, "reid", spec)
-    ent_spans = _violation_spans(state_id, "entropic", spec)
-    chsh_spans = _violation_spans(state_id, "chsh", spec)
-    undetected = _subtract_spans(_subtract_spans(chsh_spans, reid_spans), ent_spans)
+    spans, met = {}, {}
+    for c in CRITERIA:
+        spans[c], met[c] = _violation_spans(state_id, c, spec)
+    undetected = _subtract_spans(_subtract_spans(spans["chsh"], spans["reid"]),
+                                 spans["entropic"])
     return HierarchyReport(
         state_id=state_id,
-        chsh_violation_region=chsh_spans,
-        reid_detected=reid_spans,
-        entropic_detected=ent_spans,
+        chsh_violation_region=spans["chsh"],
+        reid_detected=spans["reid"],
+        entropic_detected=spans["entropic"],
         undetected_steering=undetected,
         criteria_incomplete=any(hi - lo > 0.0 for lo, hi in undetected),
+        flagged=tuple(c for c in CRITERIA if not met[c]),
     )

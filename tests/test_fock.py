@@ -16,14 +16,13 @@ from cvsteer.fock import (
     conditional_mean,
     eigenfunction_p,
     eigenfunction_x,
-    hermite,
     joint_density,
     make_psi,
     make_psi_prime,
     marginal_density,
     wavefunction,
 )
-from cvsteer.fock import _oscillator_roots, _second_moment, _view
+from cvsteer.fock import _osc_table, _oscillator_roots, _second_moment, _view
 
 SQPI = math.sqrt(math.pi)
 
@@ -66,31 +65,53 @@ def adaptive_simpson(f, a, b, tol=1e-12, depth=30):
     return recurse(a, b, whole, depth)
 
 
+def hermite_from_table(n: int, y):
+    """Physicists' H_n(y) recovered from the normalized oscillator table _osc_table."""
+    norm = math.pi ** 0.25 * math.sqrt(2.0 ** n * math.factorial(n))
+    return float(_osc_table(n, np.asarray(y, dtype=float), include_gaussian=False)[n]) * norm
+
+
+def hermval_oscillator(n: int, y):
+    """u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2) from numpy's hermval."""
+    norm = math.pi ** 0.25 * math.sqrt(2.0 ** n * math.factorial(n))
+    return float(hermval(y, [0.0] * n + [1.0])) * math.exp(-0.5 * y * y) / norm
+
+
 class TestHermite:
+    """The oscillator table against numpy's independent Hermite-series evaluator."""
+
     def test_h0_is_one(self):
-        assert hermite(0, 3.7) == 1.0
+        assert hermite_from_table(0, 3.7) == pytest.approx(hermval(3.7, [1.0]), rel=1e-14)
+        assert hermval(3.7, [1.0]) == 1.0
 
     def test_h1(self):
-        assert hermite(1, 0.5) == 1.0
+        assert hermite_from_table(1, 0.5) == pytest.approx(hermval(0.5, [0.0, 1.0]), rel=1e-14)
+        assert hermval(0.5, [0.0, 1.0]) == 1.0
 
     def test_h3_symbolic(self):
         # H_3(y) = 8 y^3 - 12 y by expanding the recurrence symbolically
-        assert hermite(3, 1.0) == pytest.approx(-4.0, abs=1e-14)
+        assert hermite_from_table(3, 1.0) == pytest.approx(-4.0, abs=1e-14)
         y = 0.83
-        assert hermite(3, y) == pytest.approx(8 * y**3 - 12 * y, rel=1e-14)
+        assert hermite_from_table(3, y) == pytest.approx(8 * y**3 - 12 * y, rel=1e-14)
+        assert hermval(y, [0.0, 0.0, 0.0, 1.0]) == pytest.approx(8 * y**3 - 12 * y, rel=1e-14)
 
     @given(st.integers(min_value=1, max_value=25),
            st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_recurrence_consistency(self, n, y):
-        lhs = hermite(n + 1, y)
-        rhs = 2.0 * y * hermite(n, y) - 2.0 * n * hermite(n - 1, y)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) <= 1e-12 * scale
+        # _osc_table runs the normalized recurrence; hermval runs Clenshaw on the
+        # physicists' one. Both carry the Gaussian, so every value is O(1).
+        table = _osc_table(n + 1, np.array(y))
+        for k in (n - 1, n, n + 1):
+            lhs, rhs = float(table[k]), hermval_oscillator(k, y)
+            scale = max(abs(lhs), abs(rhs), 1.0)
+            assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            hermite(-1, 0.0)
+            eigenfunction_x(-1, 0.0)
+        with pytest.raises(ValueError):
+            eigenfunction_p(-1, 0.0)
 
 
 class TestEigenfunctions:

@@ -1,8 +1,11 @@
 import importlib
 import math
 
+import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
+from cvsteer.cli import EXIT_NO_ROOT, EXIT_OK, main
 from cvsteer.criteria import CHSH_CLASSICAL_BOUND, CriterionResult
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec
 from cvsteer.sweep import (
@@ -25,6 +28,29 @@ CROSSINGS = {
 }
 
 FAST_SPEC = QuadratureSpec(panel_tol=1e-8)
+
+
+# Two crossings 0.005 apart, both inside one cell (pi*100/314, pi*101/314) of the
+# 315-point sweep grid, whose ends see the same sign: signs read off that grid alone
+# miss both.
+CLOSE_PAIR = (1.001, 1.006)
+
+
+def close_pair_evaluate(converged=True):
+    """A smooth stand-in for sweep._evaluate, value - bound = e^-t (t - r1)(t - r2)."""
+    def evaluate(criterion, state, spec, theta):
+        gap = math.exp(-theta) * (theta - CLOSE_PAIR[0]) * (theta - CLOSE_PAIR[1])
+        bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+        return CriterionResult(criterion=criterion, theta=theta, value=bound + gap,
+                               components={}, violated=gap > 0.0, converged=converged)
+    return evaluate
+
+
+@pytest.fixture
+def fresh_searches():
+    sweep_mod._find_critical_angles_cached.cache_clear()
+    yield
+    sweep_mod._find_critical_angles_cached.cache_clear()
 
 
 def crossings_of(roots):
@@ -86,6 +112,23 @@ class TestSweep:
             sweep("nope", {"reid"}, 5)
         with pytest.raises(ValueError, match="entropc"):
             sweep("psi", {"chsh", "entropc"}, 3)
+
+
+class TestChebyshevProxy:
+    """The proxy's DCT-I and colleague-matrix roots against numpy.polynomial.chebyshev."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 16, 64])
+    def test_coefficients_and_roots_match_numpy(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.standard_normal(degree + 1)
+        x = np.cos(np.pi * np.arange(degree + 1) / degree)
+        got = sweep_mod._chebyshev_coefficients(C.chebval(x, coeffs))
+        assert np.max(np.abs(got - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+        want = C.chebroots(coeffs)
+        want = np.sort(want[(np.abs(want.imag) < 1e-9) & (np.abs(want.real) < 1.0)].real)
+        roots = sweep_mod._chebyshev_roots(coeffs)
+        assert roots.shape == want.shape
+        assert np.max(np.abs(roots - want), initial=0.0) <= 1e-9
 
 
 class TestFindCriticalAngles:
@@ -171,6 +214,44 @@ class TestFindCriticalAngles:
         finally:
             sweep_mod._find_critical_angles_cached.cache_clear()
 
+    def test_crossings_closer_than_sweep_grid_spacing(self, monkeypatch, fresh_searches):
+        monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate())
+        roots = find_critical_angles("psi", "reid")
+        assert [r.kind for r in roots] == ["crossing", "crossing"]
+        for r, root in zip(roots, CLOSE_PAIR):
+            assert r.bracket[0] <= root <= r.bracket[1]
+            assert r.bracket[0] <= r.angle <= r.bracket[1]
+            assert r.bracket[1] - r.bracket[0] <= 1e-6
+            assert r.converged
+
+    def test_flag_of_rootless_search(self, capsys, tmp_path, monkeypatch, fresh_searches):
+        # A search that finds nothing still reports that its evaluations missed their
+        # tolerance, on the exception and as the critical command's warning
+        def flagged_constant(criterion, state, spec, theta):
+            return CriterionResult(criterion=criterion, theta=theta, value=1.0,
+                                   components={}, violated=True, converged=False)
+        monkeypatch.setattr(sweep_mod, "_evaluate", flagged_constant)
+        with pytest.raises(NoRootInRange) as info:
+            find_critical_angles("psi", "reid")
+        assert info.value.converged is False
+        code = main(["critical", "--state", "psi", "--criteria", "reid",
+                     "--output", str(tmp_path / "critical.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NO_ROOT
+        assert "critical-angle searches for reid did not meet the quadrature tolerance" in err
+
+    def test_unresolved_proxy_is_flagged(self, monkeypatch, fresh_searches):
+        # A kink at theta = 1 keeps the Chebyshev coefficients above 10 * panel_tol at
+        # every degree: the crossings are still found, but not as converged
+        def kinked(criterion, state, spec, theta):
+            return CriterionResult(criterion=criterion, theta=theta,
+                                   value=abs(theta - 1.0) - 0.1, components={},
+                                   violated=abs(theta - 1.0) > 0.1)
+        monkeypatch.setattr(sweep_mod, "_evaluate", kinked)
+        roots = find_critical_angles("psi", "reid")
+        assert [r.angle for r in roots] == pytest.approx([0.9, 1.1], abs=1e-6)
+        assert not any(r.converged for r in roots)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             find_critical_angles("psi", "reid", root_tol=0.0)
@@ -178,6 +259,25 @@ class TestFindCriticalAngles:
             find_critical_angles("psi", "nope")
         with pytest.raises(ValueError):
             find_critical_angles("nope", "reid")
+
+    def test_evaluations_per_search(self, monkeypatch):
+        # A 315-point uniform scan plus bisection takes 345 evaluations per (family,
+        # criterion). The cache is left warm, with the real values, for the reports
+        # fixture below.
+        sweep_mod._find_critical_angles_cached.cache_clear()
+        evaluate = sweep_mod._evaluate
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(sweep_mod, "_evaluate", counted)
+        for state_id in ("psi", "psi-prime"):
+            for criterion in ("reid", "entropic", "chsh"):
+                calls.clear()
+                find_critical_angles(state_id, criterion)
+                assert 0 < len(calls) <= 170, (state_id, criterion, len(calls))
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +342,23 @@ class TestHierarchyReport:
         for state_id, rep in reports.items():
             assert hierarchy_report(state_id) == rep
         assert calls == []
+
+    def test_flags_reach_critical_and_report(self, capsys, tmp_path, monkeypatch,
+                                             fresh_searches):
+        # Evaluations that miss their tolerance make critical and report warn on stderr,
+        # as sweep does; the exit code stays 0
+        output = str(tmp_path / "critical.csv")
+        for converged in (True, False):
+            sweep_mod._find_critical_angles_cached.cache_clear()
+            monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate(converged))
+            rep = hierarchy_report("psi")
+            assert rep.flagged == (() if converged else ("reid", "entropic", "chsh"))
+            for argv in (["critical", "--criteria", "reid", "--output", output], ["report"]):
+                code = main(argv + ["--state", "psi"])
+                err = capsys.readouterr().err
+                assert code == EXIT_OK
+                assert ("did not meet the quadrature tolerance" in err) == (not converged), err
+        assert "reid, entropic, chsh" in err
 
     def test_criteria_incomplete_for_both(self, reports):
         assert all(rep.criteria_incomplete for rep in reports.values())
