@@ -26,13 +26,13 @@ from .fock import (
     NATURAL_UNITS,
     UnitSystem,
     _b_zero_hints,
+    _density_rows,
     _is_uncorrelated,
     _ladder_position,
     _marginal_zero_hints,
     _moments,
     _second_moment,
     _view,
-    joint_density,
     marginal_density,
 )
 from .quadrature import (
@@ -187,7 +187,7 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
     espec = replace(spec, half_width=width)
     marg_cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     joint_res = integrate_entropy_2d(
-        lambda a, b: joint_density(state, a, b, dom, units), espec,
+        lambda a, row, b: _density_rows(view, a, row, b), espec,
         inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
         outer_breakpoints=marg_cuts,
     )

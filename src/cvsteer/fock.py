@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,6 +44,7 @@ _AMP_DROP = 1e-15
 _NORM_TOL = 1e-12
 _PI_QUARTER = math.pi ** -0.25
 _PHASE_MINUS_I = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)  # (-i)^n, exact
+_BLOCK = 4096  # points per block of the streamed 2-D density: 32 KB per temporary
 
 
 class Domain(enum.Enum):
@@ -126,20 +127,35 @@ def _maybe_scalar(arr, scalar_in: bool):
     return arr
 
 
-def _osc_table(n_max: int, y: np.ndarray, include_gaussian: bool = True) -> np.ndarray:
-    """Normalized oscillator functions u_n(y) for n = 0..n_max, co-evaluated with the
-    Gaussian so the recurrence never overflows at large n.
+def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True):
+    """Yield the normalized oscillator functions u_0(y), ..., u_{n_max}(y) in turn,
+    co-evaluated with the Gaussian so the recurrence never overflows at large n.
 
     u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2); with include_gaussian=False
     the exp factor is dropped (polynomial part only, used where only zeros matter).
+    Only the last two rows are kept: a yielded row is overwritten two steps later.
     """
     y = np.asarray(y, dtype=float)
-    out = np.empty((n_max + 1,) + y.shape)
-    out[0] = _PI_QUARTER * (np.exp(-0.5 * y * y) if include_gaussian else np.ones_like(y))
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for n in range(2, n_max + 1):
-        out[n] = math.sqrt(2.0 / n) * y * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    prev = np.zeros_like(y)
+    cur = np.full_like(y, _PI_QUARTER)
+    if include_gaussian:
+        cur *= np.exp(-0.5 * y * y)
+    step = np.empty_like(y)
+    yield cur
+    for n in range(1, n_max + 1):
+        np.multiply(math.sqrt(2.0 / n), y, out=step)
+        step *= cur
+        prev *= math.sqrt((n - 1.0) / n)
+        np.subtract(step, prev, out=prev)
+        prev, cur = cur, prev
+        yield cur
+
+
+def _osc_table(n_max: int, y: np.ndarray, include_gaussian: bool = True) -> np.ndarray:
+    """The rows of _osc_rows stacked into one (n_max + 1,) + y.shape table."""
+    out = np.empty((n_max + 1,) + np.shape(y))
+    for n, row in enumerate(_osc_rows(n_max, y, include_gaussian)):
+        out[n] = row
     return out
 
 
@@ -180,6 +196,16 @@ class _DomainView:
     max_n1: int
     max_n2: int
 
+    @cached_property
+    def aligned(self) -> np.ndarray | None:
+        """The amplitudes made real by stripping a global phase, or None when they are
+        genuinely complex; computed on first use (only the entropy paths ask)."""
+        pivot = self.amps[np.argmax(np.abs(self.amps))]
+        aligned = self.amps * (abs(pivot) / pivot)
+        if np.max(np.abs(aligned.imag)) > 1e-12 * np.max(np.abs(aligned)):
+            return None
+        return aligned.real
+
 
 @lru_cache(maxsize=4096)
 def _view(state: FockState, dom: Domain, units: UnitSystem) -> _DomainView:
@@ -197,57 +223,63 @@ def _view(state: FockState, dom: Domain, units: UnitSystem) -> _DomainView:
                        max_n1=int(n1.max()), max_n2=int(n2.max()))
 
 
-def _amplitude_sum(v: _DomainView, a, b) -> np.ndarray:
-    """sum_k amp_k u_{n1_k}(sqrt(s) a) u_{n2_k}(sqrt(s) b): the amplitude without its
-    sqrt(s) normalization, so the density is s |sum|^2 with no complex temporary."""
+def _coefficients(v: _DomainView, mode: int, amps: np.ndarray, y: np.ndarray,
+                  include_gaussian: bool = True) -> np.ndarray:
+    """c_g(y) = sum_{k: m_k = g} amps_k u_{n_k}(y), n the index in ``mode`` and m the
+    other's, shape (max_m + 1,) + y.shape: at y = sqrt(s) a the amplitude is sqrt(s)
+    sum_g c_g u_g(sqrt(s) b), and the marginal of ``mode`` is sqrt(s) sum_g |c_g|^2."""
+    kept, other = (v.n1, v.n2) if mode == 1 else (v.n2, v.n1)
+    table = _osc_table(int(kept.max()), y, include_gaussian)
+    coeff = np.zeros((int(other.max()) + 1,) + y.shape, dtype=amps.dtype)
+    np.add.at(coeff, other, amps.reshape((-1,) + (1,) * y.ndim) * table[kept])
+    return coeff
+
+
+def _series(coeff: np.ndarray, row: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_g coeff[g, row[i]] u_g(y[i]) for every i, consuming the rows of _osc_rows as
+    they come, so no (degree + 1) x len(y) table is built."""
+    rows = _osc_rows(coeff.shape[0] - 1, y)
+    out = coeff[0].take(row) * next(rows)
+    term = np.empty_like(out)
+    for c, u in zip(coeff[1:], rows):
+        np.take(c, row, out=term)
+        term *= u
+        out += term
+    return out
+
+
+def _density_rows(v: _DomainView, a, row, b) -> np.ndarray:
+    """|Psi(a[row[i]], b[i])|^2 for every i, _BLOCK points at a time, in real arithmetic
+    when the amplitudes are real up to a global phase (the density does not see it)."""
     root = math.sqrt(v.scale)
-    ya, yb = np.broadcast_arrays(root * np.asarray(a, float), root * np.asarray(b, float))
-    u1 = _osc_table(v.max_n1, ya)
-    u2 = _osc_table(v.max_n2, yb)
-    out = np.zeros(ya.shape, dtype=complex)
-    for n1, n2, amp in zip(v.n1, v.n2, v.amps):
-        out += amp * u1[n1] * u2[n2]
+    amps = v.amps if v.aligned is None else v.aligned
+    coeff = _coefficients(v, 1, amps, root * np.asarray(a, dtype=float))
+    y = root * np.asarray(b, dtype=float)
+    out = np.empty(y.shape)
+    for k in range(0, y.size, _BLOCK):
+        np.abs(_series(coeff, row[k:k + _BLOCK], y[k:k + _BLOCK]), out=out[k:k + _BLOCK])
+    out *= out
+    out *= v.scale
     return out
 
 
 def wavefunction(state: FockState, a, b, dom: Domain = Domain.POSITION,
                  units: UnitSystem = NATURAL_UNITS):
     """Complex amplitude at (a, b) in the requested domain; broadcasts over a, b."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     v = _view(state, dom, units)
-    out = math.sqrt(v.scale) * _amplitude_sum(v, a, b)
-    return _maybe_scalar(out, np.ndim(a) == 0 and np.ndim(b) == 0)
+    root = math.sqrt(v.scale)
+    coeff = _coefficients(v, 1, v.amps, root * a.ravel())
+    out = root * _series(coeff, np.arange(a.size), root * b.ravel())
+    return _maybe_scalar(out.reshape(a.shape), a.ndim == 0)
 
 
 def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
                   units: UnitSystem = NATURAL_UNITS):
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
-    v = _view(state, dom, units)
-    out = v.scale * np.abs(_amplitude_sum(v, a, b)) ** 2
-    return _maybe_scalar(out, np.ndim(a) == 0 and np.ndim(b) == 0)
-
-
-def _group_indices(view: _DomainView, mode: int) -> dict[int, list[int]]:
-    """Term indices grouped by the *other* mode's Fock index (the one integrated out)."""
-    other = view.n2 if mode == 1 else view.n1
-    groups: dict[int, list[int]] = {}
-    for idx, g in enumerate(other.tolist()):
-        groups.setdefault(g, []).append(idx)
-    return groups
-
-
-def _term_rows(v: _DomainView, mode: int, y: np.ndarray) -> np.ndarray:
-    """amp_k u_{n_k}(y) for every term k, n_k its index in ``mode``: (terms,) + y.shape."""
-    kept = v.n1 if mode == 1 else v.n2
-    table = _osc_table(int(kept.max()), y)
-    return v.amps.reshape((-1,) + (1,) * y.ndim) * table[kept]
-
-
-def _grouped_marginal(v: _DomainView, mode: int, rows: np.ndarray) -> np.ndarray:
-    """sum_g |sum_{k in g} rows_k|^2 over the groups of _group_indices (no sqrt(s))."""
-    out = np.zeros(rows.shape[1:])
-    for idxs in _group_indices(v, mode).values():
-        out += np.abs(rows[idxs].sum(axis=0)) ** 2
-    return out
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = _density_rows(_view(state, dom, units), a.ravel(), np.arange(a.size), b.ravel())
+    return _maybe_scalar(out.reshape(a.shape), a.ndim == 0)
 
 
 def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
@@ -261,8 +293,8 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
         raise ValueError("mode must be 1 or 2")
     v = _view(state, dom, units)
     root = math.sqrt(v.scale)
-    rows = _term_rows(v, mode, root * np.asarray(a, dtype=float))
-    return _maybe_scalar(root * _grouped_marginal(v, mode, rows), np.ndim(a) == 0)
+    coeff = _coefficients(v, mode, v.amps, root * np.asarray(a, dtype=float))
+    return _maybe_scalar(root * np.sum(np.abs(coeff) ** 2, axis=0), np.ndim(a) == 0)
 
 
 def _ladder_position(n_max: int, scale: float) -> np.ndarray:
@@ -286,15 +318,14 @@ def _ladder_position_sq(n_max: int, scale: float) -> np.ndarray:
 def _moments(view: _DomainView, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M(a), N(a)) = (int P(a, b) db, int b P(a, b) db), exact finite Fock sums.
 
-    With rows F_k = amp_k u_{n1_k}(sqrt(s) a), integrating b out leaves mode-2 matrix
-    elements: M = sqrt(s) sum_kl conj(F_k) F_l delta(n2_k, n2_l) is the mode-1 marginal
-    (its grouped sum), and N = sqrt(s) sum_kl conj(F_k) F_l <n2_k| x |n2_l>.
+    With the mode-2 series coefficients c_g of _coefficients, integrating b out leaves
+    mode-2 matrix elements: M = sqrt(s) sum_g |c_g|^2 is the mode-1 marginal, and
+    N = sqrt(s) sum_gh conj(c_g) c_h <g| x |h>.
     """
     root = math.sqrt(view.scale)
-    rows = _term_rows(view, 1, root * np.asarray(a, dtype=float))
-    x = _ladder_position(view.max_n2, view.scale)[np.ix_(view.n2, view.n2)]
-    m = root * _grouped_marginal(view, 1, rows)
-    n = root * np.real(np.sum(rows.conj() * (x @ rows), axis=0))
+    c = _coefficients(view, 1, view.amps, root * np.asarray(a, dtype=float))
+    m = root * np.sum(np.abs(c) ** 2, axis=0)
+    n = root * np.real(np.sum(c.conj() * (_ladder_position(view.max_n2, view.scale) @ c), axis=0))
     return m, n
 
 
@@ -347,29 +378,19 @@ def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_aligned(amps: np.ndarray) -> np.ndarray | None:
-    """Strip a global phase; return real amplitudes, or None if genuinely complex."""
-    pivot = amps[np.argmax(np.abs(amps))]
-    aligned = amps * (abs(pivot) / pivot)
-    if np.max(np.abs(aligned.imag)) > 1e-12 * np.max(np.abs(aligned)):
-        return None
-    return aligned.real
-
-
 def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray | None:
     """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
 
     Zero *curves* of the density exist only when the wavefunction is real up to a
-    global phase; then b -> psi(a, b) is a degree-max_n2 oscillator series whose real
-    roots inside (-limit, limit) are returned, NaN-padded to shape (len(a), max_n2).
+    global phase; then b -> psi(a, b) is the density's series from _coefficients, and
+    the real roots of its polynomial part inside (-limit, limit) are returned,
+    NaN-padded to shape (len(a), max_n2).
     """
-    amps = _real_aligned(view.amps)
-    if amps is None:
+    if view.aligned is None:
         return None
     root_scale = math.sqrt(view.scale)
-    u1 = _osc_table(view.max_n1, root_scale * np.asarray(a, dtype=float), include_gaussian=False)
-    coeff = np.zeros((view.max_n2 + 1, u1.shape[1]))
-    np.add.at(coeff, view.n2, amps[:, None] * u1[view.n1])
+    ya = root_scale * np.asarray(a, dtype=float)
+    coeff = _coefficients(view, 1, view.aligned, ya, include_gaussian=False)
     out = _oscillator_roots(coeff) / root_scale
     out[np.abs(out) >= limit] = np.nan
     return out
@@ -378,16 +399,11 @@ def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray 
 def _marginal_zero_hints(view: _DomainView, mode: int, limit: float) -> tuple[float, ...]:
     """Real zeros of the mode's marginal inside (-limit, limit). Nonempty only when a
     single orthogonality group survives (the marginal is then |series|^2 x Gaussian)."""
-    groups = _group_indices(view, mode)
-    if len(groups) != 1:
+    kept, other = (view.n1, view.n2) if mode == 1 else (view.n2, view.n1)
+    if np.any(other != other[0]) or view.aligned is None:
         return ()
-    (idxs,) = groups.values()
-    amps = _real_aligned(view.amps[idxs])
-    if amps is None:
-        return ()
-    kept = (view.n1 if mode == 1 else view.n2)[idxs]
     coeff = np.zeros((int(kept.max()) + 1, 1))
-    coeff[kept, 0] = amps
+    coeff[kept, 0] = view.aligned
     zeros = _oscillator_roots(coeff)[0] / math.sqrt(view.scale)
     return tuple(zeros[np.abs(zeros) < limit].tolist())
 

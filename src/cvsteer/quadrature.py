@@ -174,11 +174,9 @@ def _neg_plogp(v: np.ndarray) -> np.ndarray:
     Never returns NaN or -inf: values at or below the floor (including any negative
     rounding noise of a nonnegative density) contribute exactly 0.
     """
-    out = np.zeros_like(v)
-    mask = v > ENTROPY_FLOOR
-    vm = v[mask]
-    out[mask] = -vm * np.log(vm)
-    return out
+    out = np.log(v, out=np.zeros_like(v), where=v > ENTROPY_FLOOR)
+    out *= v
+    return np.negative(out, out=out)
 
 
 def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
@@ -196,37 +194,42 @@ def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: Quadrature
     )
 
 
-def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec,
+def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+                         spec: QuadratureSpec,
                          inner_breakpoints: Callable[[np.ndarray], np.ndarray | None] | None = None,
                          outer_breakpoints: Sequence[float] = ()) -> IntegralResult:
     """-int int g ln g over [-L, L]^2 by iterated adaptive panels.
 
-    ``g(a, b)`` must evaluate elementwise on same-length arrays. The inner (b) integrals
-    for all pending outer abscissae are refined together in shared vectorized sweeps.
-    ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array whose row i
-    holds known zeros of b -> g(a_values[i], b), or None; ``_segments`` turns it into
-    the pre-split inner panels of every abscissa in one batch.
+    The inner (b) integrals for all pending outer abscissae are refined together in
+    shared vectorized sweeps, each calling ``g(a, row, b)`` once with ``a`` the outer
+    abscissae: it returns the density at (a[row[i]], b[i]), so what depends on a alone
+    is computed once per abscissa. ``inner_breakpoints(a_values)`` may return an (n, r)
+    NaN-padded array whose row i holds known zeros of b -> g(a_values[i], b), or None;
+    ``_segments`` turns it into the pre-split inner panels of every abscissa in one
+    batch. The error adds 2L times the largest inner estimate to the outer one.
     """
     L = spec.half_width
     inner_tol = spec.panel_tol / (8.0 * L)
     inner_ok = True
+    inner_err = 0.0
 
     def outer_f(avals: np.ndarray) -> np.ndarray:
-        nonlocal inner_ok
+        nonlocal inner_ok, inner_err
         hints = inner_breakpoints(avals) if inner_breakpoints is not None else None
         cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
         seg_task, seg_lo, seg_hi = _segments(-L, L, cuts)
-        vals, _errs, ok = _adaptive_many(
-            lambda tid, b: _neg_plogp(np.asarray(g(avals[tid], b), dtype=float)),
+        vals, errs, ok = _adaptive_many(
+            lambda tid, b: _neg_plogp(np.asarray(g(avals, tid, b), dtype=float)),
             seg_task, seg_lo, seg_hi,
             np.full(avals.size, inner_tol), spec.max_depth, avals.size,
         )
         inner_ok = inner_ok and bool(ok.all())
+        inner_err = max(inner_err, float(errs.max()))
         return vals
 
     outer = adaptive_panels(outer_f, -L, L, spec.panel_tol, spec.max_depth, outer_breakpoints)
     return IntegralResult(
         value=outer.value,
-        error=outer.error + 2.0 * L * inner_tol,
+        error=outer.error + 2.0 * L * inner_err,
         converged=outer.converged and inner_ok,
     )

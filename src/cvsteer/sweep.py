@@ -16,6 +16,7 @@ cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2 and pi, the ends of the two h
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -237,7 +238,7 @@ class _Proxy(NamedTuple):
     state_id: str
     criterion: str
     spec: QuadratureSpec
-    samples: tuple[tuple[float, float], ...]  # (theta, value - bound); 0, pi/2, pi exact
+    samples: tuple[tuple[float, float], ...]  # (theta, value - bound) ascending; 0, pi/2, pi exact
     candidates: tuple[float, ...]
     converged: bool  # every sample met its tolerance and both halves were chopped
 
@@ -255,7 +256,9 @@ def _illinois(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_
     BIT 11 (1971) 168). Returns the final secant point, the bracket and |f| there."""
     kept = 0  # -1: lo was kept by the last step, +1: hi was
     while hi - lo > root_tol:
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        # A step at least root_tol/2 in from both ends can close the bracket (Brent 1973)
+        x = min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo + 0.5 * root_tol),
+                hi - 0.5 * root_tol)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
@@ -285,16 +288,17 @@ def find_critical_angles(state_id: str, criterion: str,
     value - bound is sampled on each half, [0, pi/2] and [pi/2, pi], at nested
     Chebyshev-Lobatto points until its Chebyshev coefficients decay below
     10 * spec.panel_tol; the real roots of the chopped interpolants are the candidate
-    crossings. Each candidate is probed at root_tol/4 on either side, and every sign
-    change between neighbouring samples and probes is shrunk by Illinois steps to a
-    bracket no wider than root_tol (kind="crossing"), so proxy roots where the true
-    criterion keeps its sign are dropped. Samples where the value equals the bound
-    exactly without a sign change are reported with kind="touch", a zero-width bracket
-    and residual 0. ``converged`` is False on every angle when any evaluation of the
-    search missed its quadrature tolerance or a half was not resolved by degree
-    _DEGREE_MAX. Raises NoRootInRange, with the same flag, when neither kind exists. The samples are
-    memoized by (state, criterion, spec) and the polish also by root_tol: both are pure
-    deterministic functions of their arguments, and the report layer re-requests them.
+    crossings. Each is probed on either side at 10 * spec.panel_tol / |slope|, slope of
+    the samples around it, kept in [root_tol/4, root_tol/2] and within half its distance
+    to them; every sign change between neighbouring samples and probes is shrunk by
+    Illinois steps to a bracket no wider than root_tol (kind="crossing"), so proxy
+    roots where the true criterion keeps its sign are dropped. Samples where the value
+    equals the bound exactly without a sign change are reported with kind="touch", a
+    zero-width bracket and residual 0. ``converged`` is False on every angle when any
+    evaluation of the search missed its quadrature tolerance or a half was not resolved
+    by degree _DEGREE_MAX. Raises NoRootInRange, with the same flag, when neither kind
+    exists. The samples are memoized by (state, criterion, spec) and the polish also by
+    root_tol: both are pure functions of their arguments, re-requested by the report.
     """
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
@@ -326,7 +330,7 @@ def _find_critical_angles_cached(state_id: str, criterion: str,
     tol = 10.0 * spec.panel_tol
     halves = [_chebyshev_half(sample, lo, hi, tol)
               for lo, hi in ((0.0, 0.5 * math.pi), (0.5 * math.pi, math.pi))]
-    return _Proxy(state_id, criterion, spec, tuple(samples.items()),
+    return _Proxy(state_id, criterion, spec, tuple(sorted(samples.items())),
                   candidates=tuple(np.concatenate([roots for roots, _ in halves]).tolist()),
                   converged=not missed and all(chopped for _, chopped in halves))
 
@@ -337,7 +341,12 @@ def _polish(proxy: _Proxy, root_tol: float) -> _Search:
     f, missed = _bound_gap(proxy.state_id, proxy.criterion, proxy.spec)
     points = dict(proxy.samples)
     for r in proxy.candidates:
-        for theta in (r - 0.25 * root_tol, r + 0.25 * root_tol):
+        # The proxy's error is its chop tolerance over the slope; probes <= root_tol apart
+        i = bisect.bisect(proxy.samples, (r,))
+        (t0, f0), (t1, f1) = proxy.samples[i - 1], proxy.samples[i]
+        error = 10.0 * proxy.spec.panel_tol * (t1 - t0) / max(abs(f1 - f0), 1e-300)
+        width = max(0.25 * root_tol, min(error, 0.5 * root_tol, 0.5 * (r - t0), 0.5 * (t1 - r)))
+        for theta in (r - width, r + width):
             if 0.0 < theta < math.pi and theta not in points:
                 points[theta] = f(theta)
     grid = sorted(points.items())

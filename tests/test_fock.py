@@ -22,7 +22,7 @@ from cvsteer.fock import (
     marginal_density,
     wavefunction,
 )
-from cvsteer.fock import _osc_table, _oscillator_roots, _second_moment, _view
+from cvsteer.fock import _density_rows, _osc_table, _oscillator_roots, _second_moment, _view
 
 SQPI = math.sqrt(math.pi)
 
@@ -259,6 +259,78 @@ class TestDensities:
         expected = math.sqrt(1 / math.pi) * (math.sin(theta) ** 2
                                              + 2 * x * x * math.cos(theta) ** 2) * math.exp(-x * x)
         assert marginal_density(st0, x, Domain.POSITION, mode=2) == pytest.approx(expected, rel=1e-13)
+
+
+def hermval_amplitude(terms, a, b, dom, m_omega):
+    """sum_k amp_k phi_{n1_k}(a) phi_{n2_k}(b) with every eigenfunction from numpy's
+    hermval, and the scale of its rounding error: the same sum of moduli with each
+    phi_n replaced by the envelope sqrt(sum_{m <= n} phi_m^2), which has no zeros."""
+    s = m_omega if dom is Domain.POSITION else 1.0 / m_omega
+    psi = np.zeros(np.broadcast(a, b).shape, dtype=complex)
+    mag = np.zeros(psi.shape)
+    for n1, n2, amp in terms:
+        phase = (-1j) ** (n1 + n2) if dom is Domain.MOMENTUM else 1.0
+        term, envelope = amp * phase, abs(amp)
+        for n, x in ((n1, a), (n2, b)):
+            y = math.sqrt(s) * np.asarray(x, dtype=float)
+            rows = [s ** 0.25 * hermval(y, [0.0] * m + [1.0]) * np.exp(-0.5 * y * y)
+                    / math.sqrt(2.0 ** m * math.factorial(m) * SQPI) for m in range(n + 1)]
+            term = term * rows[-1]
+            envelope = envelope * np.sqrt(sum(r * r for r in rows))
+        psi += term
+        mag += envelope
+    return psi, mag
+
+
+def random_state(rng, is_complex, n_max=12):
+    """Two to four distinct Fock terms with indices <= n_max and random amplitudes."""
+    size = int(rng.integers(2, 5))
+    flat = rng.choice((n_max + 1) ** 2, size=size, replace=False)
+    amps = rng.uniform(0.3, 1.0, size) * (np.exp(2j * math.pi * rng.uniform(size=size))
+                                         if is_complex else rng.choice([-1.0, 1.0], size))
+    amps = amps / np.linalg.norm(amps)
+    return FockState.from_terms(
+        [(int(k) // (n_max + 1), int(k) % (n_max + 1), complex(c)) for k, c in zip(flat, amps)])
+
+
+class TestStreamedAmplitude:
+    """The streamed mode-2 series against a term-by-term hermval oracle, to 1e-13 of
+    the oracle's rounding scale, for random states with Fock indices up to 12."""
+
+    CASES = [(mw, dom, cplx) for mw in (0.5, 1.0, 2.0) for dom in Domain
+             for cplx in (False, True)]
+
+    @pytest.mark.parametrize("m_omega,dom,is_complex", CASES)
+    def test_public_densities(self, m_omega, dom, is_complex):
+        rng = np.random.default_rng([int(4 * m_omega), dom is Domain.MOMENTUM, is_complex])
+        units = UnitSystem(m_omega)
+        scale = math.sqrt(m_omega if dom is Domain.POSITION else 1.0 / m_omega)
+        for _ in range(3):
+            state = random_state(rng, is_complex)
+            a = rng.uniform(-4.0, 4.0, 40) / scale
+            b = rng.uniform(-4.0, 4.0, 40) / scale
+            for pa, pb in ((a, b), (a[:, None], b[None, :])):
+                psi, mag = hermval_amplitude(state.terms, pa, pb, dom, m_omega)
+                got = wavefunction(state, pa, pb, dom, units)
+                assert got.shape == psi.shape
+                assert np.all(np.abs(got - psi) <= 1e-13 * mag)
+                dens = joint_density(state, pa, pb, dom, units)
+                assert np.all(np.abs(dens - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
+
+    @pytest.mark.parametrize("m_omega,dom,is_complex", CASES)
+    def test_entropy_integrand(self, m_omega, dom, is_complex):
+        # The 2-D entropy integrand's contract: the density at (a[row[i]], b[i])
+        rng = np.random.default_rng([int(4 * m_omega), dom is Domain.MOMENTUM, is_complex, 1])
+        units = UnitSystem(m_omega)
+        scale = math.sqrt(m_omega if dom is Domain.POSITION else 1.0 / m_omega)
+        for _ in range(3):
+            state = random_state(rng, is_complex)
+            a = rng.uniform(-4.0, 4.0, 7) / scale
+            row = rng.integers(0, a.size, 60)
+            b = rng.uniform(-4.0, 4.0, 60) / scale
+            psi, mag = hermval_amplitude(state.terms, a[row], b, dom, m_omega)
+            got = _density_rows(_view(state, dom, units), a, row, b)
+            assert np.all(np.abs(got - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
 
 
 class TestConditionalMean:

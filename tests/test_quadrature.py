@@ -12,7 +12,7 @@ from cvsteer.quadrature import (
     integrate_entropy_1d,
     integrate_entropy_2d,
 )
-from cvsteer.quadrature import _segments
+from cvsteer.quadrature import ENTROPY_FLOOR, _neg_plogp, _segments
 
 SQPI = math.sqrt(math.pi)
 
@@ -115,17 +115,24 @@ class TestEntropy1d:
 
 class TestEntropy2d:
     def test_product_of_gaussians(self):
-        g = lambda a, b: np.exp(-(a * a + b * b)) / math.pi
+        g = lambda a, row, b: np.exp(-(a[row] ** 2 + b * b)) / math.pi
         res = integrate_entropy_2d(g, DEFAULT_SPEC)
         assert res.converged
         assert res.value == pytest.approx(1 + math.log(math.pi), abs=1e-10)
 
     def test_tail_truncation_insensitive(self):
-        c, s = math.cos(0.7), math.sin(0.7)
-        g = lambda a, b: (c + 2 * a * b * s) ** 2 / math.pi * np.exp(-(a * a + b * b))
+        g = self._bracket_density(math.cos(0.7), math.sin(0.7))
         r8 = integrate_entropy_2d(g, QuadratureSpec(half_width=8.0))
         r16 = integrate_entropy_2d(g, QuadratureSpec(half_width=16.0))
         assert abs(r8.value - r16.value) < 1e-10
+
+    @staticmethod
+    def _bracket_density(c, s):
+        # (c + 2 a b s)^2 e^{-(a^2 + b^2)} / pi at (a[row[i]], b[i]), the integrand contract
+        def g(a, row, b):
+            ar = a[row]
+            return (c + 2 * ar * b * s) ** 2 / math.pi * np.exp(-(ar * ar + b * b))
+        return g
 
     @staticmethod
     def _bracket_zero_hints(c, s):
@@ -136,7 +143,7 @@ class TestEntropy2d:
 
     def test_deterministic(self):
         c, s = math.cos(1.1), math.sin(1.1)
-        g = lambda a, b: (c + 2 * a * b * s) ** 2 / math.pi * np.exp(-(a * a + b * b))
+        g = self._bracket_density(c, s)
         hints = self._bracket_zero_hints(c, s)
         r1 = integrate_entropy_2d(g, DEFAULT_SPEC, inner_breakpoints=hints)
         r2 = integrate_entropy_2d(g, DEFAULT_SPEC, inner_breakpoints=hints)
@@ -146,8 +153,32 @@ class TestEntropy2d:
     def test_inner_breakpoints_match_free_refinement(self):
         # The zero-curve pre-split is an efficiency hint, not a correctness requirement
         c, s = math.cos(1.1), math.sin(1.1)
-        g = lambda a, b: (c + 2 * a * b * s) ** 2 / math.pi * np.exp(-(a * a + b * b))
+        g = self._bracket_density(c, s)
         with_hints = integrate_entropy_2d(g, DEFAULT_SPEC,
                                           inner_breakpoints=self._bracket_zero_hints(c, s))
         without = integrate_entropy_2d(g, DEFAULT_SPEC)
         assert with_hints.value == pytest.approx(without.value, abs=5e-10)
+
+    def test_unconverged_inner_integrals_reach_error(self):
+        # |b| e^{-b^2} has a kink at b = 0 and no pre-split: cut at depth 4, the inner
+        # integrals miss their tolerance by far more than the outer estimate shows. Its
+        # entropy is 1 + gamma/2, since int_0^inf b e^{-b^2} ln b db = -gamma/4.
+        g = lambda a, row, b: np.exp(-a[row] ** 2) / SQPI * np.abs(b) * np.exp(-b * b)
+        exact = 0.5 * (1 + math.log(math.pi)) + 1.0 + 0.5 * np.euler_gamma
+        cut = integrate_entropy_2d(g, QuadratureSpec(max_depth=4))
+        assert not cut.converged
+        assert abs(cut.value - exact) > 1e-8
+        assert cut.error >= abs(cut.value - exact)
+        full = integrate_entropy_2d(g, DEFAULT_SPEC)
+        assert full.converged
+        assert abs(full.value - exact) <= full.error <= 1e-9
+
+
+def test_neg_plogp_matches_masked_formula():
+    rng = np.random.default_rng(5)
+    v = np.concatenate([rng.uniform(0.0, 3.0, 500), 10.0 ** rng.uniform(-320, -290, 200),
+                        -10.0 ** rng.uniform(-18, -14, 50), [0.0, ENTROPY_FLOOR, 1.0]])
+    want = np.zeros_like(v)
+    keep = v > ENTROPY_FLOOR
+    want[keep] = -v[keep] * np.log(v[keep])
+    assert np.array_equal(_neg_plogp(v), want)

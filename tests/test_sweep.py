@@ -280,6 +280,34 @@ class TestFindCriticalAngles:
                 assert 0 < len(calls) <= 170, (state_id, criterion, len(calls))
 
 
+    @pytest.mark.parametrize("state_id,criterion,most", [
+        ("psi", "reid", 77), ("psi-prime", "reid", 77), ("psi-prime", "entropic", 72)])
+    def test_probe_width_at_coarse_tolerance(self, monkeypatch, state_id, criterion, most):
+        # At panel_tol 1e-7 the proxy's crossings are 3-6e-7 off the true ones, beyond
+        # probes at +-root_tol/4. With probes at the proxy's accuracy (at most
+        # root_tol/2) and Illinois steps at least root_tol/2 in from the bracket's ends,
+        # the 65 samples and two probes per candidate need at most two more evaluations
+        # per crossing; probes fixed at +-root_tol/4 took 77 and 81 (Reid) and 77
+        # (entropic). The caches are bypassed, not cleared.
+        spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
+        evaluate = sweep_mod._evaluate
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(sweep_mod, "_evaluate", counted)
+        proxy = sweep_mod._find_critical_angles_cached.__wrapped__(state_id, criterion, spec)
+        search = sweep_mod._polish.__wrapped__(proxy, 1e-6)
+        assert len(calls) <= most
+        got = [r for r in search.roots if r.kind == "crossing" and r.bracket[0] < r.bracket[1]]
+        for r, ref in zip(got, CROSSINGS[(state_id, criterion)]):
+            assert r.bracket[1] - r.bracket[0] <= 1e-6
+            assert r.angle == pytest.approx(ref, abs=5e-4)
+        assert len(got) == 2
+
+
 @pytest.fixture(scope="module")
 def reports():
     return {sid: hierarchy_report(sid) for sid in ("psi", "psi-prime")}
