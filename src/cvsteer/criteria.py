@@ -31,6 +31,7 @@ from .fock import (
     _ladder_position,
     _marginal_zero_hints,
     _moments,
+    _parities,
     _second_moment,
     _view,
     marginal_density,
@@ -126,7 +127,9 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
 
     width = _effective_width(spec, view)
     cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
-    correction = adaptive_panels(ratio, -width, width, spec.panel_tol, spec.max_depth, cuts)
+    # N^2 / M is even under central parity
+    correction = adaptive_panels(ratio, -width, width, spec.panel_tol, spec.max_depth, cuts,
+                                 fold=_parities(state)[0] is not None)
     return max(_second_moment(view) - correction.value, 0.0), correction.converged
 
 
@@ -174,7 +177,8 @@ def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
     width = _effective_width(spec, view)
     cuts = _marginal_zero_hints(view, 2, width) + (0.0,)
     res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, units, mode=2),
-                               replace(spec, half_width=width), breakpoints=cuts)
+                               replace(spec, half_width=width), breakpoints=cuts,
+                               fold=_parities(state)[0] is not None)
     return res.value, res.converged
 
 
@@ -186,13 +190,14 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
     width = _effective_width(spec, view)
     espec = replace(spec, half_width=width)
     marg_cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
+    fold = _parities(state)[0] is not None
     joint_res = integrate_entropy_2d(
         lambda a, row, b: _density_rows(view, a, row, b), espec,
         inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
-        outer_breakpoints=marg_cuts,
+        outer_breakpoints=marg_cuts, fold=fold,
     )
     marg_res = integrate_entropy_1d(lambda a: marginal_density(state, a, dom, units),
-                                    espec, breakpoints=marg_cuts)
+                                    espec, breakpoints=marg_cuts, fold=fold)
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 
 

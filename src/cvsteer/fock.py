@@ -408,6 +408,23 @@ def _marginal_zero_hints(view: _DomainView, mode: int, limit: float) -> tuple[fl
     return tuple(zeros[np.abs(zeros) < limit].tolist())
 
 
+def _parities(state: FockState) -> tuple[int | None, int | None, int | None]:
+    """The parity that every term shares in n1 + n2, in n1 and in n2; None where the
+    terms mix parities. Two symmetries follow from the term list alone:
+
+    * central parity (first entry set): Psi(-a, -b) = +-Psi(a, b) in both domains and
+      for any amplitudes, since (-i)^(n1 + n2) keeps the parity. The joint density and
+      both marginals are even, the conditional mean is odd, and every integral of them
+      over a folds onto a >= 0;
+    * mirror: when the terms of A share one parity in a mode and those of B the other,
+      that mode's local parity (-1)^n flips the relative sign of A and B, so
+      cos(pi - t) A + sin(pi - t) B is a local unitary times cos(t) A + sin(t) B and
+      every criterion takes the same value at t and pi - t.
+    """
+    parity = np.array([(n1 + n2, n1, n2) for n1, n2, _ in state.terms]) % 2
+    return tuple(int(col[0]) if np.all(col == col[0]) else None for col in parity.T)
+
+
 def _is_uncorrelated(view: _DomainView) -> bool:
     """True when every term shares the same first-mode index: the state factorizes and
     mode 2's conditional statistics equal its marginal statistics."""

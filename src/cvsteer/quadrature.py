@@ -158,14 +158,23 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
 
 def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                     tol: float, max_depth: int,
-                    breakpoints: Sequence[float] = ()) -> IntegralResult:
-    """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``."""
+                    breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
+    """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``.
+
+    ``fold=True`` declares f symmetric about the midpoint c: only [c, hi] is integrated,
+    at tol/2, and the value and error are doubled. With c among the breakpoints the
+    folded panels mirror the dropped ones, so each keeps its share of ``tol``.
+    """
+    if fold:
+        lo, tol = 0.5 * (lo + hi), 0.5 * tol
     row, seg_lo, seg_hi = _segments(lo, hi, np.reshape(breakpoints, (1, -1)))
     vals, errs, ok = _adaptive_many(
         lambda _t, x: np.asarray(f(x), dtype=float),
         row, seg_lo, seg_hi, np.array([tol]), max_depth, 1,
     )
-    return IntegralResult(value=float(vals[0]), error=float(errs[0]), converged=bool(ok[0]))
+    copies = 2.0 if fold else 1.0
+    return IntegralResult(value=copies * float(vals[0]), error=copies * float(errs[0]),
+                          converged=bool(ok[0]))
 
 
 def _neg_plogp(v: np.ndarray) -> np.ndarray:
@@ -180,24 +189,27 @@ def _neg_plogp(v: np.ndarray) -> np.ndarray:
 
 
 def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
-                         breakpoints: Sequence[float] = ()) -> IntegralResult:
+                         breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
     """-int g ln g over [-L, L] by adaptive bisected panels.
 
     ``g`` must be vectorized and nonnegative with tail mass beyond +-L below 1e-12.
     Known zero locations of g should be passed as ``breakpoints``: panels are pre-split
     there, which restores fast convergence around the integrable log singularities.
+    ``fold=True`` declares g even: [0, L] is integrated at half the tolerance and
+    doubled (0 should be a breakpoint, see ``adaptive_panels``).
     """
     L = spec.half_width
     return adaptive_panels(
         lambda x: _neg_plogp(np.asarray(g(x), dtype=float)),
-        -L, L, spec.panel_tol, spec.max_depth, breakpoints,
+        -L, L, spec.panel_tol, spec.max_depth, breakpoints, fold,
     )
 
 
 def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                          spec: QuadratureSpec,
                          inner_breakpoints: Callable[[np.ndarray], np.ndarray | None] | None = None,
-                         outer_breakpoints: Sequence[float] = ()) -> IntegralResult:
+                         outer_breakpoints: Sequence[float] = (),
+                         fold: bool = False) -> IntegralResult:
     """-int int g ln g over [-L, L]^2 by iterated adaptive panels.
 
     The inner (b) integrals for all pending outer abscissae are refined together in
@@ -207,6 +219,9 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     NaN-padded array whose row i holds known zeros of b -> g(a_values[i], b), or None;
     ``_segments`` turns it into the pre-split inner panels of every abscissa in one
     batch. The error adds 2L times the largest inner estimate to the outer one.
+    ``fold=True`` declares g(-a, -b) = g(a, b): the inner integral is then even in a,
+    and the outer one runs over [0, L] at half the tolerance and is doubled, value and
+    error (0 should be an outer breakpoint); the inner b-range stays [-L, L].
     """
     L = spec.half_width
     inner_tol = spec.panel_tol / (8.0 * L)
@@ -227,7 +242,8 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
         inner_err = max(inner_err, float(errs.max()))
         return vals
 
-    outer = adaptive_panels(outer_f, -L, L, spec.panel_tol, spec.max_depth, outer_breakpoints)
+    outer = adaptive_panels(outer_f, -L, L, spec.panel_tol, spec.max_depth, outer_breakpoints,
+                            fold)
     return IntegralResult(
         value=outer.value,
         error=outer.error + 2.0 * L * inner_err,

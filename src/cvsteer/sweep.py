@@ -3,15 +3,21 @@ criteria-coverage report.
 
 Critical angles come from a Chebyshev proxy of value - bound on each half of [0, pi]
 (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666; Trefethen, Approximation Theory and
-Approximation Practice, ch. 18). Each half, [0, pi/2] and [pi/2, pi], is sampled at
-nested Chebyshev-Lobatto points whose degree doubles from 16 until the trailing
-coefficients fall below 10 * panel_tol, the accuracy the quadrature itself is asked
-for. The real roots of the chopped interpolants are probed on the true criterion;
-each sign change between neighbouring evaluations is polished by Illinois steps
-(kind ``crossing``). Samples where the value equals the bound exactly with no sign
-change are touch-points (kind ``touch``, zero-width bracket). The bound is met exactly
-only where the evaluators are exact, at product states; for every family
-cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2 and pi, the ends of the two halves.
+Approximation Practice, ch. 18). A half is sampled at nested Chebyshev-Lobatto points
+whose degree doubles from 16 until the trailing coefficients fall below 10 * panel_tol,
+the accuracy the quadrature itself is asked for. The real roots of the chopped
+interpolants are probed on the true criterion; each sign change between neighbouring
+evaluations is polished by Illinois steps (kind ``crossing``). Samples where the value
+equals the bound exactly with no sign change are touch-points (kind ``touch``,
+zero-width bracket). The bound is met exactly only where the evaluators are exact, at
+product states; for every family cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2
+and pi, the ends of the two halves.
+
+When a local mode parity separates A and B (``fock._parities``), every criterion takes
+the same value at theta and pi - theta. Only [pi/2, pi] is then sampled, probed and
+polished; its points and angles are reflected onto [0, pi/2], and the touch at pi gives
+the touch at 0. The reflection pi - theta is exact for theta >= pi/2 (Sterbenz), so a
+reflected bracket keeps its width. Both built-in families have this mirror.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .criteria import CHSH_CLASSICAL_BOUND, chsh_max, entropic_value, reid_value
-from .fock import FockState, make_psi, make_psi_prime
+from .fock import FockState, _parities, make_psi, make_psi_prime
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
@@ -105,6 +111,13 @@ def _builder(state_id: str) -> Callable[[float], FockState]:
     if key not in STATE_BUILDERS:
         raise ValueError(f"unknown state id {state_id!r}; expected one of {sorted(STATE_BUILDERS)}")
     return STATE_BUILDERS[key]
+
+
+def _mirrored(a: FockState, b: FockState) -> bool:
+    """Whether cos(theta) a + sin(theta) b meets every criterion at pi - theta as at
+    theta: the terms of a share one parity in a mode and those of b the other."""
+    return any(pa is not None and pb is not None and pa != pb
+               for pa, pb in zip(_parities(a)[1:], _parities(b)[1:]))
 
 
 def _evaluate(criterion: str, state: FockState, spec: QuadratureSpec, theta: float):
@@ -231,21 +244,23 @@ def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
 
 
 class _Proxy(NamedTuple):
-    """value - bound sampled at the Chebyshev points of [0, pi/2] and [pi/2, pi], and the
-    real roots of the two chopped interpolants, the candidate crossings. The polish is
-    cached by the proxy's value, of which it is a pure function."""
+    """value - bound sampled at the Chebyshev points of [pi/2, pi] and, unless the family
+    is mirrored, of [0, pi/2], and the real roots of the chopped interpolants, the
+    candidate crossings. The polish is cached by the proxy's value, of which it is a
+    pure function."""
 
     state_id: str
     criterion: str
     spec: QuadratureSpec
-    samples: tuple[tuple[float, float], ...]  # (theta, value - bound) ascending; 0, pi/2, pi exact
+    samples: tuple[tuple[float, float], ...]  # (theta, value - bound) ascending; ends exact
     candidates: tuple[float, ...]
-    converged: bool  # every sample met its tolerance and both halves were chopped
+    converged: bool  # every sample met its tolerance and every half was chopped
+    mirrored: bool  # value(pi - theta) = value(theta): only [pi/2, pi] was sampled
 
 
 class _Search(NamedTuple):
     roots: tuple[CriticalAngle, ...]
-    points: tuple[tuple[float, float], ...]  # the samples and probes, ascending in theta
+    points: tuple[tuple[float, float], ...]  # samples and probes (reflected), ascending
     converged: bool
 
 
@@ -285,20 +300,22 @@ def find_critical_angles(state_id: str, criterion: str,
                          root_tol: float = _ROOT_TOL) -> tuple[CriticalAngle, ...]:
     """Locate every angle in [0, pi] where the criterion meets its classical bound.
 
-    value - bound is sampled on each half, [0, pi/2] and [pi/2, pi], at nested
-    Chebyshev-Lobatto points until its Chebyshev coefficients decay below
-    10 * spec.panel_tol; the real roots of the chopped interpolants are the candidate
-    crossings. Each is probed on either side at 10 * spec.panel_tol / |slope|, slope of
-    the samples around it, kept in [root_tol/4, root_tol/2] and within half its distance
-    to them; every sign change between neighbouring samples and probes is shrunk by
-    Illinois steps to a bracket no wider than root_tol (kind="crossing"), so proxy
-    roots where the true criterion keeps its sign are dropped. Samples where the value
-    equals the bound exactly without a sign change are reported with kind="touch", a
-    zero-width bracket and residual 0. ``converged`` is False on every angle when any
-    evaluation of the search missed its quadrature tolerance or a half was not resolved
-    by degree _DEGREE_MAX. Raises NoRootInRange, with the same flag, when neither kind
-    exists. The samples are memoized by (state, criterion, spec) and the polish also by
-    root_tol: both are pure functions of their arguments, re-requested by the report.
+    value - bound is sampled on [pi/2, pi] and, unless the family is mirrored (see the
+    module docstring), on [0, pi/2], at nested Chebyshev-Lobatto points until its
+    Chebyshev coefficients decay below 10 * spec.panel_tol; the real roots of the chopped
+    interpolants are the candidate crossings. Each is probed on either side at
+    10 * spec.panel_tol / |slope|, slope of the samples around it, kept in
+    [root_tol/4, root_tol/2] and within half its distance to them; every sign change
+    between neighbouring samples and probes is shrunk by Illinois steps to a bracket no
+    wider than root_tol (kind="crossing"), so proxy roots where the true criterion keeps
+    its sign are dropped. Samples where the value equals the bound exactly without a
+    sign change are reported with kind="touch", a zero-width bracket and residual 0. On
+    a mirrored family each angle above pi/2 also gives pi - angle, bracket reflected.
+    ``converged`` is False on every angle when any evaluation of the search missed its
+    quadrature tolerance or a half was not resolved by degree _DEGREE_MAX. Raises
+    NoRootInRange, with the same flag, when neither kind exists. The samples are
+    memoized by (state, criterion, spec) and the polish also by root_tol: both are pure
+    functions of their arguments, re-requested by the report.
     """
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
@@ -320,6 +337,8 @@ def _find_critical_angles_cached(state_id: str, criterion: str,
                                  spec: QuadratureSpec) -> _Proxy:
     """The Chebyshev proxy of value - bound for one (state, criterion, spec)."""
     f, missed = _bound_gap(state_id, criterion, spec)
+    build = _builder(state_id)
+    mirrored = _mirrored(build(0.0), build(0.5 * math.pi))
     samples: dict[float, float] = {}
 
     def sample(theta: float) -> float:
@@ -328,11 +347,12 @@ def _find_critical_angles_cached(state_id: str, criterion: str,
         return samples[theta]
 
     tol = 10.0 * spec.panel_tol
-    halves = [_chebyshev_half(sample, lo, hi, tol)
-              for lo, hi in ((0.0, 0.5 * math.pi), (0.5 * math.pi, math.pi))]
+    ends = ([] if mirrored else [(0.0, 0.5 * math.pi)]) + [(0.5 * math.pi, math.pi)]
+    halves = [_chebyshev_half(sample, lo, hi, tol) for lo, hi in ends]
     return _Proxy(state_id, criterion, spec, tuple(sorted(samples.items())),
                   candidates=tuple(np.concatenate([roots for roots, _ in halves]).tolist()),
-                  converged=not missed and all(chopped for _, chopped in halves))
+                  converged=not missed and all(chopped for _, chopped in halves),
+                  mirrored=mirrored)
 
 
 @lru_cache(maxsize=128)
@@ -358,6 +378,10 @@ def _polish(proxy: _Proxy, root_tol: float) -> _Search:
         if value == 0.0:
             between = 0 < i < len(grid) - 1 and (grid[i - 1][1] > 0.0) != (grid[i + 1][1] > 0.0)
             found.append((theta, (theta, theta), 0.0, "crossing" if between else "touch"))
+    if proxy.mirrored:
+        found += [(math.pi - angle, (math.pi - hi, math.pi - lo), residual, kind)
+                  for angle, (lo, hi), residual, kind in found if angle > 0.5 * math.pi]
+        grid = sorted(dict(grid + [(math.pi - theta, value) for theta, value in grid]).items())
 
     converged = proxy.converged and not missed
     roots = tuple(CriticalAngle(proxy.criterion, angle, bracket, residual, kind, converged)

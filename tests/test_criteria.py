@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -17,8 +18,11 @@ from cvsteer.criteria import (
     reid_value,
 )
 from cvsteer.fock import Domain, FockState, UnitSystem, make_psi, make_psi_prime, marginal_density
-from cvsteer.fock import _view
+from cvsteer.fock import _parities, _view
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
+
+criteria_mod = importlib.import_module("cvsteer.criteria")
+quadrature_mod = importlib.import_module("cvsteer.quadrature")
 
 # Reference values computed before the build with an independent route: the
 # conditional-variance correction integral has the closed form
@@ -338,3 +342,80 @@ class TestTruncationWidth:
             level = lambda y: eval_hermite(n, y) ** 2 * np.exp(-y * y - log_norm)
             tail, _err = quad(level, y0, np.inf, epsabs=1e-16, epsrel=1e-8)
             assert 2.0 * tail < 1e-12, (n, y0, tail)
+
+
+@st.composite
+def central_parity_states(draw, factorized=False):
+    """Two or three Fock terms with indices <= 8, one parity of n1 + n2 and random
+    phases; with ``factorized`` every term shares its n1."""
+    parity = draw(st.integers(0, 1))
+    n1 = st.just(draw(st.integers(0, 8))) if factorized else st.integers(0, 8)
+    pairs = draw(st.lists(st.tuples(n1, st.integers(0, 8)).filter(
+        lambda p: (p[0] + p[1]) % 2 == parity), min_size=2, max_size=3, unique=True))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(pairs),
+                           max_size=len(pairs)))
+    amps = np.exp(1j * np.array(phases)) / math.sqrt(len(pairs))
+    return FockState.from_terms([(n1, n2, complex(c)) for (n1, n2), c in zip(pairs, amps)])
+
+
+def unfolded(f, *args):
+    """f(*args) with the central-parity fold switched off: every integral over a runs
+    over [-L, L] at the full tolerance."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria_mod, "_parities", lambda state: (None, None, None))
+        return f(*args)
+
+
+class TestParityFold:
+    """Under central parity the 2-D joint entropy, the 1-D marginal entropies and Reid's
+    correction integral run over a >= 0 and are doubled; the same integrators unfolded
+    on [-L, L] give the same values within 1e-12."""
+
+    @given(st.booleans().flatmap(lambda f: central_parity_states(factorized=f)),
+           st.sampled_from(list(Domain)), st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=8, deadline=None)
+    def test_entropy(self, state, dom, m_omega):
+        assert _parities(state)[0] is not None
+        units = UnitSystem(m_omega)
+        folded = conditional_entropy(state, dom, DEFAULT_SPEC, units)
+        full = unfolded(conditional_entropy, state, dom, DEFAULT_SPEC, units)
+        assert folded == pytest.approx(full, abs=1e-12)
+
+    @given(central_parity_states(), st.sampled_from(list(Domain)),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_reid_correction(self, state, dom, m_omega):
+        units = UnitSystem(m_omega)
+        folded = conditional_variance_min(state, dom, DEFAULT_SPEC, units)
+        full = unfolded(conditional_variance_min, state, dom, DEFAULT_SPEC, units)
+        assert folded == pytest.approx(full, abs=1e-12)
+
+
+class TestWorkCounters:
+    """Exact integrand points of one entropic_value at theta = 0.7 (both domains, every
+    adaptive sweep, inner and outer). Bit-reproducible, so they guard the cost with no
+    timing noise. Central parity halves them; before the fold they were 683,640 (psi),
+    504,960 (psi-prime) and 19,047,420 (|0,6> and |6,0>)."""
+
+    @pytest.mark.parametrize("terms,points", [
+        ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], 341_820),
+        ([(0, 1, math.cos(0.7)), (1, 0, math.sin(0.7))], 252_480),
+        ([(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)], 9_523_710),
+        # Mixed parities of n1 + n2: no fold
+        ([(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993),
+          (4, 1, -0.6357547514092701)], 3_851_580),
+    ])
+    def test_entropic_points(self, monkeypatch, terms, points):
+        count = 0
+        adaptive_many = quadrature_mod._adaptive_many
+
+        def counted(f, *args):
+            def integrand(*xs):
+                nonlocal count
+                count += len(xs[-1])
+                return f(*xs)
+            return adaptive_many(integrand, *args)
+
+        monkeypatch.setattr(quadrature_mod, "_adaptive_many", counted)
+        entropic_value(FockState.from_terms(terms))
+        assert count == points

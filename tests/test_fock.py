@@ -22,7 +22,14 @@ from cvsteer.fock import (
     marginal_density,
     wavefunction,
 )
-from cvsteer.fock import _density_rows, _osc_table, _oscillator_roots, _second_moment, _view
+from cvsteer.fock import (
+    _density_rows,
+    _osc_table,
+    _oscillator_roots,
+    _parities,
+    _second_moment,
+    _view,
+)
 
 SQPI = math.sqrt(math.pi)
 
@@ -331,6 +338,53 @@ class TestStreamedAmplitude:
             psi, mag = hermval_amplitude(state.terms, a[row], b, dom, m_omega)
             got = _density_rows(_view(state, dom, units), a, row, b)
             assert np.all(np.abs(got - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
+
+
+@st.composite
+def central_parity_states(draw, parity):
+    """One to three Fock terms with indices <= 8, each with n1 + n2 of the given parity,
+    and complex amplitudes."""
+    pair = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
+        lambda p: (p[0] + p[1]) % 2 == parity)
+    pairs = draw(st.lists(pair, min_size=1, max_size=3, unique=True))
+    mags = draw(st.lists(st.floats(0.3, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(pairs),
+                           max_size=len(pairs)))
+    amps = np.array(mags) * np.exp(1j * np.array(phases))
+    amps /= np.linalg.norm(amps)
+    return FockState.from_terms([(n1, n2, complex(c)) for (n1, n2), c in zip(pairs, amps)])
+
+
+class TestParities:
+    def test_reads_term_list(self):
+        assert _parities(make_psi(0.7)) == (0, None, None)
+        assert _parities(make_psi_prime(0.7)) == (1, None, None)
+        assert _parities(make_psi(0.0)) == (0, 0, 0)
+        assert _parities(FockState.from_terms([(1, 2, 0.6), (3, 4, 0.8)])) == (1, 1, 0)
+        assert _parities(FockState.from_terms([(0, 0, 0.6), (2, 3, 0.8)])) == (None, 0, None)
+
+    @given(st.integers(0, 1).flatmap(central_parity_states),
+           st.sampled_from(list(Domain)), st.sampled_from([0.5, 1.0, 2.0]),
+           st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_central_parity(self, state, dom, m_omega, a, b):
+        # One parity of n1 + n2: the joint density and both marginals are even and the
+        # conditional mean is odd, in both domains and for complex amplitudes
+        assert _parities(state)[0] is not None
+        units = UnitSystem(m_omega)
+        rel = 1e-14
+
+        def even(f, x, y):
+            assert abs(f(-x, -y) - f(x, y)) <= rel * abs(f(x, y))
+
+        even(lambda x, y: joint_density(state, x, y, dom, units), a, b)
+        for mode in (1, 2):
+            even(lambda x, _y: marginal_density(state, x, dom, units, mode), a, 0.0)
+        try:
+            mean = conditional_mean(state, a, dom, units)
+        except DegenerateMarginal:
+            return
+        assert abs(conditional_mean(state, -a, dom, units) + mean) <= rel * abs(mean)
 
 
 class TestConditionalMean:

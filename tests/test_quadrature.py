@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from cvsteer.quadrature import (
     integrate_entropy_2d,
 )
 from cvsteer.quadrature import ENTROPY_FLOOR, _neg_plogp, _segments
+
+quadrature_mod = importlib.import_module("cvsteer.quadrature")
 
 SQPI = math.sqrt(math.pi)
 
@@ -45,6 +48,14 @@ class TestAdaptivePanels:
             res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, 40, breakpoints=breakpoints)
             assert res.converged
             assert res.value == pytest.approx(1.0, rel=1e-14)
+
+    def test_fold_integrates_the_upper_half(self):
+        # |x| on [-1, 1] folded about 0: [0, 1] at half the tolerance, doubled
+        res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, 40, breakpoints=(0.0,), fold=True)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-14)
+        half = adaptive_panels(np.abs, 0.0, 1.0, 0.5e-13, 40)
+        assert (res.value, res.error) == (2.0 * half.value, 2.0 * half.error)
 
     def test_depth_exhaustion_flags(self):
         # Tolerance far below the roundoff floor of the sum cannot be met
@@ -86,6 +97,13 @@ class TestEntropy1d:
         g = lambda x: 2.0 / SQPI * x * x * np.exp(-x * x)
         expected = np.euler_gamma + math.log(2) + 0.5 * math.log(math.pi) - 0.5
         res = integrate_entropy_1d(g, DEFAULT_SPEC, breakpoints=(0.0,))
+        assert res.converged
+        assert res.value == pytest.approx(expected, abs=1e-12)
+
+    def test_fold_of_even_density(self):
+        g = lambda x: 2.0 / SQPI * x * x * np.exp(-x * x)
+        expected = np.euler_gamma + math.log(2) + 0.5 * math.log(math.pi) - 0.5
+        res = integrate_entropy_1d(g, DEFAULT_SPEC, breakpoints=(0.0,), fold=True)
         assert res.converged
         assert res.value == pytest.approx(expected, abs=1e-12)
 
@@ -172,6 +190,36 @@ class TestEntropy2d:
         full = integrate_entropy_2d(g, DEFAULT_SPEC)
         assert full.converged
         assert abs(full.value - exact) <= full.error <= 1e-9
+
+    def test_folded_error_and_flag(self, monkeypatch):
+        # The same even integrand, g(-a, -b) = g(a, b), folded onto a >= 0 and cut at
+        # depth 4: the outer sweep covers [0, L] at half the tolerance, and the result
+        # carries twice its value and error plus 2L times the largest inner estimate
+        g = lambda a, row, b: np.exp(-a[row] ** 2) / SQPI * np.abs(b) * np.exp(-b * b)
+        spec = QuadratureSpec(max_depth=4)
+        L = spec.half_width
+        calls = []
+        adaptive_many = quadrature_mod._adaptive_many
+
+        def recorded(*args):
+            out = adaptive_many(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
+        folded = integrate_entropy_2d(g, spec, outer_breakpoints=(0.0,), fold=True)
+        (outer_args, (outer_val, outer_err, _ok)), inner = calls[-1], calls[:-1]
+        _f, _task, seg_lo, seg_hi, tol, _depth, n_tasks = outer_args
+        assert n_tasks == 1 and (seg_lo.min(), seg_hi.max()) == (0.0, L)
+        assert tol.tolist() == [0.5 * spec.panel_tol]
+        assert all(args[2].min() == -L and args[3].max() == L for args, _out in inner)
+        inner_err = max(float(errs.max()) for _args, (_vals, errs, _ok) in inner)
+        assert folded.value == 2.0 * outer_val[0]
+        assert folded.error == 2.0 * outer_err[0] + 2.0 * L * inner_err
+        assert not folded.converged
+        full = integrate_entropy_2d(g, spec, outer_breakpoints=(0.0,))
+        assert folded.value == pytest.approx(full.value, rel=1e-14)
+        assert folded.error == pytest.approx(full.error, rel=1e-12)
 
 
 def test_neg_plogp_matches_masked_formula():

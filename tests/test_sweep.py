@@ -3,10 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as C
 
 from cvsteer.cli import EXIT_NO_ROOT, EXIT_OK, main
-from cvsteer.criteria import CHSH_CLASSICAL_BOUND, CriterionResult
+from cvsteer.criteria import (
+    CHSH_CLASSICAL_BOUND,
+    CriterionResult,
+    chsh_max,
+    entropic_value,
+    reid_value,
+)
+from cvsteer.fock import FockState
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec
 from cvsteer.sweep import (
     NoRootInRange,
@@ -36,10 +45,22 @@ FAST_SPEC = QuadratureSpec(panel_tol=1e-8)
 CLOSE_PAIR = (1.001, 1.006)
 
 
-def close_pair_evaluate(converged=True):
-    """A smooth stand-in for sweep._evaluate, value - bound = e^-t (t - r1)(t - r2)."""
+def mirrored(theta):
+    """The built-in families take every criterion's value at pi - theta as at theta, and
+    the search reads only [pi/2, pi]: a stand-in for _evaluate must share the mirror."""
+    return min(theta, math.pi - theta)
+
+
+def with_reflections(angles):
+    return sorted(list(angles) + [math.pi - a for a in angles])
+
+
+def close_pair_evaluate(converged=True, at=mirrored):
+    """A smooth stand-in for sweep._evaluate, value - bound = e^-t (t - r1)(t - r2) at
+    t = at(theta)."""
     def evaluate(criterion, state, spec, theta):
-        gap = math.exp(-theta) * (theta - CLOSE_PAIR[0]) * (theta - CLOSE_PAIR[1])
+        t = at(theta)
+        gap = math.exp(-t) * (t - CLOSE_PAIR[0]) * (t - CLOSE_PAIR[1])
         bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
         return CriterionResult(criterion=criterion, theta=theta, value=bound + gap,
                                components={}, violated=gap > 0.0, converged=converged)
@@ -215,14 +236,27 @@ class TestFindCriticalAngles:
             sweep_mod._find_critical_angles_cached.cache_clear()
 
     def test_crossings_closer_than_sweep_grid_spacing(self, monkeypatch, fresh_searches):
+        # The pair and its reflection about pi/2, each bracketed to root_tol
         monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate())
         roots = find_critical_angles("psi", "reid")
-        assert [r.kind for r in roots] == ["crossing", "crossing"]
-        for r, root in zip(roots, CLOSE_PAIR):
+        assert [r.kind for r in roots] == ["crossing"] * 4
+        for r, root in zip(roots, with_reflections(CLOSE_PAIR)):
             assert r.bracket[0] <= root <= r.bracket[1]
             assert r.bracket[0] <= r.angle <= r.bracket[1]
             assert r.bracket[1] - r.bracket[0] <= 1e-6
             assert r.converged
+
+    def test_unmirrored_family_searches_both_halves(self, monkeypatch, fresh_searches):
+        # |00> against |22> fails the mirror rule: [0, pi/2] is searched too, and a
+        # stand-in with crossings only there yields them without reflections
+        a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
+        monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda t: family(a, b, t))
+        monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate(at=lambda t: t))
+        roots = find_critical_angles("psi", "reid")
+        assert [r.kind for r in roots] == ["crossing", "crossing"]
+        for r, root in zip(roots, CLOSE_PAIR):
+            assert r.bracket[0] <= root <= r.bracket[1]
+            assert r.bracket[1] - r.bracket[0] <= 1e-6
 
     def test_flag_of_rootless_search(self, capsys, tmp_path, monkeypatch, fresh_searches):
         # A search that finds nothing still reports that its evaluations missed their
@@ -241,15 +275,16 @@ class TestFindCriticalAngles:
         assert "critical-angle searches for reid did not meet the quadrature tolerance" in err
 
     def test_unresolved_proxy_is_flagged(self, monkeypatch, fresh_searches):
-        # A kink at theta = 1 keeps the Chebyshev coefficients above 10 * panel_tol at
-        # every degree: the crossings are still found, but not as converged
+        # A kink at theta = 1 (and pi - 1) keeps the Chebyshev coefficients above
+        # 10 * panel_tol at every degree: the crossings are still found, but not as
+        # converged
         def kinked(criterion, state, spec, theta):
-            return CriterionResult(criterion=criterion, theta=theta,
-                                   value=abs(theta - 1.0) - 0.1, components={},
-                                   violated=abs(theta - 1.0) > 0.1)
+            gap = abs(mirrored(theta) - 1.0) - 0.1
+            return CriterionResult(criterion=criterion, theta=theta, value=gap,
+                                   components={}, violated=gap > 0.0)
         monkeypatch.setattr(sweep_mod, "_evaluate", kinked)
         roots = find_critical_angles("psi", "reid")
-        assert [r.angle for r in roots] == pytest.approx([0.9, 1.1], abs=1e-6)
+        assert [r.angle for r in roots] == pytest.approx(with_reflections([0.9, 1.1]), abs=1e-6)
         assert not any(r.converged for r in roots)
 
     def test_rejects_bad_inputs(self):
@@ -260,10 +295,15 @@ class TestFindCriticalAngles:
         with pytest.raises(ValueError):
             find_critical_angles("nope", "reid")
 
+    # Both built-in families are mirrored, so only [pi/2, pi] is searched. Searching
+    # both halves took 75 (Reid), 139 / 71 (psi / psi-prime entropic) and 65 (CHSH)
+    # evaluations; a 315-point uniform scan plus bisection took 345.
+    MOST_EVALUATIONS = {("psi", "reid"): 38, ("psi", "entropic"): 70, ("psi", "chsh"): 33,
+                        ("psi-prime", "reid"): 38, ("psi-prime", "entropic"): 36,
+                        ("psi-prime", "chsh"): 33}
+
     def test_evaluations_per_search(self, monkeypatch):
-        # A 315-point uniform scan plus bisection takes 345 evaluations per (family,
-        # criterion). The cache is left warm, with the real values, for the reports
-        # fixture below.
+        # The cache is left warm, with the real values, for the reports fixture below.
         sweep_mod._find_critical_angles_cached.cache_clear()
         evaluate = sweep_mod._evaluate
         calls = []
@@ -277,18 +317,19 @@ class TestFindCriticalAngles:
             for criterion in ("reid", "entropic", "chsh"):
                 calls.clear()
                 find_critical_angles(state_id, criterion)
-                assert 0 < len(calls) <= 170, (state_id, criterion, len(calls))
-
+                most = self.MOST_EVALUATIONS[(state_id, criterion)]
+                assert 0 < len(calls) <= most, (state_id, criterion, len(calls))
 
     @pytest.mark.parametrize("state_id,criterion,most", [
-        ("psi", "reid", 77), ("psi-prime", "reid", 77), ("psi-prime", "entropic", 72)])
+        ("psi", "reid", 39), ("psi-prime", "reid", 39), ("psi-prime", "entropic", 37)])
     def test_probe_width_at_coarse_tolerance(self, monkeypatch, state_id, criterion, most):
         # At panel_tol 1e-7 the proxy's crossings are 3-6e-7 off the true ones, beyond
         # probes at +-root_tol/4. With probes at the proxy's accuracy (at most
         # root_tol/2) and Illinois steps at least root_tol/2 in from the bracket's ends,
-        # the 65 samples and two probes per candidate need at most two more evaluations
-        # per crossing; probes fixed at +-root_tol/4 took 77 and 81 (Reid) and 77
-        # (entropic). The caches are bypassed, not cleared.
+        # the 33 samples of [pi/2, pi] and two probes per candidate need at most two more
+        # evaluations per crossing, and the crossing below pi/2 is its reflection. Both
+        # halves took 77 (Reid) and 72 (entropic), and with probes fixed at
+        # +-root_tol/4 81 and 77. The caches are bypassed, not cleared.
         spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
         evaluate = sweep_mod._evaluate
         calls = []
@@ -306,6 +347,71 @@ class TestFindCriticalAngles:
             assert r.bracket[1] - r.bracket[0] <= 1e-6
             assert r.angle == pytest.approx(ref, abs=5e-4)
         assert len(got) == 2
+
+
+def family(a, b, theta):
+    """cos(theta) a + sin(theta) b for states a and b with no Fock pair in common."""
+    return FockState.from_terms([(n1, n2, math.cos(theta) * c) for n1, n2, c in a.terms] +
+                                [(n1, n2, math.sin(theta) * c) for n1, n2, c in b.terms])
+
+
+@st.composite
+def mirrored_families(draw):
+    """(a, b) whose terms have one parity of the Fock index in one mode for a and the
+    other for b: one or two terms each, indices <= 8, complex amplitudes."""
+    mode = draw(st.integers(0, 1))
+    parity = draw(st.integers(0, 1))
+
+    def state(p):
+        pair = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda t: t[mode] % 2 == p)
+        pairs = draw(st.lists(pair, min_size=1, max_size=2, unique=True))
+        phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(pairs),
+                               max_size=len(pairs)))
+        amps = np.exp(1j * np.array(phases)) / math.sqrt(len(pairs))
+        return FockState.from_terms([(n1, n2, complex(c)) for (n1, n2), c in zip(pairs, amps)])
+
+    return state(parity), state(1 - parity)
+
+
+class TestMirrorRule:
+    """The family's theta <-> pi - theta mirror, read from the Fock indices alone."""
+
+    def test_builtin_families(self):
+        for build in sweep_mod.STATE_BUILDERS.values():
+            assert sweep_mod._mirrored(build(0.0), build(0.5 * math.pi))
+
+    @given(mirrored_families(), st.floats(0.05, 0.5 * math.pi - 0.05))
+    @settings(max_examples=6, deadline=None)
+    def test_values_agree_where_the_rule_holds(self, pair, theta):
+        # The two evaluations integrate mirror images of one density, so they agree far
+        # below the quadrature tolerance; panel_tol 1e-8 keeps the n <= 8 cases cheap
+        a, b = pair
+        assert sweep_mod._mirrored(a, b)
+        here, there = family(a, b, theta), family(a, b, math.pi - theta)
+        for evaluate in (reid_value, entropic_value):
+            assert evaluate(here, FAST_SPEC).value == pytest.approx(
+                evaluate(there, FAST_SPEC).value, abs=1e-10)
+        assert chsh_max(here).value == pytest.approx(chsh_max(there).value, abs=1e-10)
+
+    @pytest.mark.parametrize("b_terms,asymmetry", [
+        ([(2, 2, 1.0)], 0.47),
+        ([(1, 1, math.sqrt(0.5)), (2, 2, math.sqrt(0.5))], 0.61),
+    ])
+    def test_rejected_families_are_asymmetric(self, b_terms, asymmetry):
+        # |00> against |22> or (|11> + |22>)/sqrt(2): no mode parity separates them, and
+        # the entropic values at 0.7 and pi - 0.7 differ by 0.47 and 0.61
+        a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms(b_terms)
+        assert not sweep_mod._mirrored(a, b)
+        here, there = family(a, b, 0.7), family(a, b, math.pi - 0.7)
+        gap = entropic_value(here).value - entropic_value(there).value
+        assert abs(gap) == pytest.approx(asymmetry, abs=0.01)
+
+    def test_one_symmetric_criterion_does_not_make_a_mirror(self):
+        # Reid takes equal values on |00>/|22> at theta and pi - theta, since
+        # <0|x|2> = 0, while the entropic criterion does not (test above)
+        a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
+        here, there = family(a, b, 0.7), family(a, b, math.pi - 0.7)
+        assert reid_value(here).value == pytest.approx(reid_value(there).value, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
