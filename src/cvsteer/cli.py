@@ -21,6 +21,7 @@ from .sweep import (
     NoRootInRange,
     STATE_BUILDERS,
     _evaluate,
+    _family,
     find_critical_angles,
     hierarchy_report,
     sweep,
@@ -127,9 +128,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.state.replace("_", "-").lower() not in STATE_BUILDERS:
-        raise ConfigError(f"state: {config.state!r} is not one of {sorted(STATE_BUILDERS)}")
-    config.state = config.state.replace("_", "-").lower()
+    try:
+        config.state = _family(config.state)
+    except ValueError as exc:
+        raise ConfigError(f"state: {exc}") from exc
     if not config.criteria:
         raise ConfigError("criteria: at least one criterion is required")
     for c in config.criteria:
@@ -156,21 +158,30 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _emit(text: str, path: str | None) -> int:
-    if path is None:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _finish(config: RunConfig, text: str, path: str | None, unmet: str = "",
+            rootless: tuple[str, ...] = ()) -> int:
+    """Write text to path (standard output when None), warn on stderr that ``unmet``
+    missed its quadrature tolerance, and return the exit code: EXIT_IO when the output
+    could not be written, EXIT_NO_ROOT when a criterion in ``rootless`` has no crossing,
+    EXIT_TOLERANCE when a tolerance was missed and --allow-flagged is absent."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
         print(f"output error: cannot write {path!r}: {exc}", file=sys.stderr)
         return EXIT_IO
+    if unmet:
+        print(f"warning: {unmet} did not meet the quadrature tolerance", file=sys.stderr)
+    if rootless:
+        print(f"no crossing found for: {', '.join(rootless)}", file=sys.stderr)
+        return EXIT_NO_ROOT
+    if unmet and not config.allow_flagged:
+        print("tolerance not met; rerun with --allow-flagged to accept", file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
-
-
-def _warn_unmet(what: str) -> None:
-    print(f"warning: {what} did not meet the quadrature tolerance", file=sys.stderr)
 
 
 def _ordered(criteria: tuple[str, ...]) -> list[str]:
@@ -213,13 +224,9 @@ def cmd_eval(config: RunConfig) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = _eval_csv(results)
-    status = _emit(text, config.output_path)
-    if status != EXIT_OK:
-        return status
-    if not config.allow_flagged and any(not r.converged for r in results):
-        print("tolerance not met; rerun with --allow-flagged to accept", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    unmet = [r.criterion for r in results if not r.converged]
+    return _finish(config, text, config.output_path,
+                   f"the evaluation of {', '.join(unmet)}" if unmet else "")
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -238,9 +245,8 @@ def cmd_sweep(config: RunConfig) -> int:
             row = [_fmt(theta)] + [_fmt(result.values[c][i]) for c in wanted]
             lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
-    if result.flagged:
-        _warn_unmet(f"{len(result.flagged)} grid point(s)")
-    return _emit(text, config.output_path)
+    return _finish(config, text, config.output_path,
+                   f"{len(result.flagged)} grid point(s)" if result.flagged else "")
 
 
 def cmd_critical(config: RunConfig) -> int:
@@ -263,8 +269,6 @@ def cmd_critical(config: RunConfig) -> int:
 
     for r in records:
         print(f"{r.criterion} {r.kind} {r.angle:.4f} (residual {r.residual:.2e})")
-    if unmet:
-        _warn_unmet(f"the critical-angle searches for {', '.join(unmet)}")
 
     path = config.output_path or f"critical-{config.state}.{config.format}"
     if config.format == "json":
@@ -278,13 +282,8 @@ def cmd_critical(config: RunConfig) -> int:
             lines.append(",".join([r.criterion, r.kind, repr(r.angle),
                                    repr(r.bracket[0]), repr(r.bracket[1]), repr(r.residual)]))
         text = "\n".join(lines) + "\n"
-    status = _emit(text, path)
-    if status != EXIT_OK:
-        return status
-    if rootless:
-        print(f"no crossing found for: {', '.join(rootless)}", file=sys.stderr)
-        return EXIT_NO_ROOT
-    return EXIT_OK
+    what = f"the critical-angle searches for {', '.join(unmet)}" if unmet else ""
+    return _finish(config, text, path, what, tuple(rootless))
 
 
 def cmd_report(config: RunConfig) -> int:
@@ -297,9 +296,9 @@ def cmd_report(config: RunConfig) -> int:
         "undetected_steering": [list(span) for span in report.undetected_steering],
         "criteria_incomplete": report.criteria_incomplete,
     }
-    if report.flagged:
-        _warn_unmet(f"the critical-angle searches for {', '.join(report.flagged)}")
-    return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
+    what = f"the critical-angle searches for {', '.join(report.flagged)}" if report.flagged else ""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _finish(config, text, config.output_path, what)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--state", choices=("psi", "psi-prime"), default=None,
+        p.add_argument("--state", choices=STATE_BUILDERS, default=None,
                        help="built-in state family (default psi)")
         p.add_argument("--criteria", type=lambda s: _coerce("criteria", s), default=None,
                        metavar="LIST", help="comma-separated subset of reid,entropic,chsh")

@@ -18,6 +18,10 @@ the same value at theta and pi - theta. Only [pi/2, pi] is then sampled, probed 
 polished; its points and angles are reflected onto [0, pi/2], and the touch at pi gives
 the touch at 0. The reflection pi - theta is exact for theta >= pi/2 (Sterbenz), so a
 reflected bracket keeps its width. Both built-in families have this mirror.
+
+Each (family, criterion, spec, root_tol) is searched once per process. The report reads
+the search ``find_critical_angles`` makes at the default root_tol, and takes the sign of
+every span from its samples and probes, so it evaluates no criterion of its own.
 """
 
 from __future__ import annotations
@@ -106,11 +110,12 @@ class HierarchyReport:
     flagged: tuple[str, ...] = ()
 
 
-def _builder(state_id: str) -> Callable[[float], FockState]:
+def _family(state_id: str) -> str:
+    """The STATE_BUILDERS key of a family name; case and '_' for '-' do not matter."""
     key = state_id.replace("_", "-").lower()
     if key not in STATE_BUILDERS:
         raise ValueError(f"unknown state id {state_id!r}; expected one of {sorted(STATE_BUILDERS)}")
-    return STATE_BUILDERS[key]
+    return key
 
 
 def _mirrored(a: FockState, b: FockState) -> bool:
@@ -143,7 +148,7 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
         raise ValueError("n_points must be >= 2")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
-    build = _builder(state_id)
+    build = STATE_BUILDERS[_family(state_id)]
     requested = set(criteria_set)
     if not requested:
         raise ValueError("criteria_set must name at least one criterion")
@@ -167,23 +172,6 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
         values={c: tuple(col) for c, col in columns.items()},
         flagged=tuple(flagged),
     )
-
-
-def _bound_gap(state_id: str, criterion: str,
-               spec: QuadratureSpec) -> tuple[Callable[[float], float], list[float]]:
-    """theta -> value - bound along the family, and the list it appends to whenever an
-    evaluation misses its quadrature tolerance."""
-    build = _builder(state_id)
-    bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
-    missed: list[float] = []
-
-    def f(theta: float) -> float:
-        res = _evaluate(criterion, build(theta), spec, theta)
-        if not res.converged:
-            missed.append(theta)
-        return res.value - bound
-
-    return f, missed
 
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
@@ -243,21 +231,6 @@ def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
     return mid + half * _chebyshev_roots(kept), chopped
 
 
-class _Proxy(NamedTuple):
-    """value - bound sampled at the Chebyshev points of [pi/2, pi] and, unless the family
-    is mirrored, of [0, pi/2], and the real roots of the chopped interpolants, the
-    candidate crossings. The polish is cached by the proxy's value, of which it is a
-    pure function."""
-
-    state_id: str
-    criterion: str
-    spec: QuadratureSpec
-    samples: tuple[tuple[float, float], ...]  # (theta, value - bound) ascending; ends exact
-    candidates: tuple[float, ...]
-    converged: bool  # every sample met its tolerance and every half was chopped
-    mirrored: bool  # value(pi - theta) = value(theta): only [pi/2, pi] was sampled
-
-
 class _Search(NamedTuple):
     roots: tuple[CriticalAngle, ...]
     points: tuple[tuple[float, float], ...]  # samples and probes (reflected), ascending
@@ -313,83 +286,75 @@ def find_critical_angles(state_id: str, criterion: str,
     a mirrored family each angle above pi/2 also gives pi - angle, bracket reflected.
     ``converged`` is False on every angle when any evaluation of the search missed its
     quadrature tolerance or a half was not resolved by degree _DEGREE_MAX. Raises
-    NoRootInRange, with the same flag, when neither kind exists. The samples are
-    memoized by (state, criterion, spec) and the polish also by root_tol: both are pure
-    functions of their arguments, re-requested by the report.
+    NoRootInRange, with the same flag, when neither kind exists. The search is memoized
+    by (family, criterion, spec, root_tol); the report reads it back at the default
+    root_tol.
     """
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
-    search = _search(state_id, criterion, spec, root_tol)
+    search = _search(_family(state_id), criterion, spec, root_tol)
     if not search.roots:
         raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}",
                             search.converged)
     return search.roots
 
 
-def _search(state_id: str, criterion: str, spec: QuadratureSpec, root_tol: float) -> _Search:
-    _builder(state_id)  # validate before normalizing the cache key
-    proxy = _find_critical_angles_cached(state_id.replace("_", "-").lower(), criterion, spec)
-    return _polish(proxy, root_tol)
-
-
 @lru_cache(maxsize=128)
-def _find_critical_angles_cached(state_id: str, criterion: str,
-                                 spec: QuadratureSpec) -> _Proxy:
-    """The Chebyshev proxy of value - bound for one (state, criterion, spec)."""
-    f, missed = _bound_gap(state_id, criterion, spec)
-    build = _builder(state_id)
-    mirrored = _mirrored(build(0.0), build(0.5 * math.pi))
-    samples: dict[float, float] = {}
+def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) -> _Search:
+    """The sorted bound-meeting angles (possibly none) of one family and criterion, with
+    the samples and probes that located them (see find_critical_angles)."""
+    build = STATE_BUILDERS[family]
+    bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+    missed: list[float] = []
+
+    def gap(theta: float) -> float:
+        res = _evaluate(criterion, build(theta), spec, theta)
+        if not res.converged:
+            missed.append(theta)
+        return res.value - bound
+
+    points: dict[float, float] = {}  # samples and probes; the Illinois steps stay out
 
     def sample(theta: float) -> float:
-        if theta not in samples:  # the halves share pi/2
-            samples[theta] = f(theta)
-        return samples[theta]
+        if theta not in points:  # the halves share pi/2
+            points[theta] = gap(theta)
+        return points[theta]
 
+    mirrored = _mirrored(build(0.0), build(0.5 * math.pi))
     tol = 10.0 * spec.panel_tol
     ends = ([] if mirrored else [(0.0, 0.5 * math.pi)]) + [(0.5 * math.pi, math.pi)]
     halves = [_chebyshev_half(sample, lo, hi, tol) for lo, hi in ends]
-    return _Proxy(state_id, criterion, spec, tuple(sorted(samples.items())),
-                  candidates=tuple(np.concatenate([roots for roots, _ in halves]).tolist()),
-                  converged=not missed and all(chopped for _, chopped in halves),
-                  mirrored=mirrored)
-
-
-@lru_cache(maxsize=128)
-def _polish(proxy: _Proxy, root_tol: float) -> _Search:
-    """The sorted bound-meeting angles (possibly none) of one proxy at one root_tol."""
-    f, missed = _bound_gap(proxy.state_id, proxy.criterion, proxy.spec)
-    points = dict(proxy.samples)
-    for r in proxy.candidates:
+    samples = sorted(points.items())
+    for r in np.concatenate([roots for roots, _ in halves]).tolist():
         # The proxy's error is its chop tolerance over the slope; probes <= root_tol apart
-        i = bisect.bisect(proxy.samples, (r,))
-        (t0, f0), (t1, f1) = proxy.samples[i - 1], proxy.samples[i]
-        error = 10.0 * proxy.spec.panel_tol * (t1 - t0) / max(abs(f1 - f0), 1e-300)
+        i = bisect.bisect(samples, (r,))
+        (t0, f0), (t1, f1) = samples[i - 1], samples[i]
+        error = tol * (t1 - t0) / max(abs(f1 - f0), 1e-300)
         width = max(0.25 * root_tol, min(error, 0.5 * root_tol, 0.5 * (r - t0), 0.5 * (t1 - r)))
         for theta in (r - width, r + width):
-            if 0.0 < theta < math.pi and theta not in points:
-                points[theta] = f(theta)
+            if 0.0 < theta < math.pi:
+                sample(theta)
     grid = sorted(points.items())
 
-    found = [_illinois(f, t0, t1, f0, f1, root_tol) + ("crossing",)
+    found = [_illinois(gap, t0, t1, f0, f1, root_tol) + ("crossing",)
              for (t0, f0), (t1, f1) in zip(grid, grid[1:])
              if f0 < 0.0 < f1 or f1 < 0.0 < f0]
     for i, (theta, value) in enumerate(grid):
         if value == 0.0:
             between = 0 < i < len(grid) - 1 and (grid[i - 1][1] > 0.0) != (grid[i + 1][1] > 0.0)
             found.append((theta, (theta, theta), 0.0, "crossing" if between else "touch"))
-    if proxy.mirrored:
+    if mirrored:
         found += [(math.pi - angle, (math.pi - hi, math.pi - lo), residual, kind)
                   for angle, (lo, hi), residual, kind in found if angle > 0.5 * math.pi]
         grid = sorted(dict(grid + [(math.pi - theta, value) for theta, value in grid]).items())
 
-    converged = proxy.converged and not missed
-    roots = tuple(CriticalAngle(proxy.criterion, angle, bracket, residual, kind, converged)
+    converged = not missed and all(chopped for _, chopped in halves)
+    roots = tuple(CriticalAngle(criterion, angle, bracket, residual, kind, converged)
                   for angle, bracket, residual, kind in sorted(found))
     return _Search(roots, tuple(grid), converged)
 
 
-def _violation_spans(state_id: str, criterion: str,
+def _violation_spans(family: str, criterion: str,
                      spec: QuadratureSpec) -> tuple[tuple[tuple[float, float], ...], bool]:
     """Open intervals between consecutive bound-meeting angles where the criterion is
     strictly violated, read from the samples and probes of the search that located the
@@ -399,10 +364,9 @@ def _violation_spans(state_id: str, criterion: str,
     so the nonzero samples inside one interval share a sign: the interval is violated
     when any of them exceeds the bound. No criterion is evaluated again.
     """
-    roots = find_critical_angles(state_id, criterion, spec)
-    search = _search(state_id, criterion, spec, _ROOT_TOL)
+    search = _search(family, criterion, spec, _ROOT_TOL)
     cuts = [0.0]
-    for r in roots:
+    for r in search.roots:
         if cuts[-1] < r.angle < math.pi:
             cuts.append(r.angle)
     cuts.append(math.pi)
@@ -437,9 +401,10 @@ def hierarchy_report(state_id: str, spec: QuadratureSpec = DEFAULT_SPEC) -> Hier
     region). Nonempty for both built-in families: in that set the state is Bell
     nonlocal, hence steerable, yet neither steering criterion fires.
     """
+    family = _family(state_id)
     spans, met = {}, {}
     for c in CRITERIA:
-        spans[c], met[c] = _violation_spans(state_id, c, spec)
+        spans[c], met[c] = _violation_spans(family, c, spec)
     undetected = _subtract_spans(_subtract_spans(spans["chsh"], spans["reid"]),
                                  spans["entropic"])
     return HierarchyReport(

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import cvsteer
+from cvsteer import STATE_BUILDERS, make_psi
 from cvsteer.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_ROOT, EXIT_OK, EXIT_TOLERANCE, main
 
 
@@ -83,6 +84,13 @@ class TestEval:
 
 
 class TestSweepCommand:
+    def test_state_choices_follow_the_family_table(self, capsys, monkeypatch):
+        monkeypatch.setitem(STATE_BUILDERS, "psi-copy", make_psi)
+        argv = ["sweep", "--criteria", "chsh", "--steps", "3", "--state"]
+        code, out, _ = run_cli(capsys, *argv, "psi-copy")
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, *argv, "psi")[1]
+
     def test_two_steps_two_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--steps", "2", "--criteria", "chsh")
         assert code == EXIT_OK
@@ -193,6 +201,20 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("chsh,")
+
+    def test_state_spelling_normalized(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state = PSI_PRIME\ncriteria = chsh\ntheta = 0.7854\nformat = json\n")
+        code, out, _ = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert json.loads(out)["state"] == "psi-prime"
+
+    def test_unknown_state_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state = phi\ntheta = 0.5\n")
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: state:")
 
     def test_cli_overrides_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as C
 
-from cvsteer.cli import EXIT_NO_ROOT, EXIT_OK, main
+from cvsteer.cli import EXIT_NO_ROOT, EXIT_OK, EXIT_TOLERANCE, main
 from cvsteer.criteria import (
     CHSH_CLASSICAL_BOUND,
     CriterionResult,
@@ -69,9 +70,9 @@ def close_pair_evaluate(converged=True, at=mirrored):
 
 @pytest.fixture
 def fresh_searches():
-    sweep_mod._find_critical_angles_cached.cache_clear()
+    sweep_mod._search.cache_clear()
     yield
-    sweep_mod._find_critical_angles_cached.cache_clear()
+    sweep_mod._search.cache_clear()
 
 
 def crossings_of(roots):
@@ -228,12 +229,12 @@ class TestFindCriticalAngles:
             return CriterionResult(criterion=criterion, theta=theta, value=1.0,
                                    components={}, violated=True)
         monkeypatch.setattr(sweep_mod, "_evaluate", constant)
-        sweep_mod._find_critical_angles_cached.cache_clear()
+        sweep_mod._search.cache_clear()
         try:
             with pytest.raises(NoRootInRange):
                 find_critical_angles("psi", "reid")
         finally:
-            sweep_mod._find_critical_angles_cached.cache_clear()
+            sweep_mod._search.cache_clear()
 
     def test_crossings_closer_than_sweep_grid_spacing(self, monkeypatch, fresh_searches):
         # The pair and its reflection about pi/2, each bracketed to root_tol
@@ -304,7 +305,7 @@ class TestFindCriticalAngles:
 
     def test_evaluations_per_search(self, monkeypatch):
         # The cache is left warm, with the real values, for the reports fixture below.
-        sweep_mod._find_critical_angles_cached.cache_clear()
+        sweep_mod._search.cache_clear()
         evaluate = sweep_mod._evaluate
         calls = []
 
@@ -329,7 +330,7 @@ class TestFindCriticalAngles:
         # the 33 samples of [pi/2, pi] and two probes per candidate need at most two more
         # evaluations per crossing, and the crossing below pi/2 is its reflection. Both
         # halves took 77 (Reid) and 72 (entropic), and with probes fixed at
-        # +-root_tol/4 81 and 77. The caches are bypassed, not cleared.
+        # +-root_tol/4 81 and 77. The cache is bypassed, not cleared.
         spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
         evaluate = sweep_mod._evaluate
         calls = []
@@ -339,8 +340,7 @@ class TestFindCriticalAngles:
             return evaluate(*args)
 
         monkeypatch.setattr(sweep_mod, "_evaluate", counted)
-        proxy = sweep_mod._find_critical_angles_cached.__wrapped__(state_id, criterion, spec)
-        search = sweep_mod._polish.__wrapped__(proxy, 1e-6)
+        search = sweep_mod._search.__wrapped__(state_id, criterion, spec, 1e-6)
         assert len(calls) <= most
         got = [r for r in search.roots if r.kind == "crossing" and r.bracket[0] < r.bracket[1]]
         for r, ref in zip(got, CROSSINGS[(state_id, criterion)]):
@@ -477,21 +477,53 @@ class TestHierarchyReport:
             assert hierarchy_report(state_id) == rep
         assert calls == []
 
+    def test_underscore_and_upper_case_names(self, reports):
+        # One family lookup normalizes the name for the report, the search and the sweep
+        rep = hierarchy_report("PSI_PRIME")
+        assert rep.state_id == "PSI_PRIME"
+        assert dataclasses.replace(rep, state_id="psi-prime") == reports["psi-prime"]
+        assert find_critical_angles("Psi_Prime", "chsh") == find_critical_angles("psi-prime", "chsh")
+        assert sweep("PSI_PRIME", {"chsh"}, 5).values == sweep("psi-prime", {"chsh"}, 5).values
+        with pytest.raises(ValueError, match="unknown state id"):
+            hierarchy_report("psi prime")
+
+    @pytest.mark.parametrize("gap,detected", [(0.1, ((0.0, math.pi),)), (-0.1, ())])
+    def test_criterion_that_never_meets_its_bound(self, monkeypatch, fresh_searches, gap,
+                                                  detected):
+        # Reid pinned strictly above (below) its bound has no angle: the whole range is
+        # one violated (unviolated) span, where NoRootInRange used to escape the report
+        evaluate = sweep_mod._evaluate
+
+        def pinned_reid(criterion, state, spec, theta):
+            if criterion != "reid":
+                return evaluate(criterion, state, spec, theta)
+            return CriterionResult(criterion=criterion, theta=theta, value=gap,
+                                   components={}, violated=gap > 0.0)
+
+        monkeypatch.setattr(sweep_mod, "_evaluate", pinned_reid)
+        rep = hierarchy_report("psi-prime", QuadratureSpec(panel_tol=1e-7, half_width=6))
+        assert rep.reid_detected == detected
+        assert rep.flagged == ()
+        with pytest.raises(NoRootInRange):
+            find_critical_angles("psi-prime", "reid", QuadratureSpec(panel_tol=1e-7, half_width=6))
+
     def test_flags_reach_critical_and_report(self, capsys, tmp_path, monkeypatch,
                                              fresh_searches):
-        # Evaluations that miss their tolerance make critical and report warn on stderr,
-        # as sweep does; the exit code stays 0
-        output = str(tmp_path / "critical.csv")
+        # Evaluations that miss their tolerance make sweep, critical and report warn on
+        # stderr and exit 3, as eval does, unless --allow-flagged is given
+        output = str(tmp_path / "out.csv")
         for converged in (True, False):
-            sweep_mod._find_critical_angles_cached.cache_clear()
+            sweep_mod._search.cache_clear()
             monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate(converged))
             rep = hierarchy_report("psi")
             assert rep.flagged == (() if converged else ("reid", "entropic", "chsh"))
-            for argv in (["critical", "--criteria", "reid", "--output", output], ["report"]):
-                code = main(argv + ["--state", "psi"])
-                err = capsys.readouterr().err
-                assert code == EXIT_OK
-                assert ("did not meet the quadrature tolerance" in err) == (not converged), err
+            for argv in (["sweep", "--criteria", "reid", "--steps", "5", "--output", output],
+                         ["critical", "--criteria", "reid", "--output", output], ["report"]):
+                for allow in ([], ["--allow-flagged"]):
+                    code = main(argv + ["--state", "psi"] + allow)
+                    err = capsys.readouterr().err
+                    assert code == (EXIT_OK if converged or allow else EXIT_TOLERANCE), argv
+                    assert ("did not meet the quadrature tolerance" in err) == (not converged), err
         assert "reid, entropic, chsh" in err
 
     def test_criteria_incomplete_for_both(self, reports):
