@@ -1,6 +1,10 @@
 """Command-line front end: evaluate criteria, sweep theta grids, locate critical
 angles, and emit the criteria-coverage report.
 
+Each option is declared once in ``_OPTIONS`` with the commands that read it; a command
+accepts exactly those, as flags and as the keys of its ``--config`` file, which the flags
+override. ``report`` always writes JSON, with spans located at the default root_tol.
+
 Exit codes: 0 ok; 2 invalid configuration (message names the field); 3 a quadrature
 tolerance was not met and --allow-flagged was absent; 4 unwritable output path;
 5 a requested criterion has no crossing-type critical angle.
@@ -12,14 +16,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .criteria import CriterionResult
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .sweep import (
     CRITERIA,
     NoRootInRange,
     STATE_BUILDERS,
+    _ROOT_TOL,
     _evaluate,
     _family,
     find_critical_angles,
@@ -48,108 +53,111 @@ class ConfigError(ValueError):
     """Invalid configuration; the message starts with the offending field name."""
 
 
-@dataclass
-class RunConfig:
-    state: str = "psi"
-    criteria: tuple[str, ...] = ("reid", "entropic", "chsh")
-    theta: float | None = None
-    theta_min: float = 0.0
-    theta_max: float = math.pi
-    steps: int = 315
-    half_width: float = 8.0
-    panel_tol: float = 1e-10
-    root_tol: float = 1e-6
-    output_path: str | None = None
-    format: str = "csv"
-    allow_flagged: bool = False
-
-    def spec(self) -> QuadratureSpec:
-        return QuadratureSpec(half_width=self.half_width, panel_tol=self.panel_tol)
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"L"}
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+def _boolean(text: str) -> bool:
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+class _Option(NamedTuple):
+    """An option of the command line and of the config file. ``key`` is its config key
+    and the attribute the commands read; a flag after the first is an alias, and also a
+    config key without its dashes. ``type`` reads the text of a flag or a config value;
+    a ``_boolean`` option is a flag that takes no value."""
+
+    key: str
+    flags: tuple[str, ...]
+    type: Callable[[str], object]
+    default: object
+    commands: str  # the commands that read it, space-separated
+    help: str
+    choices: object = None
+
+
+_ALL = "eval sweep critical report"
+_OPTIONS = (
+    _Option("state", ("--state",), str, "psi", _ALL, "built-in state family", STATE_BUILDERS),
+    _Option("criteria", ("--criteria",), _names, CRITERIA, "eval sweep critical",
+            "comma-separated subset of the criteria"),
+    _Option("theta", ("--theta",), float, None, "eval", "angle in [0, pi]; required"),
+    _Option("steps", ("--steps",), int, 315, "sweep", "number of grid points"),
+    _Option("theta_min", ("--theta-min",), float, 0.0, "sweep", "first grid angle"),
+    _Option("theta_max", ("--theta-max",), float, math.pi, "sweep", "last grid angle"),
+    _Option("half_width", ("--half-width", "--L"), float, DEFAULT_SPEC.half_width, _ALL,
+            "truncation half-width L of panel integrals"),
+    _Option("panel_tol", ("--panel-tol",), float, DEFAULT_SPEC.panel_tol, _ALL,
+            "absolute adaptive-panel tolerance"),
+    _Option("root_tol", ("--root-tol",), float, _ROOT_TOL, "critical",
+            "bracket width for critical angles"),
+    _Option("output_path", ("--output",), str, None, _ALL,
+            "output file (default: critical-<state>.<format> for critical, else stdout)"),
+    _Option("format", ("--format",), str, "csv", "eval sweep critical", "output format",
+            ("csv", "json")),
+    _Option("allow_flagged", ("--allow-flagged",), _boolean, False, _ALL,
+            "accept results whose quadrature tolerance was not met"),
+)
+
+
+def _options_of(command: str) -> list[_Option]:
+    return [opt for opt in _OPTIONS if command in opt.commands.split()]
+
+
+def _read_config_file(path: str, command: str) -> dict[str, object]:
+    """The values a flat 'key = value' file gives the options of ``command``."""
+    options = {flag.lstrip("-"): opt for opt in _options_of(command) for flag in opt.flags[1:]}
+    options.update((opt.key, opt) for opt in _options_of(command))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"config: line {lineno} is not 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"config: unknown key {key!r} on line {lineno}")
-        values["half_width" if key == "L" else key] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in options:
+            raise ConfigError(f"config: {command} has no option {key!r} (line {lineno})")
+        try:
+            values[options[key].key] = options[key].type(value)
+        except ValueError as exc:
+            raise ConfigError(f"{options[key].key}: {exc}") from exc
     return values
 
 
-def _coerce(field: str, raw: str):
-    if field == "steps":
-        return int(raw)
-    if field in ("theta", "theta_min", "theta_max", "half_width", "panel_tol", "root_tol"):
-        return float(raw)
-    if field == "allow_flagged":
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if field == "criteria":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    return raw
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by explicit CLI flags."""
-    config = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            try:
-                setattr(config, key, _coerce(key, raw))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    for field in (f.name for f in fields(RunConfig)):
-        value = getattr(args, field, None)
-        if value is not None:
-            setattr(config, field, value)
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
+def _validate(config: argparse.Namespace) -> None:
     try:
         config.state = _family(config.state)
     except ValueError as exc:
         raise ConfigError(f"state: {exc}") from exc
-    if not config.criteria:
+    if "criteria" in config and not config.criteria:
         raise ConfigError("criteria: at least one criterion is required")
-    for c in config.criteria:
+    for c in getattr(config, "criteria", ()):
         if c not in CRITERIA:
             raise ConfigError(f"criteria: {c!r} is not one of {CRITERIA}")
-    if config.theta is not None and not 0.0 <= config.theta <= math.pi:
-        raise ConfigError(f"theta: {config.theta!r} outside [0, pi]")
-    if not 0.0 <= config.theta_min < config.theta_max <= math.pi:
+    if "theta" in config and not (config.theta is not None and 0.0 <= config.theta <= math.pi):
+        raise ConfigError(f"theta: eval needs a value in [0, pi], got {config.theta!r}")
+    if "theta_min" in config and not 0.0 <= config.theta_min < config.theta_max <= math.pi:
         raise ConfigError("theta_min/theta_max: need 0 <= theta_min < theta_max <= pi")
-    if config.steps < 2:
+    if "steps" in config and config.steps < 2:
         raise ConfigError(f"steps: {config.steps} is below the minimum of 2")
     try:
-        config.spec()
+        config.spec = QuadratureSpec(half_width=config.half_width, panel_tol=config.panel_tol)
     except ValueError as exc:  # the message starts with the field name
         raise ConfigError(str(exc)) from exc
-    if not config.root_tol > 0:
+    if "root_tol" in config and not config.root_tol > 0:
         raise ConfigError(f"root_tol: {config.root_tol!r} must be positive")
-    if config.format not in ("csv", "json"):
+    if "format" in config and config.format not in ("csv", "json"):
         raise ConfigError(f"format: {config.format!r} is not 'csv' or 'json'")
 
 
@@ -158,7 +166,7 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _finish(config: RunConfig, text: str, path: str | None, unmet: str = "",
+def _finish(config: argparse.Namespace, text: str, path: str | None, unmet: str = "",
             rootless: tuple[str, ...] = ()) -> int:
     """Write text to path (standard output when None), warn on stderr that ``unmet``
     missed its quadrature tolerance, and return the exit code: EXIT_IO when the output
@@ -211,13 +219,9 @@ def _eval_csv(results: list[CriterionResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_eval(config: RunConfig) -> int:
-    if config.theta is None:
-        print("config error: theta: required for eval", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_eval(config: argparse.Namespace) -> int:
     state = STATE_BUILDERS[config.state](config.theta)
-    spec = config.spec()
-    results = [_evaluate(c, state, spec, config.theta) for c in _ordered(config.criteria)]
+    results = [_evaluate(c, state, config.spec, config.theta) for c in _ordered(config.criteria)]
     if config.format == "json":
         payload = {"state": config.state,
                    "results": [_eval_record(r) for r in results]}
@@ -229,8 +233,8 @@ def cmd_eval(config: RunConfig) -> int:
                    f"the evaluation of {', '.join(unmet)}" if unmet else "")
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    result = sweep(config.state, config.criteria, config.steps, config.spec(),
+def cmd_sweep(config: argparse.Namespace) -> int:
+    result = sweep(config.state, config.criteria, config.steps, config.spec,
                    config.theta_min, config.theta_max)
     wanted = _ordered(config.criteria)
     if config.format == "json":
@@ -249,14 +253,13 @@ def cmd_sweep(config: RunConfig) -> int:
                    f"{len(result.flagged)} grid point(s)" if result.flagged else "")
 
 
-def cmd_critical(config: RunConfig) -> int:
-    spec = config.spec()
+def cmd_critical(config: argparse.Namespace) -> int:
     records = []
     rootless = []
     unmet = []
     for criterion in _ordered(config.criteria):
         try:
-            roots = find_critical_angles(config.state, criterion, spec, config.root_tol)
+            roots = find_critical_angles(config.state, criterion, config.spec, config.root_tol)
             converged = all(r.converged for r in roots)
         except NoRootInRange as exc:
             roots, converged = (), exc.converged
@@ -286,8 +289,8 @@ def cmd_critical(config: RunConfig) -> int:
     return _finish(config, text, path, what, tuple(rootless))
 
 
-def cmd_report(config: RunConfig) -> int:
-    report = hierarchy_report(config.state, config.spec())
+def cmd_report(config: argparse.Namespace) -> int:
+    report = hierarchy_report(config.state, config.spec)
     payload = {
         "state": report.state_id,
         "chsh_violation_region": [list(span) for span in report.chsh_violation_region],
@@ -309,52 +312,34 @@ def build_parser() -> argparse.ArgumentParser:
                "4 unwritable output, 5 no crossing for a criterion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--state", choices=STATE_BUILDERS, default=None,
-                       help="built-in state family (default psi)")
-        p.add_argument("--criteria", type=lambda s: _coerce("criteria", s), default=None,
-                       metavar="LIST", help="comma-separated subset of reid,entropic,chsh")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="flat 'key = value' config file; CLI flags override it")
-        p.add_argument("--output", dest="output_path", default=None, metavar="PATH",
-                       help="output file (default: standard output)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--half-width", "--L", dest="half_width", type=float, default=None,
-                       help="truncation half-width L for panel integrals (default 8)")
-        p.add_argument("--panel-tol", dest="panel_tol", type=float, default=None,
-                       help="absolute adaptive-panel tolerance (default 1e-10)")
-        p.add_argument("--root-tol", dest="root_tol", type=float, default=None,
-                       help="bracket width for critical angles (default 1e-6)")
-        p.add_argument("--allow-flagged", dest="allow_flagged", action="store_true", default=None,
-                       help="accept results whose quadrature tolerance was not met")
-
-    p_eval = sub.add_parser("eval", help="evaluate criteria at a single theta")
-    p_eval.add_argument("--theta", type=float, default=None, required=False)
-    add_common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate criteria on a uniform theta grid")
-    p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--theta-min", dest="theta_min", type=float, default=None)
-    p_sweep.add_argument("--theta-max", dest="theta_max", type=float, default=None)
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_crit = sub.add_parser("critical", help="locate angles where criteria meet their bounds")
-    add_common(p_crit)
-    p_crit.set_defaults(func=cmd_critical)
-
-    p_rep = sub.add_parser("report", help="criteria-coverage report (always JSON)")
-    add_common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
+    for name, summary, func in (
+            ("eval", "evaluate criteria at a single theta", cmd_eval),
+            ("sweep", "evaluate criteria on a uniform theta grid", cmd_sweep),
+            ("critical", "locate angles where criteria meet their bounds", cmd_critical),
+            ("report", "criteria-coverage report (always JSON)", cmd_report)):
+        # Only the flags given reach the namespace: main lays them over the config file.
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        for opt in _options_of(name):
+            shown = ",".join(opt.default) if isinstance(opt.default, tuple) else opt.default
+            text = opt.help if shown is None or shown is False else f"{opt.help} (default {shown})"
+            reads = ({"action": "store_true"} if opt.type is _boolean
+                     else {"type": opt.type, "choices": opt.choices})
+            p.add_argument(*opt.flags, dest=opt.key, help=text, **reads)
+        p.add_argument("--config", metavar="PATH",
+                       help="flat 'key = value' file of this command's options; flags override it")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Defaults, overridden by the config file, overridden by the flags given.
+    config = argparse.Namespace(**{opt.key: opt.default for opt in _options_of(args.command)})
     try:
-        config = _resolve_config(args)
+        if "config" in args:
+            vars(config).update(_read_config_file(args.config, args.command))
+        vars(config).update(vars(args))
+        _validate(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

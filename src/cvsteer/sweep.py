@@ -19,9 +19,11 @@ polished; its points and angles are reflected onto [0, pi/2], and the touch at p
 the touch at 0. The reflection pi - theta is exact for theta >= pi/2 (Sterbenz), so a
 reflected bracket keeps its width. Both built-in families have this mirror.
 
-Each (family, criterion, spec, root_tol) is searched once per process. The report reads
-the search ``find_critical_angles`` makes at the default root_tol, and takes the sign of
-every span from its samples and probes, so it evaluates no criterion of its own.
+Each (family, criterion, spec, root_tol) is searched once per process (``_search``), and
+``find_critical_angles`` and ``hierarchy_report`` share that cache. The report has no
+root_tol of its own: it locates every span end at ``_ROOT_TOL`` (1e-6), and takes the
+sign of every span from the samples and probes of that search, so it evaluates no
+criterion of its own.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
         raise ValueError("n_points must be >= 2")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
-    build = STATE_BUILDERS[_family(state_id)]
+    family = _family(state_id)
     requested = set(criteria_set)
     if not requested:
         raise ValueError("criteria_set must name at least one criterion")
@@ -160,14 +162,14 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     columns: dict[str, list[float]] = {c: [] for c in wanted}
     flagged: list[tuple[str, float]] = []
     for theta in thetas.tolist():
-        state = build(theta)
+        state = STATE_BUILDERS[family](theta)
         for c in wanted:
             res = _evaluate(c, state, spec, theta)
             columns[c].append(res.value)
             if not res.converged:
                 flagged.append((c, theta))
     return SweepResult(
-        state_id=state_id,
+        state_id=family,
         thetas=tuple(thetas.tolist()),
         values={c: tuple(col) for c, col in columns.items()},
         flagged=tuple(flagged),
@@ -408,7 +410,7 @@ def hierarchy_report(state_id: str, spec: QuadratureSpec = DEFAULT_SPEC) -> Hier
     undetected = _subtract_spans(_subtract_spans(spans["chsh"], spans["reid"]),
                                  spans["entropic"])
     return HierarchyReport(
-        state_id=state_id,
+        state_id=family,
         chsh_violation_region=spans["chsh"],
         reid_detected=spans["reid"],
         entropic_detected=spans["entropic"],

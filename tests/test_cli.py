@@ -2,14 +2,16 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import cvsteer
-from cvsteer import STATE_BUILDERS, make_psi
+from cvsteer import DEFAULT_SPEC, STATE_BUILDERS, make_psi
 from cvsteer.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_ROOT, EXIT_OK, EXIT_TOLERANCE, main
+from cvsteer.sweep import _ROOT_TOL
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +239,20 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert "volume" in err
 
+    @pytest.mark.parametrize("argv,line", [
+        (["report"], "root_tol = 1e-3"),
+        (["sweep", "--criteria", "chsh", "--steps", "2"], "theta = 0.5"),
+        (["eval", "--theta", "0.5"], "steps = 5"),
+    ])
+    def test_key_of_another_command_exits_2(self, capsys, tmp_path, argv, line):
+        # A command reads only its own options from the file, as from the command line
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert repr(line.split()[0]) in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--config", "/no/such/file", "--theta", "0.5")
         assert code == EXIT_CONFIG
@@ -263,6 +279,22 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert field in err
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--root-tol", "1e-2"],
+        ["report", "--criteria", "chsh"],
+        ["report", "--format", "csv"],
+        ["eval", "--theta", "0.5", "--root-tol", "1e-2"],
+        ["sweep", "--criteria", "chsh", "--steps", "2", "--root-tol", "1e-2"],
+    ])
+    def test_flag_of_another_command_exits_2(self, capsys, argv):
+        # A flag the command would not read is an argparse usage error, not a no-op
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[-2] in captured.err
+
 
 def run_module(*argv, timeout):
     """``python -m cvsteer`` in a subprocess that imports the package under test."""
@@ -284,3 +316,27 @@ def test_help_documents_exit_codes():
     assert proc.returncode == 0
     for token in ("exit codes", "2 invalid config", "3 tolerance", "4 unwritable", "5 no crossing"):
         assert token in proc.stdout
+
+
+FLAGS_OF_COMMAND = {
+    "eval": "--state --criteria --theta --half-width --L --panel-tol --output --format "
+            "--allow-flagged",
+    "sweep": "--state --criteria --steps --theta-min --theta-max --half-width --L --panel-tol "
+             "--output --format --allow-flagged",
+    "critical": "--state --criteria --half-width --L --panel-tol --root-tol --output --format "
+                "--allow-flagged",
+    "report": "--state --half-width --L --panel-tol --output --allow-flagged",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS_OF_COMMAND)
+def test_command_help_lists_its_options_with_library_defaults(command):
+    proc = run_module(command, "--help", timeout=60)
+    assert proc.returncode == 0
+    flags = {"--help", "--config", *FLAGS_OF_COMMAND[command].split()}
+    assert set(re.findall(r"--[\w-]+", proc.stdout)) == flags
+    text = " ".join(proc.stdout.split())
+    assert f"(default {DEFAULT_SPEC.half_width})" in text
+    assert f"(default {DEFAULT_SPEC.panel_tol})" in text
+    assert (f"(default {_ROOT_TOL})" in text) == (command == "critical")
+    assert "(default 1e-6)" not in text

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 
@@ -478,12 +477,13 @@ class TestHierarchyReport:
         assert calls == []
 
     def test_underscore_and_upper_case_names(self, reports):
-        # One family lookup normalizes the name for the report, the search and the sweep
-        rep = hierarchy_report("PSI_PRIME")
-        assert rep.state_id == "PSI_PRIME"
-        assert dataclasses.replace(rep, state_id="psi-prime") == reports["psi-prime"]
+        # One family lookup normalizes the name for the report, the search and the sweep,
+        # and the results carry the canonical family key, not the caller's spelling
+        assert hierarchy_report("PSI_PRIME") == reports["psi-prime"]
+        assert reports["psi-prime"].state_id == "psi-prime"
         assert find_critical_angles("Psi_Prime", "chsh") == find_critical_angles("psi-prime", "chsh")
-        assert sweep("PSI_PRIME", {"chsh"}, 5).values == sweep("psi-prime", {"chsh"}, 5).values
+        assert sweep("PSI_PRIME", {"chsh"}, 5) == sweep("psi-prime", {"chsh"}, 5)
+        assert sweep("PSI_PRIME", {"chsh"}, 5).state_id == "psi-prime"
         with pytest.raises(ValueError, match="unknown state id"):
             hierarchy_report("psi prime")
 
