@@ -83,6 +83,13 @@ _G7_WEIGHTS = np.array([
 ])
 
 
+# Most integrand points one sweep of _adaptive_many evaluates. 16,384 doubles are
+# 128 KB, glibc's default mmap threshold: a sweep's point-sized arrays stay below it,
+# so glibc serves them from the heap instead of mapping and page-faulting each one
+# afresh, and a sweep's working set does not grow with the batch.
+_SWEEP_POINTS = 16_384
+
+
 def _segments(lo: float, hi: float,
               cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial panels of [lo, hi] for each row of ``cuts``, pre-split at its entries.
@@ -106,8 +113,14 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
 
     ``f(task_ids, x)`` evaluates, elementwise, the integrand of task ``task_ids[i]`` at
     ``x[i]``. Every panel must meet the width-proportional share of its task's absolute
-    tolerance; all pending panels of all tasks are evaluated in one vectorized call per
-    sweep. Deterministic: panel ordering, splitting and accumulation are data-driven.
+    tolerance. Precondition: each task's panels are contiguous and the tasks ascend
+    (``_segments`` and the single-task callers guarantee it). Each sweep evaluates, in
+    one vectorized call, the pending panels of the longest prefix of whole tasks that
+    holds at most _SWEEP_POINTS points, and always at least one task; the children of
+    its split panels go back to the front of the worklist, which keeps the order. A
+    task's panels of one generation are thus evaluated, summed and split together, so
+    the cap changes only the grouping of tasks into sweeps, never a value, error or
+    flag. Deterministic: panel ordering, splitting and accumulation are data-driven.
     """
     task = np.asarray(task_of_seg, dtype=np.intp)
     lo = np.asarray(seg_lo, dtype=float)
@@ -118,40 +131,40 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
     values = np.zeros(n_tasks)
     errors = np.zeros(n_tasks)
     failed = np.zeros(n_tasks, dtype=bool)
+    cap = _SWEEP_POINTS // _GK_NODES.size
 
     while task.size:
-        half = 0.5 * (hi - lo)
-        mid = lo + half
+        # Sweep the tasks before the one holding panel number ``cap``, or the first task
+        # alone when it holds more than ``cap`` panels
+        n = task.size
+        if n > cap:
+            n = int(np.searchsorted(task, task[cap])) or int(
+                np.searchsorted(task, task[0], side="right"))
+        t, a, b = task[:n], lo[:n], hi[:n]
+        half = 0.5 * (b - a)
+        mid = a + half
         pts = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
-        fv = f(np.repeat(task, _GK_NODES.size), pts).reshape(-1, _GK_NODES.size)
+        fv = f(np.repeat(t, _GK_NODES.size), pts).reshape(-1, _GK_NODES.size)
         ik = (fv @ _GK_WEIGHTS) * half
         ig = (fv @ _G7_WEIGHTS) * half
         perr = np.abs(ik - ig)
-        share = tol_per_task[task] * (hi - lo) / total_width[task]
+        share = tol_per_task[t] * (b - a) / total_width[t]
         ok = perr <= share
         # Roundoff floor of the panel sum: refining below it cannot reduce the error
         # estimate, so a tolerance under the floor would otherwise split forever.
         noise = 100.0 * np.finfo(float).eps * (np.abs(fv) @ _GK_WEIGHTS) * half
-        stop = ok | (perr <= noise) | (depth >= max_depth)
+        stop = ok | (perr <= noise) | (depth[:n] >= max_depth)
         if np.any(stop):
-            values += np.bincount(task[stop], weights=ik[stop], minlength=n_tasks)
-            errors += np.bincount(task[stop], weights=perr[stop], minlength=n_tasks)
+            values += np.bincount(t[stop], weights=ik[stop], minlength=n_tasks)
+            errors += np.bincount(t[stop], weights=perr[stop], minlength=n_tasks)
             exhausted = stop & ~ok
             if np.any(exhausted):
-                failed[np.unique(task[exhausted])] = True
+                failed[np.unique(t[exhausted])] = True
         keep = ~stop
-        if not np.any(keep):
-            break
-        n_keep = int(keep.sum())
-        task = np.repeat(task[keep], 2)
-        new_lo = np.empty(2 * n_keep)
-        new_hi = np.empty(2 * n_keep)
-        new_lo[0::2] = lo[keep]
-        new_lo[1::2] = mid[keep]
-        new_hi[0::2] = mid[keep]
-        new_hi[1::2] = hi[keep]
-        lo, hi = new_lo, new_hi
-        depth = np.repeat(depth[keep] + 1, 2)
+        lo = np.concatenate((np.stack((a[keep], mid[keep]), axis=1).ravel(), lo[n:]))
+        hi = np.concatenate((np.stack((mid[keep], b[keep]), axis=1).ravel(), hi[n:]))
+        task = np.concatenate((np.repeat(t[keep], 2), task[n:]))
+        depth = np.concatenate((np.repeat(depth[:n][keep] + 1, 2), depth[n:]))
 
     return values, errors, ~failed
 
@@ -212,13 +225,15 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
                          fold: bool = False) -> IntegralResult:
     """-int int g ln g over [-L, L]^2 by iterated adaptive panels.
 
-    The inner (b) integrals for all pending outer abscissae are refined together in
-    shared vectorized sweeps, each calling ``g(a, row, b)`` once with ``a`` the outer
-    abscissae: it returns the density at (a[row[i]], b[i]), so what depends on a alone
-    is computed once per abscissa. ``inner_breakpoints(a_values)`` may return an (n, r)
-    NaN-padded array whose row i holds known zeros of b -> g(a_values[i], b), or None;
-    ``_segments`` turns it into the pre-split inner panels of every abscissa in one
-    batch. The error adds 2L times the largest inner estimate to the outer one.
+    The inner (b) integrals of all pending outer abscissae form one batch of
+    ``_adaptive_many``, refined in vectorized sweeps of at most _SWEEP_POINTS points
+    over consecutive abscissae. Each sweep calls ``g(a, row, b)`` once with ``a`` all
+    the batch's outer abscissae: it returns the density at (a[row[i]], b[i]), so what
+    depends on a alone is computed once per sweep. ``inner_breakpoints(a_values)`` may
+    return an (n, r) NaN-padded array whose row i holds known zeros of
+    b -> g(a_values[i], b), or None; ``_segments`` turns it into the pre-split inner
+    panels of every abscissa in one batch. The error adds 2L times the largest inner
+    estimate to the outer one.
     ``fold=True`` declares g(-a, -b) = g(a, b): the inner integral is then even in a,
     and the outer one runs over [0, L] at half the tolerance and is doubled, value and
     error (0 should be an outer breakpoint); the inner b-range stays [-L, L].

@@ -163,10 +163,11 @@ class TestConditionalEntropy:
             assert h_cond <= h_marg + 1e-10
 
     def test_peak_allocation(self):
-        # The 2-D integrand builds the mode-2 coefficients once per outer abscissa and
-        # sums the series one basis row at a time, so an inner sweep holds a few
-        # point-sized arrays and no (max_n + 1) x points basis table per mode; with those
-        # tables this evaluation peaked at 17.4 MB.
+        # The 2-D integrand rebuilds the mode-2 coefficients of the batch's abscissae on
+        # every inner sweep and sums the series one basis row at a time, and a sweep
+        # holds at most quadrature._SWEEP_POINTS points. So an inner sweep holds a few
+        # sweep-sized arrays and no (max_n + 1) x points basis table per mode; with
+        # those tables this evaluation peaked at 17.4 MB, with uncapped sweeps 3.1 MB.
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
         tracemalloc.start()
@@ -419,3 +420,107 @@ class TestWorkCounters:
         monkeypatch.setattr(quadrature_mod, "_adaptive_many", counted)
         entropic_value(FockState.from_terms(terms))
         assert count == points
+
+
+def batched_sweep_points(monkeypatch) -> dict:
+    """Wrap quadrature._adaptive_many as TestWorkCounters does. The returned dict keeps
+    the most points of one integrand call of a multi-task batch ("call") and of one
+    such call spanning more than one task ("shared")."""
+    largest = {"call": 0, "shared": 0}
+    adaptive_many = quadrature_mod._adaptive_many
+
+    def recorded(f, *args):
+        if args[-1] == 1:
+            return adaptive_many(f, *args)
+
+        def integrand(tid, x):
+            largest["call"] = max(largest["call"], len(x))
+            if tid[0] != tid[-1]:
+                largest["shared"] = max(largest["shared"], len(x))
+            return f(tid, x)
+        return adaptive_many(integrand, *args)
+
+    monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
+    return largest
+
+
+class TestSweepCap:
+    """quadrature._SWEEP_POINTS caps the points of one batched inner sweep, except that
+    a task over the cap is swept alone. The cap changes only how whole inner integrals
+    are grouped into sweeps, so values, components and flags are bit-identical under
+    any cap."""
+
+    @pytest.mark.parametrize("terms,cap", [
+        ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], 8 * 15),
+        # The mixed-parity state of TestWorkCounters: no fold
+        ([(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993),
+          (4, 1, -0.6357547514092701)], 64 * 15),
+        # Genuinely complex amplitudes: no zero-curve pre-splits, no fold
+        ([(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
+         64 * 15),
+    ])
+    def test_entropic_bit_identical_across_caps(self, monkeypatch, terms, cap):
+        state = FockState.from_terms(terms)
+        largest = batched_sweep_points(monkeypatch)
+        caps = (10 ** 12, quadrature_mod._SWEEP_POINTS, cap)
+        results, shared = [], []
+        for points in caps:
+            monkeypatch.setattr(quadrature_mod, "_SWEEP_POINTS", points)
+            largest["shared"] = 0
+            results.append(entropic_value(state))
+            shared.append(largest["shared"])
+        # Uncapped, some sweep held more than the smallest cap: the grouping did change
+        assert shared[0] > cap
+        assert all(most <= points for most, points in zip(shared, caps))
+        whole = results[0]
+        for res in results[1:]:
+            assert res.value == whole.value
+            assert res.components == whole.components
+            assert res.converged == whole.converged
+
+    def test_sweeps_and_allocations_bounded_at_n12(self, monkeypatch):
+        # With every batched sweep capped, one conditional entropy of a nodal n = 12
+        # state holds a few sweep-sized arrays; uncapped, it peaked at 8.0 MB of
+        # allocations.
+        s = 1.0 / math.sqrt(2.0)
+        state = FockState.from_terms([(0, 12, s), (12, 0, -s)])
+        largest = batched_sweep_points(monkeypatch)
+        tracemalloc.start()
+        try:
+            conditional_entropy(state, Domain.POSITION)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < largest["call"] <= quadrature_mod._SWEEP_POINTS
+        assert peak <= 3e6
+
+
+def two_mode_squeezed_vacuum(lam: float, n_max: int) -> FockState:
+    """sum_{n <= n_max} lam^n |n, n>, normalized."""
+    amps = lam ** np.arange(n_max + 1.0)
+    amps /= np.linalg.norm(amps)
+    return FockState.from_terms([(n, n, float(c)) for n, c in enumerate(amps)])
+
+
+class TestTwoModeSqueezedVacuum:
+    """The truncated two-mode squeezed vacuum, lam = tanh r, is Gaussian up to a tail of
+    probability lam^(2(N+1)) < 1e-18. With c = cosh 2r = (1 + lam^2)/(1 - lam^2), both
+    inferred variances are 1/(2c) in natural units, so Reid = 1/4 - 1/(4c^2); Gaussian
+    conditional entropies are 1/2 ln(2 pi e variance), so entropic = ln c; pseudo-spin
+    CHSH = 2 sqrt(1 + tanh^2 2r) (Chen, Pan, Hou, Zhang, PRL 88 (2002) 040406). Degree-30
+    series run through the capped inner sweeps."""
+
+    @pytest.mark.parametrize("lam,n_max", [(0.5, 30), (0.3, 20)])
+    @pytest.mark.parametrize("m_omega", [0.5, 1.0, 2.0])
+    def test_closed_forms(self, lam, n_max, m_omega):
+        state = two_mode_squeezed_vacuum(lam, n_max)
+        units = UnitSystem(m_omega=m_omega)
+        c = (1.0 + lam * lam) / (1.0 - lam * lam)
+        tanh_2r = 2.0 * lam / (1.0 + lam * lam)
+        reid = reid_value(state, units=units)
+        entropic = entropic_value(state, units=units)
+        assert reid.converged and entropic.converged
+        assert reid.value == pytest.approx(0.25 - 0.25 / c ** 2, abs=1e-14)
+        assert entropic.value == pytest.approx(math.log(c), abs=1e-11)
+        assert chsh_max(state).value == pytest.approx(
+            2.0 * math.sqrt(1.0 + tanh_2r ** 2), abs=1e-12)

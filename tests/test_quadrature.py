@@ -221,6 +221,20 @@ class TestEntropy2d:
         assert folded.value == pytest.approx(full.value, rel=1e-14)
         assert folded.error == pytest.approx(full.error, rel=1e-12)
 
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_result_independent_of_sweep_cap(self, monkeypatch, fold):
+        # The even integrand above, cut at depth 4, under caps of 64, 8 and 1 panel per
+        # batched sweep: a task then exceeds the cap alone, and tasks whose inner
+        # integrals fail share sweeps with tasks that converge
+        g = lambda a, row, b: np.exp(-a[row] ** 2) / SQPI * np.abs(b) * np.exp(-b * b)
+        spec = QuadratureSpec(max_depth=4)
+        results = []
+        for points in (10 ** 12, 64 * 15, 8 * 15, 15):
+            monkeypatch.setattr(quadrature_mod, "_SWEEP_POINTS", points)
+            results.append(integrate_entropy_2d(g, spec, outer_breakpoints=(0.0,), fold=fold))
+        assert not results[0].converged
+        assert all(res == results[0] for res in results[1:])
+
 
 def test_neg_plogp_matches_masked_formula():
     rng = np.random.default_rng(5)
