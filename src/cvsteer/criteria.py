@@ -26,6 +26,7 @@ from .fock import (
     NATURAL_UNITS,
     UnitSystem,
     _b_zero_hints,
+    _density_coefficients,
     _density_rows,
     _is_uncorrelated,
     _ladder_position,
@@ -191,8 +192,17 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
     espec = replace(spec, half_width=width)
     marg_cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     fold = _parities(state)[0] is not None
+    held = [None, None]
+
+    def density(a, row, b):
+        # Every block of one outer batch passes the same array a: its mode-2
+        # coefficients are built once per batch. Holding a keeps its id from reuse.
+        if held[0] is not a:
+            held[:] = a, _density_coefficients(view, a)
+        return _density_rows(view, held[1], row, b)
+
     joint_res = integrate_entropy_2d(
-        lambda a, row, b: _density_rows(view, a, row, b), espec,
+        density, espec,
         inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
         outer_breakpoints=marg_cuts, fold=fold,
     )

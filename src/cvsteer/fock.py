@@ -44,7 +44,6 @@ _AMP_DROP = 1e-15
 _NORM_TOL = 1e-12
 _PI_QUARTER = math.pi ** -0.25
 _PHASE_MINUS_I = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)  # (-i)^n, exact
-_BLOCK = 4096  # points per block of the streamed 2-D density: 32 KB per temporary
 
 
 class Domain(enum.Enum):
@@ -248,16 +247,17 @@ def _series(coeff: np.ndarray, row: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _density_rows(v: _DomainView, a, row, b) -> np.ndarray:
-    """|Psi(a[row[i]], b[i])|^2 for every i, _BLOCK points at a time, in real arithmetic
-    when the amplitudes are real up to a global phase (the density does not see it)."""
-    root = math.sqrt(v.scale)
+def _density_coefficients(v: _DomainView, a) -> np.ndarray:
+    """The mode-2 coefficients c_g(a) that _density_rows sums, in real arithmetic when
+    the amplitudes are real up to a global phase (the density does not see it)."""
     amps = v.amps if v.aligned is None else v.aligned
-    coeff = _coefficients(v, 1, amps, root * np.asarray(a, dtype=float))
-    y = root * np.asarray(b, dtype=float)
-    out = np.empty(y.shape)
-    for k in range(0, y.size, _BLOCK):
-        np.abs(_series(coeff, row[k:k + _BLOCK], y[k:k + _BLOCK]), out=out[k:k + _BLOCK])
+    return _coefficients(v, 1, amps, math.sqrt(v.scale) * np.asarray(a, dtype=float))
+
+
+def _density_rows(v: _DomainView, coeff: np.ndarray, row, b) -> np.ndarray:
+    """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _density_coefficients(v, a);
+    the caller keeps coeff for as many calls as share the abscissae a."""
+    out = np.abs(_series(coeff, row, math.sqrt(v.scale) * np.asarray(b, dtype=float)))
     out *= out
     out *= v.scale
     return out
@@ -278,7 +278,8 @@ def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
                   units: UnitSystem = NATURAL_UNITS):
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    out = _density_rows(_view(state, dom, units), a.ravel(), np.arange(a.size), b.ravel())
+    v = _view(state, dom, units)
+    out = _density_rows(v, _density_coefficients(v, a.ravel()), np.arange(a.size), b.ravel())
     return _maybe_scalar(out.reshape(a.shape), a.ndim == 0)
 
 

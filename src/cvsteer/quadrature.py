@@ -83,11 +83,17 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-# Most integrand points one sweep of _adaptive_many evaluates. 16,384 doubles are
-# 128 KB, glibc's default mmap threshold: a sweep's point-sized arrays stay below it,
-# so glibc serves them from the heap instead of mapping and page-faulting each one
-# afresh, and a sweep's working set does not grow with the batch.
+# Most integrand points one sweep of _adaptive_many evaluates, so a sweep's working set
+# does not grow with the batch. Its point-sized arrays (16,384 doubles, 128 KB) must not
+# be allocated afresh on every sweep: freed at the top of the heap, they push the free
+# top past glibc's default trim threshold of 128 KB, glibc hands that memory back to
+# the kernel, and the next sweep faults it in again. With seven such arrays per sweep,
+# the general-states benchmark read 26.7k minor faults, against 0.7k at the same peak
+# RSS with trimming disabled (MALLOC_TRIM_THRESHOLD_=1000000000). So the sweeps
+# of one integral share one grow-only _Workspace, and the integrand is called on blocks
+# of at most _BLOCK_POINTS points, whose temporaries are 32 KB.
 _SWEEP_POINTS = 16_384
+_BLOCK_POINTS = 4_096
 
 
 def _segments(lo: float, hi: float,
@@ -108,20 +114,43 @@ def _segments(lo: float, hi: float,
     return row, edges[row, pos], edges[row, pos + 1]
 
 
-def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_tasks):
+class _Workspace:
+    """Grow-only buffers that the sweeps of one integral share: integrand points, task
+    ids and values. ``entropy=True`` stores -v ln v of the integrand's values v."""
+
+    def __init__(self, entropy: bool = False):
+        self.entropy = entropy
+        self.x = self.fv = np.empty(0)
+        self.tid = np.empty(0, dtype=np.intp)
+
+    def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of ``size`` entries of the point, task-id and value buffers."""
+        if size > self.x.size:
+            self.x, self.fv = np.empty(size), np.empty(size)
+            self.tid = np.empty(size, dtype=np.intp)
+        return self.x[:size], self.tid[:size], self.fv[:size]
+
+
+def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_tasks,
+                   work=None):
     """Shared worklist refinement for a batch of independent panel integrals.
 
     ``f(task_ids, x)`` evaluates, elementwise, the integrand of task ``task_ids[i]`` at
-    ``x[i]``. Every panel must meet the width-proportional share of its task's absolute
-    tolerance. Precondition: each task's panels are contiguous and the tasks ascend
-    (``_segments`` and the single-task callers guarantee it). Each sweep evaluates, in
-    one vectorized call, the pending panels of the longest prefix of whole tasks that
-    holds at most _SWEEP_POINTS points, and always at least one task; the children of
+    ``x[i]``; both are views of the engine's buffers, valid only during the call, and
+    the array f returns is only read. Every panel must meet the width-proportional
+    share of its task's absolute tolerance. Precondition: each task's panels are
+    contiguous and the tasks ascend (``_segments`` and the single-task callers
+    guarantee it). Each sweep evaluates the pending panels of the longest prefix of
+    whole tasks that holds at most _SWEEP_POINTS points, and always at least one task,
+    calling f on consecutive blocks of at most _BLOCK_POINTS of them; the children of
     its split panels go back to the front of the worklist, which keeps the order. A
     task's panels of one generation are thus evaluated, summed and split together, so
     the cap changes only the grouping of tasks into sweeps, never a value, error or
-    flag. Deterministic: panel ordering, splitting and accumulation are data-driven.
+    flag. ``work`` is the _Workspace the sweeps fill (a fresh one when None); callers
+    that run many batches of one integral pass the same one. Deterministic: panel
+    ordering, splitting and accumulation are data-driven.
     """
+    work = _Workspace() if work is None else work
     task = np.asarray(task_of_seg, dtype=np.intp)
     lo = np.asarray(seg_lo, dtype=float)
     hi = np.asarray(seg_hi, dtype=float)
@@ -143,8 +172,19 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
         t, a, b = task[:n], lo[:n], hi[:n]
         half = 0.5 * (b - a)
         mid = a + half
-        pts = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
-        fv = f(np.repeat(t, _GK_NODES.size), pts).reshape(-1, _GK_NODES.size)
+        pts, tids, fv = work.take(n * _GK_NODES.size)
+        grid = pts.reshape(n, -1)
+        np.multiply(half[:, None], _GK_NODES, out=grid)
+        grid += mid[:, None]
+        tids.reshape(n, -1)[:] = t[:, None]
+        for k in range(0, pts.size, _BLOCK_POINTS):
+            block = slice(k, k + _BLOCK_POINTS)
+            v = f(tids[block], pts[block])
+            if work.entropy:
+                _neg_plogp(np.asarray(v, dtype=float), out=fv[block])
+            else:
+                fv[block] = v
+        fv = fv.reshape(n, -1)
         ik = (fv @ _GK_WEIGHTS) * half
         ig = (fv @ _G7_WEIGHTS) * half
         perr = np.abs(ik - ig)
@@ -152,7 +192,7 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
         ok = perr <= share
         # Roundoff floor of the panel sum: refining below it cannot reduce the error
         # estimate, so a tolerance under the floor would otherwise split forever.
-        noise = 100.0 * np.finfo(float).eps * (np.abs(fv) @ _GK_WEIGHTS) * half
+        noise = 100.0 * np.finfo(float).eps * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
         stop = ok | (perr <= noise) | (depth[:n] >= max_depth)
         if np.any(stop):
             values += np.bincount(t[stop], weights=ik[stop], minlength=n_tasks)
@@ -169,34 +209,44 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
     return values, errors, ~failed
 
 
-def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                    tol: float, max_depth: int,
-                    breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
-    """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``.
-
-    ``fold=True`` declares f symmetric about the midpoint c: only [c, hi] is integrated,
-    at tol/2, and the value and error are doubled. With c among the breakpoints the
-    folded panels mirror the dropped ones, so each keeps its share of ``tol``.
-    """
+def _panels(f, lo, hi, tol, max_depth, breakpoints, fold, work=None) -> IntegralResult:
+    """adaptive_panels, its sweeps filling ``work`` (see _adaptive_many)."""
     if fold:
         lo, tol = 0.5 * (lo + hi), 0.5 * tol
     row, seg_lo, seg_hi = _segments(lo, hi, np.reshape(breakpoints, (1, -1)))
-    vals, errs, ok = _adaptive_many(
-        lambda _t, x: np.asarray(f(x), dtype=float),
-        row, seg_lo, seg_hi, np.array([tol]), max_depth, 1,
-    )
+    vals, errs, ok = _adaptive_many(lambda _t, x: f(x), row, seg_lo, seg_hi,
+                                    np.array([tol]), max_depth, 1, work)
     copies = 2.0 if fold else 1.0
     return IntegralResult(value=copies * float(vals[0]), error=copies * float(errs[0]),
                           converged=bool(ok[0]))
 
 
-def _neg_plogp(v: np.ndarray) -> np.ndarray:
-    """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR.
+def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                    tol: float, max_depth: int,
+                    breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
+    """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``.
+
+    ``f`` is called on blocks of at most _BLOCK_POINTS points; its argument is valid
+    only during the call, and the array it returns is only read.
+    ``fold=True`` declares f symmetric about the midpoint c: only [c, hi] is integrated,
+    at tol/2, and the value and error are doubled. With c among the breakpoints the
+    folded panels mirror the dropped ones, so each keeps its share of ``tol``.
+    """
+    return _panels(f, lo, hi, tol, max_depth, breakpoints, fold)
+
+
+def _neg_plogp(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR,
+    written into ``out`` when given (every entry is overwritten).
 
     Never returns NaN or -inf: values at or below the floor (including any negative
     rounding noise of a nonnegative density) contribute exactly 0.
     """
-    out = np.log(v, out=np.zeros_like(v), where=v > ENTROPY_FLOOR)
+    if out is None:
+        out = np.zeros_like(v)
+    else:
+        out.fill(0.0)
+    np.log(v, out=out, where=v > ENTROPY_FLOOR)
     out *= v
     return np.negative(out, out=out)
 
@@ -212,10 +262,8 @@ def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: Quadrature
     doubled (0 should be a breakpoint, see ``adaptive_panels``).
     """
     L = spec.half_width
-    return adaptive_panels(
-        lambda x: _neg_plogp(np.asarray(g(x), dtype=float)),
-        -L, L, spec.panel_tol, spec.max_depth, breakpoints, fold,
-    )
+    return _panels(g, -L, L, spec.panel_tol, spec.max_depth, breakpoints, fold,
+                   _Workspace(entropy=True))
 
 
 def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -227,9 +275,12 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
 
     The inner (b) integrals of all pending outer abscissae form one batch of
     ``_adaptive_many``, refined in vectorized sweeps of at most _SWEEP_POINTS points
-    over consecutive abscissae. Each sweep calls ``g(a, row, b)`` once with ``a`` all
-    the batch's outer abscissae: it returns the density at (a[row[i]], b[i]), so what
-    depends on a alone is computed once per sweep. ``inner_breakpoints(a_values)`` may
+    over consecutive abscissae; every batch of the integral fills one _Workspace. Each
+    sweep calls ``g(a, row, b)`` on blocks of at most _BLOCK_POINTS points, with ``a``
+    all the batch's outer abscissae, the same array object for every block of one
+    batch: it returns the density at (a[row[i]], b[i]), so what depends on a alone can
+    be computed once per batch. ``a``, ``row`` and ``b`` are valid only during the
+    call, and the array g returns is only read. ``inner_breakpoints(a_values)`` may
     return an (n, r) NaN-padded array whose row i holds known zeros of
     b -> g(a_values[i], b), or None; ``_segments`` turns it into the pre-split inner
     panels of every abscissa in one batch. The error adds 2L times the largest inner
@@ -242,6 +293,7 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     inner_tol = spec.panel_tol / (8.0 * L)
     inner_ok = True
     inner_err = 0.0
+    work = _Workspace(entropy=True)
 
     def outer_f(avals: np.ndarray) -> np.ndarray:
         nonlocal inner_ok, inner_err
@@ -249,9 +301,8 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
         cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
         seg_task, seg_lo, seg_hi = _segments(-L, L, cuts)
         vals, errs, ok = _adaptive_many(
-            lambda tid, b: _neg_plogp(np.asarray(g(avals, tid, b), dtype=float)),
-            seg_task, seg_lo, seg_hi,
-            np.full(avals.size, inner_tol), spec.max_depth, avals.size,
+            lambda tid, b: g(avals, tid, b), seg_task, seg_lo, seg_hi,
+            np.full(avals.size, inner_tol), spec.max_depth, avals.size, work,
         )
         inner_ok = inner_ok and bool(ok.all())
         inner_err = max(inner_err, float(errs.max()))

@@ -163,10 +163,10 @@ class TestConditionalEntropy:
             assert h_cond <= h_marg + 1e-10
 
     def test_peak_allocation(self):
-        # The 2-D integrand rebuilds the mode-2 coefficients of the batch's abscissae on
-        # every inner sweep and sums the series one basis row at a time, and a sweep
-        # holds at most quadrature._SWEEP_POINTS points. So an inner sweep holds a few
-        # sweep-sized arrays and no (max_n + 1) x points basis table per mode; with
+        # The 2-D integrand builds the mode-2 coefficients of an outer batch's abscissae
+        # once and sums the series one basis row at a time, and a sweep holds at most
+        # quadrature._SWEEP_POINTS points. So an inner sweep holds a few sweep-sized
+        # arrays and no (max_n + 1) x points basis table per mode; with
         # those tables this evaluation peaked at 17.4 MB, with uncapped sweeps 3.1 MB.
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
@@ -430,7 +430,7 @@ def batched_sweep_points(monkeypatch) -> dict:
     adaptive_many = quadrature_mod._adaptive_many
 
     def recorded(f, *args):
-        if args[-1] == 1:
+        if args[5] == 1:  # n_tasks
             return adaptive_many(f, *args)
 
         def integrand(tid, x):
@@ -493,6 +493,23 @@ class TestSweepCap:
             tracemalloc.stop()
         assert 0 < largest["call"] <= quadrature_mod._SWEEP_POINTS
         assert peak <= 3e6
+
+
+class TestEngineBitIdentity:
+    """entropic_value as float.hex, recorded before the 2-D entropy's sweeps shared one
+    workspace and called the integrand in blocks. Regrouping the engine's work into
+    buffers, blocks or batches must not move a bit."""
+
+    @pytest.mark.parametrize("terms,value", [
+        ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], "0x1.f40aedbc5e0e0p-4"),
+        # The nodal n = 6 state of TestWorkCounters
+        ([(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)], "-0x1.6844590589418p-1"),
+        # The genuinely complex state of TestSweepCap
+        ([(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
+         "-0x1.47ddabc9f6dd8p-2"),
+    ])
+    def test_entropic_value_hex(self, terms, value):
+        assert entropic_value(FockState.from_terms(terms)).value.hex() == value
 
 
 def two_mode_squeezed_vacuum(lam: float, n_max: int) -> FockState:

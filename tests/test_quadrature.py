@@ -209,7 +209,7 @@ class TestEntropy2d:
         monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
         folded = integrate_entropy_2d(g, spec, outer_breakpoints=(0.0,), fold=True)
         (outer_args, (outer_val, outer_err, _ok)), inner = calls[-1], calls[:-1]
-        _f, _task, seg_lo, seg_hi, tol, _depth, n_tasks = outer_args
+        _f, _task, seg_lo, seg_hi, tol, _depth, n_tasks, _work = outer_args
         assert n_tasks == 1 and (seg_lo.min(), seg_hi.max()) == (0.0, L)
         assert tol.tolist() == [0.5 * spec.panel_tol]
         assert all(args[2].min() == -L and args[3].max() == L for args, _out in inner)
@@ -244,3 +244,81 @@ def test_neg_plogp_matches_masked_formula():
     keep = v > ENTROPY_FLOOR
     want[keep] = -v[keep] * np.log(v[keep])
     assert np.array_equal(_neg_plogp(v), want)
+    # Into a buffer full of garbage: every entry is overwritten, exact zeros at the floor
+    out = rng.uniform(-1e300, 1e300, v.size)
+    out[::7], out[::11] = np.nan, np.inf
+    v_before = v.copy()
+    assert _neg_plogp(v, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.all(out[~keep] == 0.0)
+    assert np.array_equal(v, v_before)
+
+
+def record_integrand_calls(monkeypatch) -> list:
+    """Wrap quadrature._adaptive_many; each integrand call appends (work, its first
+    task id, points). The points are kept as the engine passed them: a view that later
+    sweeps overwrite."""
+    calls = []
+    adaptive_many = quadrature_mod._adaptive_many
+
+    def recorded(f, *args):
+        def integrand(tid, x):
+            calls.append((args[-1], int(tid[0]), x))
+            return f(tid, x)
+        return adaptive_many(integrand, *args)
+
+    monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
+    return calls
+
+
+class TestSweepWorkspace:
+    """The sweeps of one integral fill one grow-only workspace and call the integrand
+    on blocks of at most quadrature._BLOCK_POINTS points."""
+
+    def test_blocks_at_most_4096_points(self, monkeypatch):
+        calls = record_integrand_calls(monkeypatch)
+        # About 760 periods need over a thousand panels: a single task's sweep, which
+        # the sweep cap does not split, grows past 4096 points
+        res = adaptive_panels(lambda x: np.cos(300.0 * x), -8.0, 8.0, 1e-12, 20)
+        assert res.value == pytest.approx(2.0 * math.sin(2400.0) / 300.0, abs=1e-12)
+        sizes = [x.size for _work, _tid, x in calls]
+        assert quadrature_mod._BLOCK_POINTS == 4096
+        assert max(sizes) == 4096 and sum(sizes) > 10 * 4096
+        calls.clear()
+        c, s = math.cos(1.1), math.sin(1.1)
+        integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), DEFAULT_SPEC,
+                             inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s))
+        sizes = [x.size for _work, _tid, x in calls]
+        assert max(sizes) == 4096 and len(sizes) > 100
+
+    def test_inner_batches_share_one_points_buffer(self, monkeypatch):
+        calls = record_integrand_calls(monkeypatch)
+        # 79 outer panels: the first inner sweep already fills the sweep cap
+        c, s = math.cos(1.1), math.sin(1.1)
+        spec = DEFAULT_SPEC
+        cuts = np.linspace(-spec.half_width, spec.half_width, 80)
+        integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), spec,
+                             inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s),
+                             outer_breakpoints=cuts)
+        inner = [(work, tid, x) for work, tid, x in calls if work is not None]
+        assert len({id(work) for work, _tid, _x in inner}) == 1
+        # A batch's first call starts at its task 0 and at the start of the buffer
+        starts = [x for _work, tid, x in inner if tid == 0]
+        assert len(starts) > 1
+        assert all(np.shares_memory(starts[0], x) for x in starts[1:])
+
+    def test_returned_arrays_only_read(self):
+        stored = np.full(4096, -0.25)
+        keep = stored.copy()
+        res = adaptive_panels(lambda x: stored[:x.size], -1.0, 1.0, 1e-12, 10)
+        assert res.value == pytest.approx(-0.5, rel=1e-14)
+        assert np.array_equal(stored, keep)
+        stored = np.full(4096, 0.25)
+        keep = stored.copy()
+        want = -0.25 * math.log(0.25)
+        res = integrate_entropy_1d(lambda x: stored[:x.size], QuadratureSpec(half_width=1.0))
+        assert res.value == pytest.approx(2.0 * want, rel=1e-14)
+        res = integrate_entropy_2d(lambda a, row, b: stored[:b.size],
+                                   QuadratureSpec(half_width=1.0))
+        assert res.value == pytest.approx(4.0 * want, rel=1e-13)
+        assert np.array_equal(stored, keep)
