@@ -8,6 +8,7 @@ families cos(t)|00>+sin(t)|11> and cos(t)|01>+sin(t)|10>.
 
 from .criteria import (
     CHSH_CLASSICAL_BOUND,
+    CRITERIA,
     LN_PI_E,
     REID_BOUND,
     CorrelationMatrix,
@@ -45,7 +46,6 @@ from .quadrature import (
     integrate_entropy_2d,
 )
 from .sweep import (
-    CRITERIA,
     STATE_BUILDERS,
     CriticalAngle,
     HierarchyReport,

@@ -13,19 +13,19 @@ tolerance was not met and --allow-flagged was absent; 4 unwritable output path;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from typing import Callable, NamedTuple
 
-from .criteria import CriterionResult
+from .criteria import CRITERIA, CriterionResult
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .sweep import (
-    CRITERIA,
     NoRootInRange,
     STATE_BUILDERS,
     _ROOT_TOL,
-    _evaluate,
+    _criterion,
     _family,
     find_critical_angles,
     hierarchy_report,
@@ -38,15 +38,11 @@ EXIT_TOLERANCE = 3
 EXIT_IO = 4
 EXIT_NO_ROOT = 5
 
-# Fixed flat schema for criterion records; component cells are empty when a component
-# does not belong to the criterion. Column order never depends on the request.
-_EVAL_COLUMNS = (
-    "criterion", "theta", "value", "violated", "converged",
-    "delta2_min_x2", "delta2_min_p2", "h_x2_given_x1", "h_p2_given_p1",
-    "t_singular_1", "t_singular_2", "t_singular_3",
-)
-
-_SWEEP_COLUMN_OF = {"reid": "i_reid", "entropic": "i_ent", "chsh": "i_chsh"}
+# Fixed flat schema for criterion records: five fixed columns, then every criterion's
+# components in table order. Component cells are empty when a component does not belong
+# to the criterion. Column order never depends on the request.
+_EVAL_COLUMNS = ("criterion", "theta", "value", "violated", "converged") + tuple(
+    name for entry in CRITERIA.values() for name in entry.components)
 
 
 class ConfigError(ValueError):
@@ -84,7 +80,7 @@ class _Option(NamedTuple):
 _ALL = "eval sweep critical report"
 _OPTIONS = (
     _Option("state", ("--state",), str, "psi", _ALL, "built-in state family", STATE_BUILDERS),
-    _Option("criteria", ("--criteria",), _names, CRITERIA, "eval sweep critical",
+    _Option("criteria", ("--criteria",), _names, tuple(CRITERIA), "eval sweep critical",
             "comma-separated subset of the criteria"),
     _Option("theta", ("--theta",), float, None, "eval", "angle in [0, pi]; required"),
     _Option("steps", ("--steps",), int, 315, "sweep", "number of grid points"),
@@ -143,8 +139,10 @@ def _validate(config: argparse.Namespace) -> None:
     if "criteria" in config and not config.criteria:
         raise ConfigError("criteria: at least one criterion is required")
     for c in getattr(config, "criteria", ()):
-        if c not in CRITERIA:
-            raise ConfigError(f"criteria: {c!r} is not one of {CRITERIA}")
+        try:
+            _criterion(c)
+        except ValueError as exc:
+            raise ConfigError(f"criteria: {exc}") from exc
     if "theta" in config and not (config.theta is not None and 0.0 <= config.theta <= math.pi):
         raise ConfigError(f"theta: eval needs a value in [0, pi], got {config.theta!r}")
     if "theta_min" in config and not 0.0 <= config.theta_min < config.theta_max <= math.pi:
@@ -197,17 +195,6 @@ def _ordered(criteria: tuple[str, ...]) -> list[str]:
     return [c for c in CRITERIA if c in wanted]
 
 
-def _eval_record(res: CriterionResult) -> dict:
-    return {
-        "criterion": res.criterion,
-        "theta": res.theta,
-        "value": res.value,
-        "violated": res.violated,
-        "converged": res.converged,
-        "components": dict(res.components),
-    }
-
-
 def _eval_csv(results: list[CriterionResult]) -> str:
     lines = [",".join(_EVAL_COLUMNS)]
     for res in results:
@@ -221,10 +208,11 @@ def _eval_csv(results: list[CriterionResult]) -> str:
 
 def cmd_eval(config: argparse.Namespace) -> int:
     state = STATE_BUILDERS[config.state](config.theta)
-    results = [_evaluate(c, state, config.spec, config.theta) for c in _ordered(config.criteria)]
+    results = [CRITERIA[c].evaluate(state, config.spec, config.theta)
+               for c in _ordered(config.criteria)]
     if config.format == "json":
         payload = {"state": config.state,
-                   "results": [_eval_record(r) for r in results]}
+                   "results": [dataclasses.asdict(r) for r in results]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = _eval_csv(results)
@@ -240,10 +228,10 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     if config.format == "json":
         payload = {"state": config.state, "theta": list(result.thetas)}
         for c in wanted:
-            payload[_SWEEP_COLUMN_OF[c]] = list(result.values[c])
+            payload[CRITERIA[c].column] = list(result.values[c])
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        header = ["theta"] + [_SWEEP_COLUMN_OF[c] for c in wanted]
+        header = ["theta"] + [CRITERIA[c].column for c in wanted]
         lines = [",".join(header)]
         for i, theta in enumerate(result.thetas):
             row = [_fmt(theta)] + [_fmt(result.values[c][i]) for c in wanted]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ from .quadrature import (
 )
 
 __all__ = [
+    "CRITERIA",
+    "Criterion",
     "CriterionResult",
     "CorrelationMatrix",
     "LN_PI_E",
@@ -72,10 +75,10 @@ _H_LEVEL1 = float(np.euler_gamma) + math.log(2.0) + 0.5 * math.log(math.pi) - 0.
 class CriterionResult:
     """One criterion evaluation: value, named intermediates, and the violation verdict.
 
-    ``violated`` uses strict inequality (value > 0, or > 2 for CHSH): boundary values
-    are not violations. ``converged=False`` marks a quadrature tolerance that was not
-    met (the value is still the best estimate). ``theta`` is a label supplied by the
-    caller; NaN when the state was built directly.
+    ``violated`` is strict, value > bound with the bound from ``CRITERIA`` (0, or 2 for
+    CHSH): boundary values are not violations. ``converged=False`` marks a quadrature
+    tolerance that was not met (the value is still the best estimate). ``theta`` is a
+    label supplied by the caller; NaN when the state was built directly.
     """
 
     criterion: str
@@ -98,13 +101,13 @@ class CorrelationMatrix:
 
 
 def _effective_width(spec: QuadratureSpec, view) -> float:
-    # A domain with scale < 1 has densities wider than natural, and level n reaches its
-    # turning point sqrt(2n+1) in y = sqrt(scale) x: stretch the window past both so the
-    # truncated tail stays below 1e-12 (a margin of 4.2 in y leaves two-sided tails of
-    # |u_n|^2 below 2e-13 for every n <= 40).
+    # The window is set in oscillator units y = sqrt(scale) x, where level n reaches its
+    # turning point sqrt(2n+1), and mapped back to x. It reaches 4.2 past the turning
+    # point, which leaves two-sided tails of |u_n|^2 below 2e-13 for every n <= 40, and
+    # stops 28 past it: there every term's density underflows to 0.0, and a wider window
+    # would only put the first Gauss-Kronrod nodes where the density is not.
     turning = math.sqrt(2 * max(view.max_n1, view.max_n2) + 1)
-    return max(spec.half_width * max(1.0, view.scale ** -0.5),
-               (turning + 4.2) / math.sqrt(view.scale))
+    return min(max(spec.half_width, turning + 4.2), turning + 28.0) / math.sqrt(view.scale)
 
 
 def _variance_uncorrelated(view) -> float:
@@ -155,15 +158,7 @@ def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
     d2x, ok_x = _conditional_variance(state, Domain.POSITION, spec, units)
     d2p, ok_p = _conditional_variance(state, Domain.MOMENTUM, spec, units)
-    value = REID_BOUND - d2x * d2p
-    return CriterionResult(
-        criterion="reid",
-        theta=math.nan if theta is None else float(theta),
-        value=value,
-        components={"delta2_min_x2": d2x, "delta2_min_p2": d2p},
-        violated=value > 0.0,
-        converged=ok_x and ok_p,
-    )
+    return _result("reid", REID_BOUND - d2x * d2p, (d2x, d2p), ok_x and ok_p, theta)
 
 
 def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
@@ -224,15 +219,7 @@ def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
     h_x, ok_x = _conditional_entropy(state, Domain.POSITION, spec, units)
     h_p, ok_p = _conditional_entropy(state, Domain.MOMENTUM, spec, units)
-    value = LN_PI_E - h_x - h_p
-    return CriterionResult(
-        criterion="entropic",
-        theta=math.nan if theta is None else float(theta),
-        value=value,
-        components={"h_x2_given_x1": h_x, "h_p2_given_p1": h_p},
-        violated=value > 0.0,
-        converged=ok_x and ok_p,
-    )
+    return _result("entropic", LN_PI_E - h_x - h_p, (h_x, h_p), ok_x and ok_p, theta)
 
 
 def _pauli_step(axis: int, n: int) -> tuple[int, complex]:
@@ -279,15 +266,42 @@ def chsh_max(state: FockState, theta: float | None = None) -> CriterionResult:
     over all settings is 2 sqrt(u1 + u2) with u1 >= u2 the two largest eigenvalues of
     T^T T, i.e. the squared leading singular values of T.
     """
-    cm = correlation_matrix(state)
-    sv = cm.singular_values()
-    value = 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2)
+    sv = correlation_matrix(state).singular_values()
+    return _result("chsh", 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2), sv.tolist(), True, theta)
+
+
+class Criterion(NamedTuple):
+    """One detector: the value it is violated above, its sweep column, the names of its
+    result components in order, and evaluate(state, spec, theta)."""
+
+    bound: float
+    column: str
+    components: tuple[str, ...]
+    evaluate: Callable[[FockState, QuadratureSpec, float | None], CriterionResult]
+
+
+# The evaluators are looked up by name at call time, so a replaced module attribute (a
+# tracer's wrapper, a test's stand-in) is what the table calls.
+CRITERIA: Mapping[str, Criterion] = MappingProxyType({
+    "reid": Criterion(0.0, "i_reid", ("delta2_min_x2", "delta2_min_p2"),
+                      lambda state, spec, theta: reid_value(state, spec=spec, theta=theta)),
+    "entropic": Criterion(0.0, "i_ent", ("h_x2_given_x1", "h_p2_given_p1"),
+                          lambda state, spec, theta: entropic_value(state, spec=spec, theta=theta)),
+    "chsh": Criterion(CHSH_CLASSICAL_BOUND, "i_chsh",
+                      ("t_singular_1", "t_singular_2", "t_singular_3"),
+                      lambda state, spec, theta: chsh_max(state, theta=theta)),
+})
+
+
+def _result(criterion: str, value: float, components, converged: bool,
+            theta: float | None) -> CriterionResult:
+    """The result of one evaluation, its verdict and component names from ``CRITERIA``."""
+    entry = CRITERIA[criterion]
     return CriterionResult(
-        criterion="chsh",
+        criterion=criterion,
         theta=math.nan if theta is None else float(theta),
         value=value,
-        components={"t_singular_1": float(sv[0]), "t_singular_2": float(sv[1]),
-                    "t_singular_3": float(sv[2])},
-        violated=value > CHSH_CLASSICAL_BOUND,
-        converged=True,
+        components=dict(zip(entry.components, components)),
+        violated=value > entry.bound,
+        converged=converged,
     )

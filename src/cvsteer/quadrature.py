@@ -31,7 +31,8 @@ ENTROPY_FLOOR = 1e-300
 class QuadratureSpec:
     """Precision budget shared by all integration routines.
 
-    half_width  truncation L of panel integrals to [-L, L]
+    half_width  truncation L of panel integrals to [-L, L] in oscillator units; the
+                criteria keep it 4.2 to 28 past the outermost level's turning point
     panel_tol   absolute tolerance for one adaptive panel integral
     max_depth   bisection depth limit per panel
     """
@@ -41,8 +42,8 @@ class QuadratureSpec:
     max_depth: int = 40
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError("half_width must be positive and finite")
         if not 0.0 < self.panel_tol < 1.0:
             raise ValueError("panel_tol must lie in (0, 1)")
         if self.max_depth < 1:

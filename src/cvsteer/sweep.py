@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .criteria import CHSH_CLASSICAL_BOUND, chsh_max, entropic_value, reid_value
+from .criteria import CRITERIA, Criterion
 from .fock import FockState, _parities, make_psi, make_psi_prime
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
@@ -51,8 +51,6 @@ __all__ = [
     "find_critical_angles",
     "hierarchy_report",
 ]
-
-CRITERIA = ("reid", "entropic", "chsh")
 
 STATE_BUILDERS: Mapping[str, Callable[[float], FockState]] = {
     "psi": make_psi,
@@ -127,14 +125,11 @@ def _mirrored(a: FockState, b: FockState) -> bool:
                for pa, pb in zip(_parities(a)[1:], _parities(b)[1:]))
 
 
-def _evaluate(criterion: str, state: FockState, spec: QuadratureSpec, theta: float):
-    if criterion == "reid":
-        return reid_value(state, spec=spec, theta=theta)
-    if criterion == "entropic":
-        return entropic_value(state, spec=spec, theta=theta)
-    if criterion == "chsh":
-        return chsh_max(state, theta=theta)
-    raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+def _criterion(name: str) -> Criterion:
+    """The CRITERIA entry of a criterion name."""
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}; expected one of {tuple(CRITERIA)}")
+    return CRITERIA[name]
 
 
 def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
@@ -154,9 +149,8 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     requested = set(criteria_set)
     if not requested:
         raise ValueError("criteria_set must name at least one criterion")
-    unknown = sorted(requested.difference(CRITERIA))
-    if unknown:
-        raise ValueError(f"unknown criteria {unknown}; expected names from {CRITERIA}")
+    for name in sorted(requested):
+        _criterion(name)
     wanted = [c for c in CRITERIA if c in requested]
     thetas = np.linspace(theta_min, theta_max, n_points)
     columns: dict[str, list[float]] = {c: [] for c in wanted}
@@ -164,7 +158,7 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     for theta in thetas.tolist():
         state = STATE_BUILDERS[family](theta)
         for c in wanted:
-            res = _evaluate(c, state, spec, theta)
+            res = CRITERIA[c].evaluate(state, spec, theta)
             columns[c].append(res.value)
             if not res.converged:
                 flagged.append((c, theta))
@@ -294,6 +288,7 @@ def find_critical_angles(state_id: str, criterion: str,
     """
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
+    _criterion(criterion)
     search = _search(_family(state_id), criterion, spec, root_tol)
     if not search.roots:
         raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}",
@@ -306,14 +301,14 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
     """The sorted bound-meeting angles (possibly none) of one family and criterion, with
     the samples and probes that located them (see find_critical_angles)."""
     build = STATE_BUILDERS[family]
-    bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+    entry = CRITERIA[criterion]
     missed: list[float] = []
 
     def gap(theta: float) -> float:
-        res = _evaluate(criterion, build(theta), spec, theta)
+        res = entry.evaluate(build(theta), spec, theta)
         if not res.converged:
             missed.append(theta)
-        return res.value - bound
+        return res.value - entry.bound
 
     points: dict[float, float] = {}  # samples and probes; the Illinois steps stay out
 

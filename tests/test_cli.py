@@ -26,7 +26,9 @@ class TestEval:
                                "--criteria", "chsh")
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[0].startswith("criterion,theta,value,violated,converged")
+        assert lines[0] == ("criterion,theta,value,violated,converged,"
+                            "delta2_min_x2,delta2_min_p2,h_x2_given_x1,h_p2_given_p1,"
+                            "t_singular_1,t_singular_2,t_singular_3")
         cells = lines[1].split(",")
         assert cells[0] == "chsh"
         assert float(cells[2]) == pytest.approx(2.828427, abs=1e-5)
@@ -60,7 +62,7 @@ class TestEval:
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--theta", "0.5", "--criteria", "bell")
         assert code == EXIT_CONFIG
-        assert "criteria" in err
+        assert "criteria: unknown criterion 'bell'" in err
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--theta", "0.9", "--format", "json",
@@ -273,6 +275,7 @@ class TestValidation:
         (["sweep", "--panel-tol", "2.0"], "panel_tol"),
         (["critical", "--root-tol", "0"], "root_tol"),
         (["sweep", "--theta-min", "1.0", "--theta-max", "0.5"], "theta_m"),
+        (["eval", "--theta", "0.7", "--half-width", "inf"], "half_width"),
     ])
     def test_field_named_in_error(self, capsys, argv, field):
         code, _, err = run_cli(capsys, *argv)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsteer.criteria import (
+    CHSH_CLASSICAL_BOUND,
+    CRITERIA,
     LN_PI_E,
     _effective_width,
     chsh_max,
@@ -278,6 +280,30 @@ class TestChsh:
         assert res.value == pytest.approx(2.0 * math.sqrt(s1 * s1 + s2 * s2), abs=1e-12)
 
 
+class TestCriteriaTable:
+    def test_entries(self):
+        assert list(CRITERIA) == ["reid", "entropic", "chsh"]
+        assert [e.bound for e in CRITERIA.values()] == [0.0, 0.0, CHSH_CLASSICAL_BOUND]
+        assert [e.column for e in CRITERIA.values()] == ["i_reid", "i_ent", "i_chsh"]
+        with pytest.raises(TypeError):
+            CRITERIA["bell"] = CRITERIA["chsh"]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 0.5 * math.pi])
+    def test_results_follow_the_table(self, theta):
+        for name, entry in CRITERIA.items():
+            res = entry.evaluate(make_psi_prime(theta), DEFAULT_SPEC, theta)
+            assert res.criterion == name and res.theta == theta
+            assert tuple(res.components) == entry.components
+            assert res.violated == (res.value > entry.bound)
+
+    def test_evaluators_looked_up_at_call_time(self, monkeypatch):
+        # A replaced module attribute (a tracer's wrapper, a stand-in) is what runs
+        for name in ("reid_value", "entropic_value", "chsh_max"):
+            monkeypatch.setattr(criteria_mod, name, lambda state, **kwargs: kwargs)
+        for entry in CRITERIA.values():
+            assert entry.evaluate(make_psi(0.7), DEFAULT_SPEC, 0.7)["theta"] == 0.7
+
+
 @pytest.fixture(scope="module")
 def complex_phase_state():
     return FockState.from_terms([(0, 0, math.sqrt(0.5)), (1, 1, 1j * math.sqrt(0.5))])
@@ -343,6 +369,25 @@ class TestTruncationWidth:
             level = lambda y: eval_hermite(n, y) ** 2 * np.exp(-y * y - log_norm)
             tail, _err = quad(level, y0, np.inf, epsabs=1e-16, epsrel=1e-8)
             assert 2.0 * tail < 1e-12, (n, y0, tail)
+
+    @pytest.mark.parametrize("units,spec", [
+        *[(UnitSystem(m_omega=m), DEFAULT_SPEC) for m in (1e-6, 0.5, 2.0, 1e2, 1e4, 1e6)],
+        *[(UnitSystem(), QuadratureSpec(half_width=w)) for w in (16.0, 100.0, 2000.0, 1e6)],
+    ])
+    def test_window_in_oscillator_units(self, units, spec):
+        # Both criteria are invariant under m_omega and converge well inside any window
+        # past the turning point. A window kept in position units, or not capped, put the
+        # first Gauss-Kronrod nodes where the density had underflowed: entropic was 5.9
+        # off at m_omega 1e6, and Reid 0.51 off at half_width 2000, both converged. Reid's
+        # correction integral has an absolute tolerance, out of reach at m_omega 1e4 and
+        # beyond: there it may be flagged, but a converged value must be right
+        for build in (make_psi, make_psi_prime):
+            state = build(0.7)
+            for evaluate in (reid_value, entropic_value):
+                res = evaluate(state, spec, units)
+                assert res.converged or evaluate is reid_value
+                if res.converged:
+                    assert res.value == pytest.approx(evaluate(state).value, abs=1e-12)
 
 
 @st.composite
@@ -541,3 +586,36 @@ class TestTwoModeSqueezedVacuum:
         assert entropic.value == pytest.approx(math.log(c), abs=1e-11)
         assert chsh_max(state).value == pytest.approx(
             2.0 * math.sqrt(1.0 + tanh_2r ** 2), abs=1e-12)
+
+
+def random_state(rng, complex_amplitudes: bool) -> FockState:
+    """Two to four Fock terms with indices <= 3 and normalized random amplitudes."""
+    pairs = rng.choice(16, size=rng.integers(2, 5), replace=False)
+    amps = rng.standard_normal(pairs.size)
+    if complex_amplitudes:
+        amps = amps + 1j * rng.standard_normal(pairs.size)
+    amps /= np.linalg.norm(amps)
+    return FockState.from_terms([(p // 4, p % 4, c) for p, c in zip(pairs.tolist(), amps)])
+
+
+class TestCrossCriterion:
+    """A Gaussian has the largest entropy at a given variance, so h(X2|X1) <=
+    1/2 ln(2 pi e Delta2_min(X2)) and the same for P, and every state has
+    entropic >= -1/2 ln(1 - 4 Reid), with equality for Gaussian states (Walborn et al.,
+    PRL 106 (2011) 130402). Each side carries the quadrature's error, hence a slack of
+    10 * panel_tol."""
+
+    # Both families are mirrored about pi/2; odd seeds draw complex amplitudes
+    STATES = {
+        **{f"psi-{t:.2f}": make_psi(t) for t in np.linspace(0.0, 0.5 * math.pi, 7)},
+        **{f"psi-prime-{t:.2f}": make_psi_prime(t) for t in np.linspace(0.0, 0.5 * math.pi, 7)},
+        **{f"random-{seed}": random_state(np.random.default_rng(seed), seed % 2 == 1)
+           for seed in range(6)},
+    }
+
+    @pytest.mark.parametrize("state", STATES.values(), ids=STATES.keys())
+    def test_entropic_bounds_reid_from_below(self, state):
+        reid, entropic = reid_value(state), entropic_value(state)
+        assert reid.converged and entropic.converged
+        slack = 10.0 * DEFAULT_SPEC.panel_tol
+        assert entropic.value >= -0.5 * math.log(1.0 - 4.0 * reid.value) - slack

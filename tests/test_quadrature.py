@@ -30,9 +30,11 @@ class TestQuadratureSpec:
         {"panel_tol": 0.0},
         {"panel_tol": 1.5},
         {"max_depth": 0},
+        {"half_width": float("inf")},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # The message starts with the field's name, which the CLI reports as is
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))}"):
             QuadratureSpec(**kwargs)
 
 

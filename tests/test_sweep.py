@@ -9,7 +9,7 @@ from numpy.polynomial import chebyshev as C
 
 from cvsteer.cli import EXIT_NO_ROOT, EXIT_OK, EXIT_TOLERANCE, main
 from cvsteer.criteria import (
-    CHSH_CLASSICAL_BOUND,
+    CRITERIA,
     CriterionResult,
     chsh_max,
     entropic_value,
@@ -25,6 +25,10 @@ from cvsteer.sweep import (
 )
 
 sweep_mod = importlib.import_module("cvsteer.sweep")
+criteria_mod = importlib.import_module("cvsteer.criteria")
+
+# The evaluator that each CRITERIA entry calls by its name in cvsteer.criteria
+EVALUATORS = {"reid": "reid_value", "entropic": "entropic_value", "chsh": "chsh_max"}
 
 # Crossing angles computed before the build with independent integrators: the
 # inference-variance ones from the closed-form erfc expression (brentq, 1e-15), the
@@ -47,7 +51,7 @@ CLOSE_PAIR = (1.001, 1.006)
 
 def mirrored(theta):
     """The built-in families take every criterion's value at pi - theta as at theta, and
-    the search reads only [pi/2, pi]: a stand-in for _evaluate must share the mirror."""
+    the search reads only [pi/2, pi]: a stand-in evaluator must share the mirror."""
     return min(theta, math.pi - theta)
 
 
@@ -55,15 +59,40 @@ def with_reflections(angles):
     return sorted(list(angles) + [math.pi - a for a in angles])
 
 
+def stand_in(monkeypatch, evaluate, criteria=tuple(EVALUATORS)):
+    """Replace the evaluators of the named criteria in cvsteer.criteria, where the
+    CRITERIA table looks them up at call time, by evaluate(criterion, state, spec, theta)."""
+    for criterion in criteria:
+        def evaluator(state, spec=DEFAULT_SPEC, theta=None, criterion=criterion):
+            return evaluate(criterion, state, spec, theta)
+        monkeypatch.setattr(criteria_mod, EVALUATORS[criterion], evaluator)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Wrap the three evaluators in cvsteer.criteria; each call appends its criterion to
+    the list returned."""
+    calls = []
+
+    def counted(criterion, original):
+        def evaluator(*args, **kwargs):
+            calls.append(criterion)
+            return original(*args, **kwargs)
+        return evaluator
+
+    for criterion, name in EVALUATORS.items():
+        monkeypatch.setattr(criteria_mod, name, counted(criterion, getattr(criteria_mod, name)))
+    return calls
+
+
 def close_pair_evaluate(converged=True, at=mirrored):
-    """A smooth stand-in for sweep._evaluate, value - bound = e^-t (t - r1)(t - r2) at
+    """A smooth stand-in evaluator, value - bound = e^-t (t - r1)(t - r2) at
     t = at(theta)."""
     def evaluate(criterion, state, spec, theta):
         t = at(theta)
         gap = math.exp(-t) * (t - CLOSE_PAIR[0]) * (t - CLOSE_PAIR[1])
-        bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
-        return CriterionResult(criterion=criterion, theta=theta, value=bound + gap,
-                               components={}, violated=gap > 0.0, converged=converged)
+        return CriterionResult(criterion=criterion, theta=theta,
+                               value=CRITERIA[criterion].bound + gap, components={},
+                               violated=gap > 0.0, converged=converged)
     return evaluate
 
 
@@ -202,15 +231,15 @@ class TestFindCriticalAngles:
         # The bound is met exactly only at product states, which for both families sit
         # at 0, pi/2 and pi: every touch is one of those angles, with the evaluated
         # value there equal to the bound
-        bound = CHSH_CLASSICAL_BOUND if criterion == "chsh" else 0.0
+        entry = CRITERIA[criterion]
         build = sweep_mod.STATE_BUILDERS[state_id]
         touches = touches_of(find_critical_angles(state_id, criterion))
         assert touches
         for r in touches:
             assert r.angle in (0.0, math.pi / 2, math.pi), r
             assert r.residual == 0.0 and r.bracket == (r.angle, r.angle)
-            value = sweep_mod._evaluate(criterion, build(r.angle), DEFAULT_SPEC, r.angle).value
-            assert value == bound, (r, value)
+            value = entry.evaluate(build(r.angle), DEFAULT_SPEC, r.angle).value
+            assert value == entry.bound, (r, value)
 
     def test_monotone_refinement(self):
         coarse = crossings_of(find_critical_angles("psi", "reid", root_tol=1e-4))
@@ -227,7 +256,7 @@ class TestFindCriticalAngles:
         def constant(criterion, state, spec, theta):
             return CriterionResult(criterion=criterion, theta=theta, value=1.0,
                                    components={}, violated=True)
-        monkeypatch.setattr(sweep_mod, "_evaluate", constant)
+        stand_in(monkeypatch, constant)
         sweep_mod._search.cache_clear()
         try:
             with pytest.raises(NoRootInRange):
@@ -237,7 +266,7 @@ class TestFindCriticalAngles:
 
     def test_crossings_closer_than_sweep_grid_spacing(self, monkeypatch, fresh_searches):
         # The pair and its reflection about pi/2, each bracketed to root_tol
-        monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate())
+        stand_in(monkeypatch, close_pair_evaluate())
         roots = find_critical_angles("psi", "reid")
         assert [r.kind for r in roots] == ["crossing"] * 4
         for r, root in zip(roots, with_reflections(CLOSE_PAIR)):
@@ -251,7 +280,7 @@ class TestFindCriticalAngles:
         # stand-in with crossings only there yields them without reflections
         a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
         monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda t: family(a, b, t))
-        monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate(at=lambda t: t))
+        stand_in(monkeypatch, close_pair_evaluate(at=lambda t: t))
         roots = find_critical_angles("psi", "reid")
         assert [r.kind for r in roots] == ["crossing", "crossing"]
         for r, root in zip(roots, CLOSE_PAIR):
@@ -264,7 +293,7 @@ class TestFindCriticalAngles:
         def flagged_constant(criterion, state, spec, theta):
             return CriterionResult(criterion=criterion, theta=theta, value=1.0,
                                    components={}, violated=True, converged=False)
-        monkeypatch.setattr(sweep_mod, "_evaluate", flagged_constant)
+        stand_in(monkeypatch, flagged_constant)
         with pytest.raises(NoRootInRange) as info:
             find_critical_angles("psi", "reid")
         assert info.value.converged is False
@@ -282,18 +311,21 @@ class TestFindCriticalAngles:
             gap = abs(mirrored(theta) - 1.0) - 0.1
             return CriterionResult(criterion=criterion, theta=theta, value=gap,
                                    components={}, violated=gap > 0.0)
-        monkeypatch.setattr(sweep_mod, "_evaluate", kinked)
+        stand_in(monkeypatch, kinked)
         roots = find_critical_angles("psi", "reid")
         assert [r.angle for r in roots] == pytest.approx(with_reflections([0.9, 1.1]), abs=1e-6)
         assert not any(r.converged for r in roots)
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, monkeypatch):
+        # An unknown criterion is rejected by name before any evaluation runs
+        calls = count_evaluations(monkeypatch)
         with pytest.raises(ValueError):
             find_critical_angles("psi", "reid", root_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown criterion 'nope'"):
             find_critical_angles("psi", "nope")
         with pytest.raises(ValueError):
             find_critical_angles("nope", "reid")
+        assert calls == []
 
     # Both built-in families are mirrored, so only [pi/2, pi] is searched. Searching
     # both halves took 75 (Reid), 139 / 71 (psi / psi-prime entropic) and 65 (CHSH)
@@ -305,14 +337,7 @@ class TestFindCriticalAngles:
     def test_evaluations_per_search(self, monkeypatch):
         # The cache is left warm, with the real values, for the reports fixture below.
         sweep_mod._search.cache_clear()
-        evaluate = sweep_mod._evaluate
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0])
-            return evaluate(*args)
-
-        monkeypatch.setattr(sweep_mod, "_evaluate", counted)
+        calls = count_evaluations(monkeypatch)
         for state_id in ("psi", "psi-prime"):
             for criterion in ("reid", "entropic", "chsh"):
                 calls.clear()
@@ -331,14 +356,7 @@ class TestFindCriticalAngles:
         # halves took 77 (Reid) and 72 (entropic), and with probes fixed at
         # +-root_tol/4 81 and 77. The cache is bypassed, not cleared.
         spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
-        evaluate = sweep_mod._evaluate
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0])
-            return evaluate(*args)
-
-        monkeypatch.setattr(sweep_mod, "_evaluate", counted)
+        calls = count_evaluations(monkeypatch)
         search = sweep_mod._search.__wrapped__(state_id, criterion, spec, 1e-6)
         assert len(calls) <= most
         got = [r for r in search.roots if r.kind == "crossing" and r.bracket[0] < r.bracket[1]]
@@ -464,14 +482,7 @@ class TestHierarchyReport:
 
     def test_spans_read_from_cached_scans(self, reports, monkeypatch):
         # With the scans cached, span signs come from their samples: no evaluation
-        calls = []
-        evaluate = sweep_mod._evaluate
-
-        def counted(*args):
-            calls.append(args[:1])
-            return evaluate(*args)
-
-        monkeypatch.setattr(sweep_mod, "_evaluate", counted)
+        calls = count_evaluations(monkeypatch)
         for state_id, rep in reports.items():
             assert hierarchy_report(state_id) == rep
         assert calls == []
@@ -492,15 +503,11 @@ class TestHierarchyReport:
                                                   detected):
         # Reid pinned strictly above (below) its bound has no angle: the whole range is
         # one violated (unviolated) span, where NoRootInRange used to escape the report
-        evaluate = sweep_mod._evaluate
-
         def pinned_reid(criterion, state, spec, theta):
-            if criterion != "reid":
-                return evaluate(criterion, state, spec, theta)
             return CriterionResult(criterion=criterion, theta=theta, value=gap,
                                    components={}, violated=gap > 0.0)
 
-        monkeypatch.setattr(sweep_mod, "_evaluate", pinned_reid)
+        stand_in(monkeypatch, pinned_reid, criteria=("reid",))
         rep = hierarchy_report("psi-prime", QuadratureSpec(panel_tol=1e-7, half_width=6))
         assert rep.reid_detected == detected
         assert rep.flagged == ()
@@ -514,7 +521,7 @@ class TestHierarchyReport:
         output = str(tmp_path / "out.csv")
         for converged in (True, False):
             sweep_mod._search.cache_clear()
-            monkeypatch.setattr(sweep_mod, "_evaluate", close_pair_evaluate(converged))
+            stand_in(monkeypatch, close_pair_evaluate(converged))
             rep = hierarchy_report("psi")
             assert rep.flagged == (() if converged else ("reid", "entropic", "chsh"))
             for argv in (["sweep", "--criteria", "reid", "--steps", "5", "--output", output],
