@@ -131,9 +131,10 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
 
     width = _effective_width(spec, view)
     cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
-    # N^2 / M is even under central parity
-    correction = adaptive_panels(ratio, -width, width, spec.panel_tol, spec.max_depth, cuts,
-                                 fold=_parities(state)[0] is not None)
+    # N^2 / M is even under central parity. The integral scales as 1 / view.scale, and
+    # so does its tolerance: the same relative accuracy under any m_omega
+    correction = adaptive_panels(ratio, -width, width, spec.panel_tol / view.scale,
+                                 spec.max_depth, cuts, fold=_parities(state)[0] is not None)
     return max(_second_moment(view) - correction.value, 0.0), correction.converged
 
 

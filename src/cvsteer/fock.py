@@ -63,8 +63,8 @@ class UnitSystem:
     m_omega: float = 1.0
 
     def __post_init__(self):
-        if not self.m_omega > 0:
-            raise ValueError("m_omega must be positive")
+        if not 0.0 < self.m_omega < math.inf:
+            raise ValueError("m_omega must be positive and finite")
 
 
 NATURAL_UNITS = UnitSystem()

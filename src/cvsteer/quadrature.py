@@ -33,7 +33,7 @@ class QuadratureSpec:
 
     half_width  truncation L of panel integrals to [-L, L] in oscillator units; the
                 criteria keep it 4.2 to 28 past the outermost level's turning point
-    panel_tol   absolute tolerance for one adaptive panel integral
+    panel_tol   absolute tolerance for one adaptive panel integral, in oscillator units
     max_depth   bisection depth limit per panel
     """
 
@@ -117,10 +117,9 @@ def _segments(lo: float, hi: float,
 
 class _Workspace:
     """Grow-only buffers that the sweeps of one integral share: integrand points, task
-    ids and values. ``entropy=True`` stores -v ln v of the integrand's values v."""
+    ids and values."""
 
-    def __init__(self, entropy: bool = False):
-        self.entropy = entropy
+    def __init__(self):
         self.x = self.fv = np.empty(0)
         self.tid = np.empty(0, dtype=np.intp)
 
@@ -132,32 +131,30 @@ class _Workspace:
         return self.x[:size], self.tid[:size], self.fv[:size]
 
 
-def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_tasks,
-                   work=None):
-    """Shared worklist refinement for a batch of independent panel integrals.
+def _adaptive_many(f, lo, hi, cuts, tol, max_depth, work=None):
+    """Integrals over [lo, hi] of a batch of tasks, one per row of ``cuts``, each to the
+    absolute tolerance ``tol``, by shared worklist refinement.
 
+    Task r's initial panels are [lo, hi] pre-split at the entries of ``cuts[r]`` (see
+    _segments), and every panel [a, b] must meet its share tol (b - a) / (hi - lo).
     ``f(task_ids, x)`` evaluates, elementwise, the integrand of task ``task_ids[i]`` at
     ``x[i]``; both are views of the engine's buffers, valid only during the call, and
-    the array f returns is only read. Every panel must meet the width-proportional
-    share of its task's absolute tolerance. Precondition: each task's panels are
-    contiguous and the tasks ascend (``_segments`` and the single-task callers
-    guarantee it). Each sweep evaluates the pending panels of the longest prefix of
-    whole tasks that holds at most _SWEEP_POINTS points, and always at least one task,
-    calling f on consecutive blocks of at most _BLOCK_POINTS of them; the children of
-    its split panels go back to the front of the worklist, which keeps the order. A
-    task's panels of one generation are thus evaluated, summed and split together, so
-    the cap changes only the grouping of tasks into sweeps, never a value, error or
-    flag. ``work`` is the _Workspace the sweeps fill (a fresh one when None); callers
-    that run many batches of one integral pass the same one. Deterministic: panel
-    ordering, splitting and accumulation are data-driven.
+    the array f returns is only read. Each sweep evaluates the pending panels of the
+    longest prefix of whole tasks that holds at most _SWEEP_POINTS points, and always
+    at least one task, calling f on consecutive blocks of at most _BLOCK_POINTS of
+    them; the children of its split panels go back to the front of the worklist, which
+    keeps each task's panels contiguous and the tasks ascending. A task's pending
+    panels are thus of one generation, so depth is kept per task, and they are
+    evaluated, summed and split together: the cap changes only the grouping of tasks
+    into sweeps, never a value, error or flag. ``work`` is the _Workspace the sweeps
+    fill (a fresh one when None); callers that run many batches of one integral pass
+    the same one. Returns the values, error estimates and convergence flags of the
+    tasks. Deterministic: panel ordering, splitting and accumulation are data-driven.
     """
     work = _Workspace() if work is None else work
-    task = np.asarray(task_of_seg, dtype=np.intp)
-    lo = np.asarray(seg_lo, dtype=float)
-    hi = np.asarray(seg_hi, dtype=float)
-    total_width = np.bincount(task, weights=hi - lo, minlength=n_tasks)
-    depth = np.zeros(task.size, dtype=np.intp)
-
+    n_tasks = cuts.shape[0]
+    task, left, right = _segments(lo, hi, cuts)
+    depth = np.zeros(n_tasks, dtype=np.intp)
     values = np.zeros(n_tasks)
     errors = np.zeros(n_tasks)
     failed = np.zeros(n_tasks, dtype=bool)
@@ -170,7 +167,7 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
         if n > cap:
             n = int(np.searchsorted(task, task[cap])) or int(
                 np.searchsorted(task, task[0], side="right"))
-        t, a, b = task[:n], lo[:n], hi[:n]
+        t, a, b = task[:n], left[:n], right[:n]
         half = 0.5 * (b - a)
         mid = a + half
         pts, tids, fv = work.take(n * _GK_NODES.size)
@@ -180,46 +177,26 @@ def _adaptive_many(f, task_of_seg, seg_lo, seg_hi, tol_per_task, max_depth, n_ta
         tids.reshape(n, -1)[:] = t[:, None]
         for k in range(0, pts.size, _BLOCK_POINTS):
             block = slice(k, k + _BLOCK_POINTS)
-            v = f(tids[block], pts[block])
-            if work.entropy:
-                _neg_plogp(np.asarray(v, dtype=float), out=fv[block])
-            else:
-                fv[block] = v
+            fv[block] = f(tids[block], pts[block])
         fv = fv.reshape(n, -1)
         ik = (fv @ _GK_WEIGHTS) * half
         ig = (fv @ _G7_WEIGHTS) * half
         perr = np.abs(ik - ig)
-        share = tol_per_task[t] * (b - a) / total_width[t]
-        ok = perr <= share
+        ok = perr <= tol * (b - a) / (hi - lo)
         # Roundoff floor of the panel sum: refining below it cannot reduce the error
         # estimate, so a tolerance under the floor would otherwise split forever.
         noise = 100.0 * np.finfo(float).eps * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
-        stop = ok | (perr <= noise) | (depth[:n] >= max_depth)
-        if np.any(stop):
-            values += np.bincount(t[stop], weights=ik[stop], minlength=n_tasks)
-            errors += np.bincount(t[stop], weights=perr[stop], minlength=n_tasks)
-            exhausted = stop & ~ok
-            if np.any(exhausted):
-                failed[np.unique(t[exhausted])] = True
+        stop = ok | (perr <= noise) | (depth[t] >= max_depth)
+        values += np.bincount(t[stop], weights=ik[stop], minlength=n_tasks)
+        errors += np.bincount(t[stop], weights=perr[stop], minlength=n_tasks)
+        failed[t[stop & ~ok]] = True
+        depth[t[0]:t[-1] + 1] += 1
         keep = ~stop
-        lo = np.concatenate((np.stack((a[keep], mid[keep]), axis=1).ravel(), lo[n:]))
-        hi = np.concatenate((np.stack((mid[keep], b[keep]), axis=1).ravel(), hi[n:]))
+        left = np.concatenate((np.stack((a[keep], mid[keep]), axis=1).ravel(), left[n:]))
+        right = np.concatenate((np.stack((mid[keep], b[keep]), axis=1).ravel(), right[n:]))
         task = np.concatenate((np.repeat(t[keep], 2), task[n:]))
-        depth = np.concatenate((np.repeat(depth[:n][keep] + 1, 2), depth[n:]))
 
     return values, errors, ~failed
-
-
-def _panels(f, lo, hi, tol, max_depth, breakpoints, fold, work=None) -> IntegralResult:
-    """adaptive_panels, its sweeps filling ``work`` (see _adaptive_many)."""
-    if fold:
-        lo, tol = 0.5 * (lo + hi), 0.5 * tol
-    row, seg_lo, seg_hi = _segments(lo, hi, np.reshape(breakpoints, (1, -1)))
-    vals, errs, ok = _adaptive_many(lambda _t, x: f(x), row, seg_lo, seg_hi,
-                                    np.array([tol]), max_depth, 1, work)
-    copies = 2.0 if fold else 1.0
-    return IntegralResult(value=copies * float(vals[0]), error=copies * float(errs[0]),
-                          converged=bool(ok[0]))
 
 
 def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -227,26 +204,29 @@ def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                     breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
     """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``.
 
-    ``f`` is called on blocks of at most _BLOCK_POINTS points; its argument is valid
-    only during the call, and the array it returns is only read.
+    One task of ``_adaptive_many``, its panels pre-split at ``breakpoints``. ``f`` is
+    called on blocks of at most _BLOCK_POINTS points; its argument is valid only during
+    the call, and the array it returns is only read.
     ``fold=True`` declares f symmetric about the midpoint c: only [c, hi] is integrated,
     at tol/2, and the value and error are doubled. With c among the breakpoints the
     folded panels mirror the dropped ones, so each keeps its share of ``tol``.
     """
-    return _panels(f, lo, hi, tol, max_depth, breakpoints, fold)
+    if fold:
+        lo, tol = 0.5 * (lo + hi), 0.5 * tol
+    vals, errs, ok = _adaptive_many(lambda _t, x: f(x), lo, hi,
+                                    np.reshape(breakpoints, (1, -1)), tol, max_depth)
+    copies = 2.0 if fold else 1.0
+    return IntegralResult(value=copies * float(vals[0]), error=copies * float(errs[0]),
+                          converged=bool(ok[0]))
 
 
-def _neg_plogp(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR,
-    written into ``out`` when given (every entry is overwritten).
+def _neg_plogp(v: np.ndarray) -> np.ndarray:
+    """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR.
 
     Never returns NaN or -inf: values at or below the floor (including any negative
     rounding noise of a nonnegative density) contribute exactly 0.
     """
-    if out is None:
-        out = np.zeros_like(v)
-    else:
-        out.fill(0.0)
+    out = np.zeros_like(v)
     np.log(v, out=out, where=v > ENTROPY_FLOOR)
     out *= v
     return np.negative(out, out=out)
@@ -254,7 +234,7 @@ def _neg_plogp(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec,
                          breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
-    """-int g ln g over [-L, L] by adaptive bisected panels.
+    """-int g ln g over [-L, L]: ``adaptive_panels`` of the integrand -g ln g.
 
     ``g`` must be vectorized and nonnegative with tail mass beyond +-L below 1e-12.
     Known zero locations of g should be passed as ``breakpoints``: panels are pre-split
@@ -263,8 +243,8 @@ def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: Quadrature
     doubled (0 should be a breakpoint, see ``adaptive_panels``).
     """
     L = spec.half_width
-    return _panels(g, -L, L, spec.panel_tol, spec.max_depth, breakpoints, fold,
-                   _Workspace(entropy=True))
+    return adaptive_panels(lambda x: _neg_plogp(g(x)), -L, L, spec.panel_tol,
+                           spec.max_depth, breakpoints, fold)
 
 
 def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -274,8 +254,9 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
                          fold: bool = False) -> IntegralResult:
     """-int int g ln g over [-L, L]^2 by iterated adaptive panels.
 
-    The inner (b) integrals of all pending outer abscissae form one batch of
-    ``_adaptive_many``, refined in vectorized sweeps of at most _SWEEP_POINTS points
+    The inner (b) integrals of -g ln g at all pending outer abscissae form one batch of
+    ``_adaptive_many``, one task per abscissa at the absolute tolerance
+    panel_tol / (8L), refined in vectorized sweeps of at most _SWEEP_POINTS points
     over consecutive abscissae; every batch of the integral fills one _Workspace. Each
     sweep calls ``g(a, row, b)`` on blocks of at most _BLOCK_POINTS points, with ``a``
     all the batch's outer abscissae, the same array object for every block of one
@@ -283,9 +264,8 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     be computed once per batch. ``a``, ``row`` and ``b`` are valid only during the
     call, and the array g returns is only read. ``inner_breakpoints(a_values)`` may
     return an (n, r) NaN-padded array whose row i holds known zeros of
-    b -> g(a_values[i], b), or None; ``_segments`` turns it into the pre-split inner
-    panels of every abscissa in one batch. The error adds 2L times the largest inner
-    estimate to the outer one.
+    b -> g(a_values[i], b), or None; it is the batch's ``cuts``. The error adds 2L
+    times the largest inner estimate to the outer one.
     ``fold=True`` declares g(-a, -b) = g(a, b): the inner integral is then even in a,
     and the outer one runs over [0, L] at half the tolerance and is doubled, value and
     error (0 should be an outer breakpoint); the inner b-range stays [-L, L].
@@ -294,17 +274,14 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     inner_tol = spec.panel_tol / (8.0 * L)
     inner_ok = True
     inner_err = 0.0
-    work = _Workspace(entropy=True)
+    work = _Workspace()
 
     def outer_f(avals: np.ndarray) -> np.ndarray:
         nonlocal inner_ok, inner_err
         hints = inner_breakpoints(avals) if inner_breakpoints is not None else None
         cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
-        seg_task, seg_lo, seg_hi = _segments(-L, L, cuts)
-        vals, errs, ok = _adaptive_many(
-            lambda tid, b: g(avals, tid, b), seg_task, seg_lo, seg_hi,
-            np.full(avals.size, inner_tol), spec.max_depth, avals.size, work,
-        )
+        vals, errs, ok = _adaptive_many(lambda tid, b: _neg_plogp(g(avals, tid, b)), -L, L,
+                                        cuts, inner_tol, spec.max_depth, work)
         inner_ok = inner_ok and bool(ok.all())
         inner_err = max(inner_err, float(errs.max()))
         return vals

@@ -377,16 +377,8 @@ def _subtract_spans(spans, minus):
     for lo, hi in spans:
         pieces = [(lo, hi)]
         for m_lo, m_hi in minus:
-            trimmed = []
-            for p_lo, p_hi in pieces:
-                if m_hi <= p_lo or m_lo >= p_hi:
-                    trimmed.append((p_lo, p_hi))
-                    continue
-                if m_lo > p_lo:
-                    trimmed.append((p_lo, m_lo))
-                if m_hi < p_hi:
-                    trimmed.append((m_hi, p_hi))
-            pieces = trimmed
+            pieces = [p for a, b in pieces
+                      for p in ((a, min(b, m_lo)), (max(a, m_hi), b)) if p[1] > p[0]]
         out.extend(p for p in pieces if p[1] - p[0] > 1e-12)
     return tuple(sorted(out))
 

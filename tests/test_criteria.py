@@ -379,15 +379,14 @@ class TestTruncationWidth:
         # past the turning point. A window kept in position units, or not capped, put the
         # first Gauss-Kronrod nodes where the density had underflowed: entropic was 5.9
         # off at m_omega 1e6, and Reid 0.51 off at half_width 2000, both converged. Reid's
-        # correction integral has an absolute tolerance, out of reach at m_omega 1e4 and
-        # beyond: there it may be flagged, but a converged value must be right
+        # correction integral scales as 1 / m_omega, and so does its tolerance: with a
+        # fixed one it was flagged at m_omega 1e4 and beyond, though right to 2e-16
         for build in (make_psi, make_psi_prime):
             state = build(0.7)
             for evaluate in (reid_value, entropic_value):
                 res = evaluate(state, spec, units)
-                assert res.converged or evaluate is reid_value
-                if res.converged:
-                    assert res.value == pytest.approx(evaluate(state).value, abs=1e-12)
+                assert res.converged
+                assert res.value == pytest.approx(evaluate(state).value, abs=1e-12)
 
 
 @st.composite
@@ -474,16 +473,16 @@ def batched_sweep_points(monkeypatch) -> dict:
     largest = {"call": 0, "shared": 0}
     adaptive_many = quadrature_mod._adaptive_many
 
-    def recorded(f, *args):
-        if args[5] == 1:  # n_tasks
-            return adaptive_many(f, *args)
+    def recorded(f, lo, hi, cuts, tol, max_depth, work=None):
+        if cuts.shape[0] == 1:  # a single task
+            return adaptive_many(f, lo, hi, cuts, tol, max_depth, work)
 
         def integrand(tid, x):
             largest["call"] = max(largest["call"], len(x))
             if tid[0] != tid[-1]:
                 largest["shared"] = max(largest["shared"], len(x))
             return f(tid, x)
-        return adaptive_many(integrand, *args)
+        return adaptive_many(integrand, lo, hi, cuts, tol, max_depth, work)
 
     monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
     return largest
@@ -541,9 +540,11 @@ class TestSweepCap:
 
 
 class TestEngineBitIdentity:
-    """entropic_value as float.hex, recorded before the 2-D entropy's sweeps shared one
-    workspace and called the integrand in blocks. Regrouping the engine's work into
-    buffers, blocks or batches must not move a bit."""
+    """Criterion values as float.hex. The 2-D entropy pins were recorded before its
+    sweeps shared one workspace and called the integrand in blocks; the Reid and 1-D
+    marginal-entropy pins before the engine took one row of cuts per task and the
+    entropy integrand -g ln g became an ordinary integrand. Regrouping the engine's
+    work into buffers, blocks, batches or integrands must not move a bit."""
 
     @pytest.mark.parametrize("terms,value", [
         ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], "0x1.f40aedbc5e0e0p-4"),
@@ -552,9 +553,18 @@ class TestEngineBitIdentity:
         # The genuinely complex state of TestSweepCap
         ([(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
          "-0x1.47ddabc9f6dd8p-2"),
+        # Factorized (n1 = 2 in every term): the 1-D marginal entropy of mode 2
+        ([(2, 0, 0.6), (2, 1, 0.48), (2, 3, 0.64)], "-0x1.be21b7a352ca8p-1"),
     ])
     def test_entropic_value_hex(self, terms, value):
         assert entropic_value(FockState.from_terms(terms)).value.hex() == value
+
+    @pytest.mark.parametrize("terms,value", [
+        ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], "-0x1.42421da12dc10p-4"),
+        ([(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)], "-0x1.0fc29c67f822ep+3"),
+    ])
+    def test_reid_value_hex(self, terms, value):
+        assert reid_value(FockState.from_terms(terms)).value.hex() == value
 
 
 def two_mode_squeezed_vacuum(lam: float, n_max: int) -> FockState:

@@ -471,8 +471,10 @@ class TestInvariantsAndScaling:
             joint_density(make_psi(theta), -a, b), rel=1e-11, abs=1e-300)
 
     def test_units_validation(self):
-        with pytest.raises(ValueError):
-            UnitSystem(m_omega=0.0)
+        # An infinite m_omega once passed and made reid_value divide by zero
+        for m_omega in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^m_omega"):
+                UnitSystem(m_omega=m_omega)
 
 
 class TestExactMoments:
