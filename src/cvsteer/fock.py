@@ -9,6 +9,7 @@ the momentum representation of the same state is the scale-inverted oscillator b
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -100,14 +101,32 @@ class FockState:
 
     @classmethod
     def from_terms(cls, terms) -> "FockState":
-        kept = [(int(n1), int(n2), complex(amp)) for n1, n2, amp in terms
-                if abs(complex(amp)) >= _AMP_DROP]
+        """Terms (n1, n2, amplitude) in any order. Indices must be nonnegative integers
+        (2.0 counts as 2) and amplitudes finite, else ValueError; terms whose amplitude
+        is below _AMP_DROP in modulus are then dropped."""
+        kept = []
+        for n1, n2, amp in terms:
+            n1, n2, amp = _fock_index(n1), _fock_index(n2), complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude of ({n1}, {n2}) is not finite: {amp!r}")
+            if abs(amp) >= _AMP_DROP:
+                kept.append((n1, n2, amp))
         kept.sort(key=lambda t: (t[0], t[1]))
         top = max((max(n1, n2) for n1, n2, _ in kept), default=0)
         return cls(terms=tuple(kept), max_n=top)
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for _, _, a in self.terms))
+
+
+def _fock_index(n) -> int:
+    try:
+        k = int(n)
+    except (OverflowError, ValueError):  # inf, NaN
+        k = -1
+    if k < 0 or k != n:
+        raise ValueError(f"Fock indices must be nonnegative integers, got {n!r}")
+    return k
 
 
 def make_psi(theta: float) -> FockState:
@@ -237,6 +256,7 @@ def _coefficients(v: _DomainView, mode: int, amps: np.ndarray, y: np.ndarray,
 def _series(coeff: np.ndarray, row: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_g coeff[g, row[i]] u_g(y[i]) for every i, consuming the rows of _osc_rows as
     they come, so no (degree + 1) x len(y) table is built."""
+    row = np.asarray(row, dtype=np.intp)  # else every take converts it again
     rows = _osc_rows(coeff.shape[0] - 1, y)
     out = coeff[0].take(row) * next(rows)
     term = np.empty_like(out)

@@ -8,6 +8,7 @@ exact finite ladder-operator sums (see ``fock``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,12 +87,18 @@ _G7_WEIGHTS = np.array([
 
 # Most integrand points one sweep of _adaptive_many evaluates, so a sweep's working set
 # does not grow with the batch. Its point-sized arrays (16,384 doubles, 128 KB) must not
-# be allocated afresh on every sweep: freed at the top of the heap, they push the free
-# top past glibc's default trim threshold of 128 KB, glibc hands that memory back to
-# the kernel, and the next sweep faults it in again. With seven such arrays per sweep,
-# the general-states benchmark read 26.7k minor faults, against 0.7k at the same peak
-# RSS with trimming disabled (MALLOC_TRIM_THRESHOLD_=1000000000). So the sweeps
-# of one integral share one grow-only _Workspace, and the integrand is called on blocks
+# be allocated afresh on every sweep, nor on every integral: freed at the top of the
+# heap, they push the free top past glibc's default trim threshold of 128 KB, glibc
+# hands that memory back to the kernel, and the next user faults it in again. With
+# seven such arrays per sweep, the general-states benchmark read 26.7k minor faults,
+# against 0.7k at the same peak RSS with trimming disabled
+# (MALLOC_TRIM_THRESHOLD_=1000000000). With one workspace per integral, a repeated
+# entropic_value of 0.6|0,16> + 0.8|16,0> still faulted 1,127 pages back in, and the
+# benchmark read 1.5k-2.9k faults by where the checkout's path put the heap. So each
+# thread keeps one grow-only _Workspace per nesting depth of _adaptive_many for its
+# whole lifetime; that repeat then takes 25 faults, and the benchmark 0.6k at any path.
+# The buffers take 20 bytes per point: 320 KB per depth once a full sweep has run, more
+# only after a single task's sweep outgrew the cap. The integrand is called on blocks
 # of at most _BLOCK_POINTS points, whose temporaries are 32 KB.
 _SWEEP_POINTS = 16_384
 _BLOCK_POINTS = 4_096
@@ -116,22 +123,36 @@ def _segments(lo: float, hi: float,
 
 
 class _Workspace:
-    """Grow-only buffers that the sweeps of one integral share: integrand points, task
-    ids and values."""
+    """Grow-only buffers that the sweeps of one nesting depth share: integrand points,
+    task ids and values."""
 
     def __init__(self):
         self.x = self.fv = np.empty(0)
-        self.tid = np.empty(0, dtype=np.intp)
+        self.tid = np.empty(0, dtype=np.int32)
 
     def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of ``size`` entries of the point, task-id and value buffers."""
         if size > self.x.size:
             self.x, self.fv = np.empty(size), np.empty(size)
-            self.tid = np.empty(size, dtype=np.intp)
+            self.tid = np.empty(size, dtype=np.int32)
         return self.x[:size], self.tid[:size], self.fv[:size]
 
 
-def _adaptive_many(f, lo, hi, cuts, tol, max_depth, work=None):
+class _ThreadWorkspaces(threading.local):
+    """This thread's workspaces, one per nesting depth of _adaptive_many: depth 0 serves
+    the outer, Reid and 1-D integrals, depth 1 the inner batches of a 2-D integral.
+    Every sweep writes the entries it reads, so no value passes from one integral to
+    the next; only the pages stay mapped."""
+
+    def __init__(self):
+        self.depth = 0
+        self.works: list[_Workspace] = []
+
+
+_HELD = _ThreadWorkspaces()
+
+
+def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
     """Integrals over [lo, hi] of a batch of tasks, one per row of ``cuts``, each to the
     absolute tolerance ``tol``, by shared worklist refinement.
 
@@ -146,12 +167,12 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth, work=None):
     keeps each task's panels contiguous and the tasks ascending. A task's pending
     panels are thus of one generation, so depth is kept per task, and they are
     evaluated, summed and split together: the cap changes only the grouping of tasks
-    into sweeps, never a value, error or flag. ``work`` is the _Workspace the sweeps
-    fill (a fresh one when None); callers that run many batches of one integral pass
-    the same one. Returns the values, error estimates and convergence flags of the
-    tasks. Deterministic: panel ordering, splitting and accumulation are data-driven.
+    into sweeps, never a value, error or flag. The sweeps fill the calling thread's
+    _Workspace for the current nesting depth (one more than the call that f runs in, if
+    any), which the thread keeps after the call for the next call at that depth.
+    Returns the values, error estimates and convergence flags of the tasks.
+    Deterministic: panel ordering, splitting and accumulation are data-driven.
     """
-    work = _Workspace() if work is None else work
     n_tasks = cuts.shape[0]
     task, left, right = _segments(lo, hi, cuts)
     depth = np.zeros(n_tasks, dtype=np.intp)
@@ -160,42 +181,49 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth, work=None):
     failed = np.zeros(n_tasks, dtype=bool)
     cap = _SWEEP_POINTS // _GK_NODES.size
 
-    while task.size:
-        # Sweep the tasks before the one holding panel number ``cap``, or the first task
-        # alone when it holds more than ``cap`` panels
-        n = task.size
-        if n > cap:
-            n = int(np.searchsorted(task, task[cap])) or int(
-                np.searchsorted(task, task[0], side="right"))
-        t, a, b = task[:n], left[:n], right[:n]
-        half = 0.5 * (b - a)
-        mid = a + half
-        pts, tids, fv = work.take(n * _GK_NODES.size)
-        grid = pts.reshape(n, -1)
-        np.multiply(half[:, None], _GK_NODES, out=grid)
-        grid += mid[:, None]
-        tids.reshape(n, -1)[:] = t[:, None]
-        for k in range(0, pts.size, _BLOCK_POINTS):
-            block = slice(k, k + _BLOCK_POINTS)
-            fv[block] = f(tids[block], pts[block])
-        fv = fv.reshape(n, -1)
-        ik = (fv @ _GK_WEIGHTS) * half
-        ig = (fv @ _G7_WEIGHTS) * half
-        perr = np.abs(ik - ig)
-        ok = perr <= tol * (b - a) / (hi - lo)
-        # Roundoff floor of the panel sum: refining below it cannot reduce the error
-        # estimate, so a tolerance under the floor would otherwise split forever.
-        noise = 100.0 * np.finfo(float).eps * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
-        stop = ok | (perr <= noise) | (depth[t] >= max_depth)
-        values += np.bincount(t[stop], weights=ik[stop], minlength=n_tasks)
-        errors += np.bincount(t[stop], weights=perr[stop], minlength=n_tasks)
-        failed[t[stop & ~ok]] = True
-        depth[t[0]:t[-1] + 1] += 1
-        keep = ~stop
-        left = np.concatenate((np.stack((a[keep], mid[keep]), axis=1).ravel(), left[n:]))
-        right = np.concatenate((np.stack((mid[keep], b[keep]), axis=1).ravel(), right[n:]))
-        task = np.concatenate((np.repeat(t[keep], 2), task[n:]))
-
+    held = _HELD
+    if held.depth == len(held.works):
+        held.works.append(_Workspace())
+    work = held.works[held.depth]
+    held.depth += 1
+    try:
+        while task.size:
+            # Sweep the tasks before the one holding panel number ``cap``, or the first
+            # task alone when it holds more than ``cap`` panels
+            n = task.size
+            if n > cap:
+                n = int(np.searchsorted(task, task[cap])) or int(
+                    np.searchsorted(task, task[0], side="right"))
+            t, a, b = task[:n], left[:n], right[:n]
+            half = 0.5 * (b - a)
+            mid = a + half
+            pts, tids, fv = work.take(n * _GK_NODES.size)
+            grid = pts.reshape(n, -1)
+            np.multiply(half[:, None], _GK_NODES, out=grid)
+            grid += mid[:, None]
+            tids.reshape(n, -1)[:] = t[:, None]
+            for k in range(0, pts.size, _BLOCK_POINTS):
+                block = slice(k, k + _BLOCK_POINTS)
+                fv[block] = f(tids[block], pts[block])
+            fv = fv.reshape(n, -1)
+            ik = (fv @ _GK_WEIGHTS) * half
+            ig = (fv @ _G7_WEIGHTS) * half
+            perr = np.abs(ik - ig)
+            ok = perr <= tol * (b - a) / (hi - lo)
+            # Roundoff floor of the panel sum: refining below it cannot reduce the error
+            # estimate, so a tolerance under the floor would otherwise split forever.
+            noise = 100.0 * np.finfo(float).eps * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
+            stop = ok | (perr <= noise) | (depth[t] >= max_depth)
+            values += np.bincount(t[stop], weights=ik[stop], minlength=n_tasks)
+            errors += np.bincount(t[stop], weights=perr[stop], minlength=n_tasks)
+            failed[t[stop & ~ok]] = True
+            depth[t[0]:t[-1] + 1] += 1
+            keep = ~stop
+            left = np.concatenate((np.stack((a[keep], mid[keep]), axis=1).ravel(), left[n:]))
+            right = np.concatenate((np.stack((mid[keep], b[keep]), axis=1).ravel(), right[n:]))
+            task = np.concatenate((np.repeat(t[keep], 2), task[n:]))
+    finally:
+        held.depth -= 1
     return values, errors, ~failed
 
 
@@ -257,15 +285,16 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     The inner (b) integrals of -g ln g at all pending outer abscissae form one batch of
     ``_adaptive_many``, one task per abscissa at the absolute tolerance
     panel_tol / (8L), refined in vectorized sweeps of at most _SWEEP_POINTS points
-    over consecutive abscissae; every batch of the integral fills one _Workspace. Each
-    sweep calls ``g(a, row, b)`` on blocks of at most _BLOCK_POINTS points, with ``a``
-    all the batch's outer abscissae, the same array object for every block of one
-    batch: it returns the density at (a[row[i]], b[i]), so what depends on a alone can
-    be computed once per batch. ``a``, ``row`` and ``b`` are valid only during the
-    call, and the array g returns is only read. ``inner_breakpoints(a_values)`` may
-    return an (n, r) NaN-padded array whose row i holds known zeros of
-    b -> g(a_values[i], b), or None; it is the batch's ``cuts``. The error adds 2L
-    times the largest inner estimate to the outer one.
+    over consecutive abscissae. The batches of this and of every later 2-D integral on
+    the thread fill the thread's depth-1 _Workspace, so they never overwrite the outer
+    abscissae, which lie in its depth-0 one. Each sweep calls ``g(a, row, b)`` on
+    blocks of at most _BLOCK_POINTS points, with ``a`` all the batch's outer abscissae,
+    the same array object for every block of one batch: it returns the density at
+    (a[row[i]], b[i]), so what depends on a alone can be computed once per batch.
+    ``a``, ``row`` and ``b`` are valid only during the call, and the array g returns is
+    only read. ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array
+    whose row i holds known zeros of b -> g(a_values[i], b), or None; it is the batch's
+    ``cuts``. The error adds 2L times the largest inner estimate to the outer one.
     ``fold=True`` declares g(-a, -b) = g(a, b): the inner integral is then even in a,
     and the outer one runs over [0, L] at half the tolerance and is doubled, value and
     error (0 should be an outer breakpoint); the inner b-range stays [-L, L].
@@ -274,14 +303,13 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     inner_tol = spec.panel_tol / (8.0 * L)
     inner_ok = True
     inner_err = 0.0
-    work = _Workspace()
 
     def outer_f(avals: np.ndarray) -> np.ndarray:
         nonlocal inner_ok, inner_err
         hints = inner_breakpoints(avals) if inner_breakpoints is not None else None
         cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
         vals, errs, ok = _adaptive_many(lambda tid, b: _neg_plogp(g(avals, tid, b)), -L, L,
-                                        cuts, inner_tol, spec.max_depth, work)
+                                        cuts, inner_tol, spec.max_depth)
         inner_ok = inner_ok and bool(ok.all())
         inner_err = max(inner_err, float(errs.max()))
         return vals

@@ -1,6 +1,12 @@
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -473,16 +479,16 @@ def batched_sweep_points(monkeypatch) -> dict:
     largest = {"call": 0, "shared": 0}
     adaptive_many = quadrature_mod._adaptive_many
 
-    def recorded(f, lo, hi, cuts, tol, max_depth, work=None):
+    def recorded(f, lo, hi, cuts, tol, max_depth):
         if cuts.shape[0] == 1:  # a single task
-            return adaptive_many(f, lo, hi, cuts, tol, max_depth, work)
+            return adaptive_many(f, lo, hi, cuts, tol, max_depth)
 
         def integrand(tid, x):
             largest["call"] = max(largest["call"], len(x))
             if tid[0] != tid[-1]:
                 largest["shared"] = max(largest["shared"], len(x))
             return f(tid, x)
-        return adaptive_many(integrand, lo, hi, cuts, tol, max_depth, work)
+        return adaptive_many(integrand, lo, hi, cuts, tol, max_depth)
 
     monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
     return largest
@@ -565,6 +571,62 @@ class TestEngineBitIdentity:
     ])
     def test_reid_value_hex(self, terms, value):
         assert reid_value(FockState.from_terms(terms)).value.hex() == value
+
+
+class TestHeldWorkspaces:
+    """Each thread keeps its engine workspaces from one integral to the next."""
+
+    def test_two_threads_match_serial(self):
+        # The psi and complex states of TestEngineBitIdentity, evaluated by two threads
+        # at once in opposite orders, switching every 10 us
+        states = [FockState.from_terms(terms) for terms in (
+            [(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))],
+            [(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
+        )]
+        key = lambda res: (res.value.hex(), dict(res.components), res.converged)
+        serial = [key(entropic_value(state)) for state in states]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def run(order):
+            barrier.wait()
+            return [key(entropic_value(states[i])) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, (0, 1)), pool.submit(run, (1, 0))]
+                got = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [serial, serial[::-1]]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+    def test_repeated_evaluation_faults_in_no_buffers(self):
+        # In a fresh process, the second evaluation of the mixed-parity state of
+        # TestWorkCounters reuses the pages of the first one's sweep buffers. With one
+        # workspace per integral it faulted 168 pages back in (290 on later calls).
+        code = (
+            "import json, resource\n"
+            "from cvsteer.criteria import entropic_value\n"
+            "from cvsteer.fock import FockState\n"
+            "state = FockState.from_terms([(0, 0, 0.622912191748868),\n"
+            "    (2, 3, -0.4558467916209993), (4, 1, -0.6357547514092701)])\n"
+            "faults = []\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    entropic_value(state)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(json.dumps(faults))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(criteria_mod.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        first, second, third = json.loads(out.stdout)
+        assert first > 100
+        assert second <= 50 and third <= 50
 
 
 def two_mode_squeezed_vacuum(lam: float, n_max: int) -> FockState:

@@ -192,6 +192,31 @@ class TestStateConstructors:
         with pytest.raises(ValueError):
             FockState.from_terms([(-1, 0, 1.0)])
 
+    @pytest.mark.parametrize("terms", [
+        [(1.9, 0, 1.0)],
+        [(0, -0.5, 1.0)],
+        [(0.5, 0, 0.6), (1, 1, 0.8)],
+        [(float("nan"), 0, 1.0)],
+        [(0, float("inf"), 1.0)],
+        [(1.5, 0, 0.0), (0, 0, 1.0)],  # checked before its zero amplitude drops it
+    ])
+    def test_non_integral_index_rejected(self, terms):
+        with pytest.raises(ValueError, match="^Fock indices"):
+            FockState.from_terms(terms)
+
+    @pytest.mark.parametrize("amp", [
+        float("nan"), complex(0.0, float("nan")), float("inf"), complex(float("-inf"), 0.0),
+    ])
+    def test_non_finite_amplitude_rejected(self, amp):
+        # A NaN amplitude is not below the drop threshold: it must not vanish
+        with pytest.raises(ValueError, match="not finite"):
+            FockState.from_terms([(0, 0, amp), (1, 1, 1.0)])
+
+    def test_integral_indices_become_int(self):
+        state = FockState.from_terms([(np.int64(1), 2.0, 0.6), (0, np.float64(0.0), 0.8)])
+        assert state.terms == ((0, 0, 0.8 + 0j), (1, 2, 0.6 + 0j))
+        assert all(type(n) is int for n1, n2, _amp in state.terms for n in (n1, n2))
+
     def test_max_n_consistency_enforced(self):
         with pytest.raises(ValueError, match="max_n"):
             FockState(terms=((0, 3, 1.0 + 0j),), max_n=1)

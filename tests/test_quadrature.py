@@ -203,8 +203,8 @@ class TestEntropy2d:
         calls = []
         adaptive_many = quadrature_mod._adaptive_many
 
-        def recorded(f, lo, hi, cuts, tol, max_depth, work=None):
-            out = adaptive_many(f, lo, hi, cuts, tol, max_depth, work)
+        def recorded(f, lo, hi, cuts, tol, max_depth):
+            out = adaptive_many(f, lo, hi, cuts, tol, max_depth)
             calls.append(((lo, hi, cuts.shape[0], tol), out))
             return out
 
@@ -250,25 +250,34 @@ def test_neg_plogp_matches_masked_formula():
 
 
 def record_integrand_calls(monkeypatch) -> list:
-    """Wrap quadrature._adaptive_many; each integrand call appends (work, its first
-    task id, points). The points are kept as the engine passed them: a view that later
+    """Wrap quadrature._adaptive_many; each integrand call appends (its nesting level, 1
+    for an outermost integral and 2 for the inner batches of a 2-D one, its first task
+    id, points). The points are kept as the engine passed them: a view that later
     sweeps overwrite."""
     calls = []
+    level = 0
     adaptive_many = quadrature_mod._adaptive_many
 
-    def recorded(f, lo, hi, cuts, tol, max_depth, work=None):
+    def recorded(f, lo, hi, cuts, tol, max_depth):
+        nonlocal level
+        here = level = level + 1
+
         def integrand(tid, x):
-            calls.append((work, int(tid[0]), x))
+            calls.append((here, int(tid[0]), x))
             return f(tid, x)
-        return adaptive_many(integrand, lo, hi, cuts, tol, max_depth, work)
+        try:
+            return adaptive_many(integrand, lo, hi, cuts, tol, max_depth)
+        finally:
+            level -= 1
 
     monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
     return calls
 
 
 class TestSweepWorkspace:
-    """The sweeps of one integral fill one grow-only workspace and call the integrand
-    on blocks of at most quadrature._BLOCK_POINTS points."""
+    """Each thread fills one grow-only workspace per nesting depth of the engine and
+    keeps it from one integral to the next; the integrand is called on blocks of at
+    most quadrature._BLOCK_POINTS points."""
 
     def test_blocks_at_most_4096_points(self, monkeypatch):
         calls = record_integrand_calls(monkeypatch)
@@ -276,14 +285,14 @@ class TestSweepWorkspace:
         # the sweep cap does not split, grows past 4096 points
         res = adaptive_panels(lambda x: np.cos(300.0 * x), -8.0, 8.0, 1e-12, 20)
         assert res.value == pytest.approx(2.0 * math.sin(2400.0) / 300.0, abs=1e-12)
-        sizes = [x.size for _work, _tid, x in calls]
+        sizes = [x.size for _level, _tid, x in calls]
         assert quadrature_mod._BLOCK_POINTS == 4096
         assert max(sizes) == 4096 and sum(sizes) > 10 * 4096
         calls.clear()
         c, s = math.cos(1.1), math.sin(1.1)
         integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), DEFAULT_SPEC,
                              inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s))
-        sizes = [x.size for _work, _tid, x in calls]
+        sizes = [x.size for _level, _tid, x in calls]
         assert max(sizes) == 4096 and len(sizes) > 100
 
     def test_inner_batches_share_one_points_buffer(self, monkeypatch):
@@ -295,12 +304,44 @@ class TestSweepWorkspace:
         integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), spec,
                              inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s),
                              outer_breakpoints=cuts)
-        inner = [(work, tid, x) for work, tid, x in calls if work is not None]
-        assert len({id(work) for work, _tid, _x in inner}) == 1
+        inner = [(tid, x) for level, tid, x in calls if level == 2]
+        assert len({id(x.base) for _tid, x in inner}) == 1
         # A batch's first call starts at its task 0 and at the start of the buffer
-        starts = [x for _work, tid, x in inner if tid == 0]
+        starts = [x for tid, x in inner if tid == 0]
         assert len(starts) > 1
         assert all(np.shares_memory(starts[0], x) for x in starts[1:])
+
+    def test_held_from_one_integral_to_the_next(self, monkeypatch):
+        calls = record_integrand_calls(monkeypatch)
+        c, s = math.cos(1.1), math.sin(1.1)
+        density = TestEntropy2d._bracket_density(c, s)
+        seen = {}
+
+        def g(a, row, b):
+            # Every block of a batch sees the outer abscissae the batch began with: no
+            # inner sweep writes where they lie. Holding a keeps its id from reuse.
+            kept = seen.setdefault(id(a), (a, a.copy()))[1]
+            assert np.array_equal(a, kept)
+            return density(a, row, b)
+
+        run = lambda: integrate_entropy_2d(
+            g, DEFAULT_SPEC, inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s))
+        first = run()
+        n_first = len(calls)
+        assert run() == first
+        # The second integral fills the buffers the first one left at each level
+        last = {level: x.base for level, _tid, x in calls[:n_first]}
+        assert set(last) == {1, 2} and not np.shares_memory(last[1], last[2])
+        assert len(calls) == 2 * n_first
+        assert all(x.base is last[level] for level, _tid, x in calls[n_first:])
+
+    def test_depth_restored_when_the_integrand_raises(self):
+        def g(a, row, b):
+            raise FloatingPointError
+
+        with pytest.raises(FloatingPointError):
+            integrate_entropy_2d(g, DEFAULT_SPEC)
+        assert quadrature_mod._HELD.depth == 0
 
     def test_returned_arrays_only_read(self):
         stored = np.full(4096, -0.25)
