@@ -31,10 +31,11 @@ from .fock import (
     _density_rows,
     _is_uncorrelated,
     _ladder_position,
+    _ladder_position_sq,
     _marginal_zero_hints,
+    _mode2_moment,
     _moments,
     _parities,
-    _second_moment,
     _view,
     marginal_density,
 )
@@ -106,16 +107,15 @@ def _effective_width(spec: QuadratureSpec, view) -> float:
     # point, which leaves two-sided tails of |u_n|^2 below 2e-13 for every n <= 40, and
     # stops 28 past it: there every term's density underflows to 0.0, and a wider window
     # would only put the first Gauss-Kronrod nodes where the density is not.
-    turning = math.sqrt(2 * max(view.max_n1, view.max_n2) + 1)
+    turning = math.sqrt(2 * max(view.c.shape) - 1)
     return min(max(spec.half_width, turning + 4.2), turning + 28.0) / math.sqrt(view.scale)
 
 
 def _variance_uncorrelated(view) -> float:
     """Factorized state: mode 2's conditional variance equals its marginal variance,
     evaluated exactly with ladder matrix elements."""
-    x1 = _ladder_position(view.max_n2, view.scale)[np.ix_(view.n2, view.n2)]
-    mean = float(np.real(view.amps.conj() @ x1 @ view.amps))
-    return _second_moment(view) - mean * mean
+    mean = _mode2_moment(view, _ladder_position)
+    return _mode2_moment(view, _ladder_position_sq) - mean * mean
 
 
 def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
@@ -130,12 +130,12 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
         return np.where(good, n * n / np.where(good, m, 1.0), 0.0)
 
     width = _effective_width(spec, view)
-    cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     # N^2 / M is even under central parity. The integral scales as 1 / view.scale, and
     # so does its tolerance: the same relative accuracy under any m_omega
     correction = adaptive_panels(ratio, -width, width, spec.panel_tol / view.scale,
-                                 spec.max_depth, cuts, fold=_parities(state)[0] is not None)
-    return max(_second_moment(view) - correction.value, 0.0), correction.converged
+                                 spec.max_depth, (0.0,), fold=_parities(state)[0] is not None)
+    second = _mode2_moment(view, _ladder_position_sq)
+    return max(second - correction.value, 0.0), correction.converged
 
 
 def conditional_variance_min(state: FockState, dom: Domain,
@@ -164,15 +164,16 @@ def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
 
 def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
                           units: UnitSystem) -> tuple[float, bool]:
-    """Factorized state: h(B2|B1) = h(B2). Exact for pure levels n <= 1; otherwise the
-    1-d marginal entropy is integrated numerically."""
+    """Factorized state: h(B2|B1) = h(B2). Exact when mode 2 occupies one level n <= 1;
+    otherwise the 1-d marginal entropy is integrated numerically."""
     view = _view(state, dom, units)
-    if view.n2.size == 1 and view.max_n2 <= 1:
-        if view.max_n2 == 0:
+    levels = np.flatnonzero(view.c.any(axis=0))
+    if levels.size == 1 and levels[0] <= 1:
+        if levels[0] == 0:
             return 0.5 * math.log(math.pi * math.e / view.scale), True
         return _H_LEVEL1 - 0.5 * math.log(view.scale), True
     width = _effective_width(spec, view)
-    cuts = _marginal_zero_hints(view, 2, width) + (0.0,)
+    cuts = _marginal_zero_hints(view, width) + (0.0,)
     res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, units, mode=2),
                                replace(spec, half_width=width), breakpoints=cuts,
                                fold=_parities(state)[0] is not None)
@@ -186,7 +187,6 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
         return _entropy_uncorrelated(state, dom, spec, units)
     width = _effective_width(spec, view)
     espec = replace(spec, half_width=width)
-    marg_cuts = _marginal_zero_hints(view, 1, width) + (0.0,)
     fold = _parities(state)[0] is not None
     held = [None, None]
 
@@ -200,10 +200,10 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
     joint_res = integrate_entropy_2d(
         density, espec,
         inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
-        outer_breakpoints=marg_cuts, fold=fold,
+        outer_breakpoints=(0.0,), fold=fold,
     )
     marg_res = integrate_entropy_1d(lambda a: marginal_density(state, a, dom, units),
-                                    espec, breakpoints=marg_cuts, fold=fold)
+                                    espec, breakpoints=(0.0,), fold=fold)
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 
 
@@ -223,39 +223,31 @@ def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
     return _result("entropic", LN_PI_E - h_x - h_p, (h_x, h_p), ok_x and ok_p, theta)
 
 
-def _pauli_step(axis: int, n: int) -> tuple[int, complex]:
-    """Action of the pseudo-Pauli on level n within its (2k, 2k+1) pair.
-
-    sigma_x swaps the pair, sigma_y swaps with +-i, sigma_z signs by parity. Every
-    level belongs to exactly one complete pair, so the action is total.
-    """
-    even = n % 2 == 0
-    if axis == 0:
-        return (n + 1, 1.0 + 0.0j) if even else (n - 1, 1.0 + 0.0j)
-    if axis == 1:
-        return (n + 1, 1.0j) if even else (n - 1, -1.0j)
-    return (n, 1.0 + 0.0j) if even else (n, -1.0 + 0.0j)
+def _pauli(c: np.ndarray) -> np.ndarray:
+    """sigma_x c, sigma_y c and sigma_z c stacked, the pseudo-Paulis acting on the first
+    index of c within its level pairs (2k, 2k+1); that index has even length, so every
+    level has its partner. sigma_x swaps a pair, sigma_y swaps it with the phases -i
+    (onto 2k) and +i (onto 2k+1), sigma_z negates level 2k+1."""
+    even, odd = c[0::2], c[1::2]
+    out = np.empty((3,) + c.shape, dtype=complex)
+    out[0, 0::2], out[0, 1::2] = odd, even
+    out[1, 0::2], out[1, 1::2] = -1j * odd, 1j * even
+    out[2, 0::2], out[2, 1::2] = even, -odd
+    return out
 
 
 def correlation_matrix(state: FockState) -> CorrelationMatrix:
     """t[i][j] = <Psi| sigma_i x sigma_j |Psi> in the Fock coefficient space.
 
-    Applying the operators maps each term to a single image term; images outside the
-    state's support contribute nothing to the inner product, so no truncation occurs.
-    The operators are Hermitian, so only rounding lives in the imaginary part.
+    With C the amplitude matrix, zero-padded to even sizes so that no level loses its
+    partner, t[i][j] = Re sum conj(sigma_i C) (C sigma_j^T): the operators are
+    Hermitian, and images outside C's support meet zeros, so no truncation occurs.
     """
-    amp_map = {(n1, n2): amp for n1, n2, amp in state.terms}
-    t = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            acc = 0.0j
-            for n1, n2, amp in state.terms:
-                m1, c1 = _pauli_step(i, n1)
-                m2, c2 = _pauli_step(j, n2)
-                bra = amp_map.get((m1, m2))
-                if bra is not None:
-                    acc += bra.conjugate() * c1 * c2 * amp
-            t[i, j] = acc.real
+    c = _view(state, Domain.POSITION, NATURAL_UNITS).c
+    padded = np.pad(c, ((0, c.shape[0] % 2), (0, c.shape[1] % 2)))
+    left = _pauli(padded).conj()
+    right = _pauli(padded.T).transpose(0, 2, 1)
+    t = np.real(np.sum(left[:, None] * right[None, :], axis=(2, 3)))
     t.setflags(write=False)
     return CorrelationMatrix(t=t)
 

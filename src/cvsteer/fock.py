@@ -94,7 +94,7 @@ class FockState:
             top = max(top, n1, n2)
         if not self.terms:
             raise ValueError("state must have at least one term")
-        if abs(self.norm_sq() - 1.0) > _NORM_TOL:
+        if not abs(self.norm_sq() - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |amp|^2 = {self.norm_sq()!r}")
         if self.max_n != top:
             raise ValueError("max_n does not match the largest Fock index")
@@ -199,57 +199,57 @@ def eigenfunction_p(n: int, p, units: UnitSystem = NATURAL_UNITS):
     return _maybe_scalar(val, scalar_in)
 
 
+def _real_up_to_phase(amps: np.ndarray) -> np.ndarray | None:
+    """The amplitudes made real by stripping a global phase, or None when they are
+    genuinely complex."""
+    pivot = amps.flat[np.argmax(np.abs(amps))]
+    aligned = amps * (abs(pivot) / pivot)
+    if np.max(np.abs(aligned.imag)) > 1e-12 * np.max(np.abs(aligned)):
+        return None
+    return aligned.real
+
+
 @dataclass(frozen=True)
 class _DomainView:
-    """A state's term data expressed in one domain's oscillator basis.
+    """A state's amplitude matrix c[n1, n2] in one domain's oscillator basis.
 
     ``scale`` is the oscillator scale of that domain (s for position, 1/s for
-    momentum); momentum amplitudes already include the (-i)^(n1+n2) phases.
+    momentum); momentum amplitudes already include the (-i)^(n1+n2) phases. ``c`` is
+    read-only, of shape (max n1 + 1, max n2 + 1).
     """
 
     scale: float
-    n1: np.ndarray
-    n2: np.ndarray
-    amps: np.ndarray
-    max_n1: int
-    max_n2: int
+    c: np.ndarray
 
     @cached_property
     def aligned(self) -> np.ndarray | None:
-        """The amplitudes made real by stripping a global phase, or None when they are
-        genuinely complex; computed on first use (only the entropy paths ask)."""
-        pivot = self.amps[np.argmax(np.abs(self.amps))]
-        aligned = self.amps * (abs(pivot) / pivot)
-        if np.max(np.abs(aligned.imag)) > 1e-12 * np.max(np.abs(aligned)):
-            return None
-        return aligned.real
+        """``c`` made real by stripping a global phase, or None when it is genuinely
+        complex; computed on first use (only the entropy paths ask)."""
+        return _real_up_to_phase(self.c)
 
 
 @lru_cache(maxsize=4096)
 def _view(state: FockState, dom: Domain, units: UnitSystem) -> _DomainView:
-    n1 = np.array([t[0] for t in state.terms], dtype=np.intp)
-    n2 = np.array([t[1] for t in state.terms], dtype=np.intp)
-    amps = np.array([t[2] for t in state.terms], dtype=complex)
+    n1, n2, amps = zip(*state.terms)
+    c = np.zeros((max(n1) + 1, max(n2) + 1), dtype=complex)
+    c[n1, n2] = amps
     if dom is Domain.MOMENTUM:
-        scale = 1.0 / units.m_omega
-        amps = amps * np.array([_PHASE_MINUS_I[int(k) % 4] for k in (n1 + n2)])
-    else:
-        scale = units.m_omega
-    for arr in (n1, n2, amps):
-        arr.setflags(write=False)
-    return _DomainView(scale=scale, n1=n1, n2=n2, amps=amps,
-                       max_n1=int(n1.max()), max_n2=int(n2.max()))
+        c *= np.array(_PHASE_MINUS_I)[np.add.outer(*map(np.arange, c.shape)) % 4]
+    c.setflags(write=False)
+    return _DomainView(scale=units.m_omega if dom is Domain.POSITION else 1.0 / units.m_omega, c=c)
 
 
-def _coefficients(v: _DomainView, mode: int, amps: np.ndarray, y: np.ndarray,
+def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
                   include_gaussian: bool = True) -> np.ndarray:
-    """c_g(y) = sum_{k: m_k = g} amps_k u_{n_k}(y), n the index in ``mode`` and m the
-    other's, shape (max_m + 1,) + y.shape: at y = sqrt(s) a the amplitude is sqrt(s)
-    sum_g c_g u_g(sqrt(s) b), and the marginal of ``mode`` is sqrt(s) sum_g |c_g|^2."""
-    kept, other = (v.n1, v.n2) if mode == 1 else (v.n2, v.n1)
-    table = _osc_table(int(kept.max()), y, include_gaussian)
-    coeff = np.zeros((int(other.max()) + 1,) + y.shape, dtype=amps.dtype)
-    np.add.at(coeff, other, amps.reshape((-1,) + (1,) * y.ndim) * table[kept])
+    """c_g(y) = sum_n c[n, g] u_n(y) for mode 1 (sum_n c[g, n] u_n(y) for mode 2), shape
+    (levels of the other mode,) + y.shape: at y = sqrt(s) a the amplitude is sqrt(s)
+    sum_g c_g u_g(sqrt(s) b), and the marginal of ``mode`` is sqrt(s) sum_g |c_g|^2.
+    Only nonzero entries are added, term by term in (n1, n2) order."""
+    m = c if mode == 1 else c.T
+    coeff = np.zeros((m.shape[1],) + y.shape, dtype=c.dtype)
+    for row, u in zip(m, _osc_rows(m.shape[0] - 1, y, include_gaussian)):
+        for g in np.flatnonzero(row).tolist():
+            coeff[g] += row[g] * u
     return coeff
 
 
@@ -270,8 +270,8 @@ def _series(coeff: np.ndarray, row: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _density_coefficients(v: _DomainView, a) -> np.ndarray:
     """The mode-2 coefficients c_g(a) that _density_rows sums, in real arithmetic when
     the amplitudes are real up to a global phase (the density does not see it)."""
-    amps = v.amps if v.aligned is None else v.aligned
-    return _coefficients(v, 1, amps, math.sqrt(v.scale) * np.asarray(a, dtype=float))
+    c = v.c if v.aligned is None else v.aligned
+    return _coefficients(c, 1, math.sqrt(v.scale) * np.asarray(a, dtype=float))
 
 
 def _density_rows(v: _DomainView, coeff: np.ndarray, row, b) -> np.ndarray:
@@ -289,7 +289,7 @@ def wavefunction(state: FockState, a, b, dom: Domain = Domain.POSITION,
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     v = _view(state, dom, units)
     root = math.sqrt(v.scale)
-    coeff = _coefficients(v, 1, v.amps, root * a.ravel())
+    coeff = _coefficients(v.c, 1, root * a.ravel())
     out = root * _series(coeff, np.arange(a.size), root * b.ravel())
     return _maybe_scalar(out.reshape(a.shape), a.ndim == 0)
 
@@ -307,14 +307,14 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
                      units: UnitSystem = NATURAL_UNITS, mode: int = 1):
     """Closed-form marginal of the requested mode, via Fock orthonormality.
 
-    Integrating out the other mode collapses its cross terms: grouping terms by the
-    integrated-out index g, the marginal is sum_g |sum_{k in g} amp_k phi(n_k, a)|^2.
+    Integrating out the other mode collapses its cross terms: the marginal is
+    sum_g |sum_n c[n, g] phi(n, a)|^2, g the integrated-out index (mode 1 shown).
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     v = _view(state, dom, units)
     root = math.sqrt(v.scale)
-    coeff = _coefficients(v, mode, v.amps, root * np.asarray(a, dtype=float))
+    coeff = _coefficients(v.c, mode, root * np.asarray(a, dtype=float))
     return _maybe_scalar(root * np.sum(np.abs(coeff) ** 2, axis=0), np.ndim(a) == 0)
 
 
@@ -344,17 +344,20 @@ def _moments(view: _DomainView, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     N = sqrt(s) sum_gh conj(c_g) c_h <g| x |h>.
     """
     root = math.sqrt(view.scale)
-    c = _coefficients(view, 1, view.amps, root * np.asarray(a, dtype=float))
+    c = _coefficients(view.c, 1, root * np.asarray(a, dtype=float))
     m = root * np.sum(np.abs(c) ** 2, axis=0)
-    n = root * np.real(np.sum(c.conj() * (_ladder_position(view.max_n2, view.scale) @ c), axis=0))
+    x1 = _ladder_position(c.shape[0] - 1, view.scale)
+    n = root * np.real(np.sum(c.conj() * (x1 @ c), axis=0))
     return m, n
 
 
-def _second_moment(view: _DomainView) -> float:
-    """<b^2> = sum_kl conj(c_k) c_l delta(n1_k, n1_l) <n2_k| x^2 |n2_l>, exact."""
-    x2 = _ladder_position_sq(view.max_n2, view.scale)[np.ix_(view.n2, view.n2)]
-    same = view.n1[:, None] == view.n1[None, :]
-    return float(np.real(view.amps.conj() @ np.where(same, x2, 0.0) @ view.amps))
+def _mode2_moment(view: _DomainView, ladder) -> float:
+    """<b^k> = Re sum conj(C) (C X), exact, with X = ladder(max n2, scale) mode 2's
+    matrix of x^k: <b> from _ladder_position, <b^2> from _ladder_position_sq. The
+    BLAS dot of vdot keeps psi and psi-prime on their pinned bits; an elementwise sum
+    moves about one value in seven by an ulp."""
+    c = view.c
+    return float(np.real(np.vdot(c, c @ ladder(c.shape[1] - 1, view.scale))))
 
 
 def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
@@ -405,27 +408,26 @@ def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray 
     Zero *curves* of the density exist only when the wavefunction is real up to a
     global phase; then b -> psi(a, b) is the density's series from _coefficients, and
     the real roots of its polynomial part inside (-limit, limit) are returned,
-    NaN-padded to shape (len(a), max_n2).
+    NaN-padded to shape (len(a), max n2).
     """
     if view.aligned is None:
         return None
     root_scale = math.sqrt(view.scale)
     ya = root_scale * np.asarray(a, dtype=float)
-    coeff = _coefficients(view, 1, view.aligned, ya, include_gaussian=False)
+    coeff = _coefficients(view.aligned, 1, ya, include_gaussian=False)
     out = _oscillator_roots(coeff) / root_scale
     out[np.abs(out) >= limit] = np.nan
     return out
 
 
-def _marginal_zero_hints(view: _DomainView, mode: int, limit: float) -> tuple[float, ...]:
-    """Real zeros of the mode's marginal inside (-limit, limit). Nonempty only when a
-    single orthogonality group survives (the marginal is then |series|^2 x Gaussian)."""
-    kept, other = (view.n1, view.n2) if mode == 1 else (view.n2, view.n1)
-    if np.any(other != other[0]) or view.aligned is None:
+def _marginal_zero_hints(view: _DomainView, limit: float) -> tuple[float, ...]:
+    """Real zeros of mode 2's marginal inside (-limit, limit) for a rank-1 ``c``: its
+    marginal is |series|^2 x Gaussian, the series of c's largest row, and has real zeros
+    only when that row is real up to a phase."""
+    row = _real_up_to_phase(view.c[np.argmax(np.sum(np.abs(view.c) ** 2, axis=1))])
+    if row is None:
         return ()
-    coeff = np.zeros((int(kept.max()) + 1, 1))
-    coeff[kept, 0] = view.aligned
-    zeros = _oscillator_roots(coeff)[0] / math.sqrt(view.scale)
+    zeros = _oscillator_roots(row[:, None])[0] / math.sqrt(view.scale)
     return tuple(zeros[np.abs(zeros) < limit].tolist())
 
 
@@ -447,6 +449,8 @@ def _parities(state: FockState) -> tuple[int | None, int | None, int | None]:
 
 
 def _is_uncorrelated(view: _DomainView) -> bool:
-    """True when every term shares the same first-mode index: the state factorizes and
-    mode 2's conditional statistics equal its marginal statistics."""
-    return bool(np.all(view.n1 == view.n1[0]))
+    """True when rank(c) = 1, every 2x2 minor of the occupied block within 1e-14: the
+    state factorizes and mode 2's conditional statistics equal its marginal ones."""
+    c = view.c[view.c.any(axis=1)][:, view.c.any(axis=0)]
+    outer = np.multiply.outer(c, c)
+    return bool(np.max(np.abs(outer - outer.transpose(0, 3, 2, 1))) <= 1e-14)

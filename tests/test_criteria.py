@@ -26,7 +26,7 @@ from cvsteer.criteria import (
     reid_value,
 )
 from cvsteer.fock import Domain, FockState, UnitSystem, make_psi, make_psi_prime, marginal_density
-from cvsteer.fock import _parities, _view
+from cvsteer.fock import _is_uncorrelated, _parities, _view
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
 
 criteria_mod = importlib.import_module("cvsteer.criteria")
@@ -258,6 +258,30 @@ class TestCorrelationMatrix:
         assert cm.t[0, 0] == 0.0
 
 
+    @pytest.mark.parametrize("levels", [(1, 1), (1, 6), (2, 3), (3, 2), (5, 5), (6, 4), (6, 6)])
+    def test_against_kron_oracle(self, levels):
+        # <psi| sigma_i x sigma_j |psi> with psi = vec(C) and each pseudo-Pauli written out
+        # as one 2x2 block per level pair (2k, 2k+1); an odd level count gets one empty
+        # level so that every level has its partner
+        pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        rng = np.random.default_rng(list(levels))
+        rows, cols = levels
+        for _ in range(5):
+            c = rng.standard_normal(levels) + 1j * rng.standard_normal(levels)
+            c[rng.random(levels) < 0.3] = 0.0
+            c.flat[rng.integers(c.size)] = 1.0
+            c /= np.linalg.norm(c)
+            state = FockState.from_terms(
+                [(n1, n2, c[n1, n2]) for n1 in range(rows) for n2 in range(cols)])
+            padded = np.zeros((rows + rows % 2, cols + cols % 2), dtype=complex)
+            padded[:rows, :cols] = c
+            psi = padded.ravel()
+            ops1 = [np.kron(np.eye(padded.shape[0] // 2), s) for s in pauli]
+            ops2 = [np.kron(np.eye(padded.shape[1] // 2), s) for s in pauli]
+            expected = [[np.vdot(psi, np.kron(o1, o2) @ psi).real for o2 in ops2] for o1 in ops1]
+            np.testing.assert_allclose(correlation_matrix(state).t, expected, rtol=0, atol=1e-14)
+
+
 class TestChsh:
     def test_bell_point_tsirelson(self):
         res = chsh_max(make_psi(math.pi / 4))
@@ -393,6 +417,56 @@ class TestTruncationWidth:
                 res = evaluate(state, spec, units)
                 assert res.converged
                 assert res.value == pytest.approx(evaluate(state).value, abs=1e-12)
+
+
+class TestRankOnePath:
+    """A state whose amplitude matrix has rank 1 factorizes: mode 2's conditional
+    statistics are its marginal ones, exact in Fock space or a 1-D integral."""
+
+    # (|0> + |1>) x (|0> + |1>) / 2: every term has its own n1, yet C has rank 1
+    PRODUCT = [(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)]
+
+    def test_entropic_skips_the_2d_engine(self, monkeypatch):
+        from scipy.integrate import quad
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_entropy_2d called on a product state")
+
+        monkeypatch.setattr(criteria_mod, "integrate_entropy_2d", refuse)
+        res = entropic_value(FockState.from_terms(self.PRODUCT))
+        # Mode 2 is (|0> + |1>) / sqrt(2): its position density is (u0 + u1)^2 / 2, zero
+        # at y = -1/sqrt(2); in momentum the (-i)^n phase makes it (u0^2 + u1^2) / 2
+        u0 = lambda y: math.pi ** -0.25 * math.exp(-0.5 * y * y)
+        u1 = lambda y: math.sqrt(2.0) * y * u0(y)
+        densities = [lambda y: 0.5 * (u0(y) + u1(y)) ** 2,
+                     lambda y: 0.5 * (u0(y) ** 2 + u1(y) ** 2)]
+        entropies = [quad(lambda y: -rho(y) * math.log(rho(y)) if rho(y) > 0.0 else 0.0,
+                          -12.0, 12.0, points=[-math.sqrt(0.5), 0.0], epsabs=1e-13,
+                          epsrel=1e-13, limit=200)[0] for rho in densities]
+        assert res.converged
+        assert res.value == pytest.approx(LN_PI_E - sum(entropies), abs=1e-12)
+
+    def test_reid_exact(self):
+        # Var(x2) = 1/2 and Var(p2) = 1, so Reid = 1/4 - 1/2
+        assert reid_value(FockState.from_terms(self.PRODUCT)).value == pytest.approx(
+            -0.25, abs=1e-15)
+
+    def test_near_product_takes_the_2d_path(self, monkeypatch):
+        # |00> + 1e-6 |11> has a 2x2 minor of 1e-6: far above the rank test's 1e-14
+        calls = []
+        engine = criteria_mod.integrate_entropy_2d
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(criteria_mod, "integrate_entropy_2d", recorded)
+        norm = math.sqrt(1.0 + 1e-12)
+        state = FockState.from_terms([(0, 0, 1.0 / norm), (1, 1, 1e-6 / norm)])
+        for dom in Domain:
+            assert not _is_uncorrelated(_view(state, dom, UnitSystem()))
+        entropic_value(state)
+        assert len(calls) == 2
 
 
 @st.composite
@@ -571,6 +645,34 @@ class TestEngineBitIdentity:
     ])
     def test_reid_value_hex(self, terms, value):
         assert reid_value(FockState.from_terms(terms)).value.hex() == value
+
+    # At 1.2 and 0.8, <b^2> summed elementwise instead of by a dot moves the last bit
+    @pytest.mark.parametrize("build,theta,value", [
+        (make_psi_prime, 0.7, "-0x1.35b596347a512p-2"),
+        (make_psi, 1.2, "-0x1.32143184d719cp+0"),
+        (make_psi_prime, 0.8, "-0x1.4cd87952a5026p-3"),
+    ])
+    def test_family_reid_value_hex(self, build, theta, value):
+        assert reid_value(build(theta)).value.hex() == value
+
+    # chsh_max, then the correlation-matrix entries t[0, 0], t[1, 1], t[2, 2] (every
+    # other entry is +0.0). They feed the sweep CSVs, which reruns keep byte-identical.
+    @pytest.mark.parametrize("build,theta,chsh,diagonal", [
+        (make_psi, 0.7, "0x1.676a18eb93b24p+1",
+         ("0x1.f88cddf44e103p-1", "-0x1.f88cddf44e103p-1", "0x1.0000000000000p+0")),
+        (make_psi, 1.31, "0x1.1e0498fafa548p+1",
+         ("0x1.fe384ccc0a55dp-2", "-0x1.fe384ccc0a55dp-2", "0x1.fffffffffffffp-1")),
+        (make_psi_prime, 0.7, "0x1.676a18eb93b24p+1",
+         ("0x1.f88cddf44e103p-1", "0x1.f88cddf44e103p-1", "-0x1.0000000000000p+0")),
+        (make_psi_prime, 1.31, "0x1.1e0498fafa548p+1",
+         ("0x1.fe384ccc0a55dp-2", "0x1.fe384ccc0a55dp-2", "-0x1.fffffffffffffp-1")),
+    ])
+    def test_chsh_and_correlation_hex(self, build, theta, chsh, diagonal):
+        state = build(theta)
+        assert chsh_max(state).value.hex() == chsh
+        t = correlation_matrix(state).t
+        expected = np.diag([float.fromhex(h) for h in diagonal])
+        assert [x.hex() for x in t.ravel()] == [x.hex() for x in expected.ravel()]
 
 
 class TestHeldWorkspaces:

@@ -25,10 +25,11 @@ from cvsteer.fock import (
 from cvsteer.fock import (
     _density_coefficients,
     _density_rows,
+    _ladder_position_sq,
+    _mode2_moment,
     _osc_table,
     _oscillator_roots,
     _parities,
-    _second_moment,
     _view,
 )
 
@@ -187,6 +188,12 @@ class TestStateConstructors:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
             FockState.from_terms([(0, 0, 0.5)])
+
+    def test_nan_amplitude_rejected_when_built_directly(self):
+        # abs(nan - 1) > tol is False: a plain comparison let this state through, and
+        # chsh_max on it then failed inside the SVD
+        with pytest.raises(ValueError, match="not normalized"):
+            FockState(terms=((0, 0, math.nan), (1, 1, 1.0)), max_n=1)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -543,7 +550,7 @@ class TestExactMoments:
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
         p2 = self._density(b[:, None], b[None, :], dom, scale)
         expected_b2 = float(w @ p2 @ (w * b * b))
-        got_b2 = _second_moment(_view(self.STATE, dom, units))
+        got_b2 = _mode2_moment(_view(self.STATE, dom, units), _ladder_position_sq)
         assert got_b2 == pytest.approx(expected_b2, rel=1e-12, abs=0.0)
 
 
