@@ -42,6 +42,7 @@ from .fock import (
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _scratch,
     adaptive_panels,
     integrate_entropy_1d,
     integrate_entropy_2d,
@@ -195,7 +196,7 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
         # coefficients are built once per batch. Holding a keeps its id from reuse.
         if held[0] is not a:
             held[:] = a, _density_coefficients(view, a)
-        return _density_rows(view, held[1], row, b)
+        return _density_rows(view, held[1], row, b, _scratch)
 
     joint_res = integrate_entropy_2d(
         density, espec,

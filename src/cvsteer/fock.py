@@ -145,20 +145,27 @@ def _maybe_scalar(arr, scalar_in: bool):
     return arr
 
 
-def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True):
+def _fresh(_name: str, like: np.ndarray, dtype=float) -> np.ndarray:
+    """np.empty_like(like, dtype); the engine's blocks pass quadrature._scratch instead."""
+    return np.empty_like(like, dtype)
+
+
+def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True, scratch=_fresh):
     """Yield the normalized oscillator functions u_0(y), ..., u_{n_max}(y) in turn,
     co-evaluated with the Gaussian so the recurrence never overflows at large n.
 
     u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2); with include_gaussian=False
     the exp factor is dropped (polynomial part only, used where only zeros matter).
-    Only the last two rows are kept: a yielded row is overwritten two steps later.
+    Only the last two rows are kept, in ``scratch``: a yielded row is overwritten two
+    steps later.
     """
     y = np.asarray(y, dtype=float)
-    prev = np.zeros_like(y)
-    cur = np.full_like(y, _PI_QUARTER)
+    prev, cur, step = (scratch(name, y) for name in ("prev", "cur", "step"))
+    prev.fill(0.0)
+    cur.fill(_PI_QUARTER)
     if include_gaussian:
-        cur *= np.exp(-0.5 * y * y)
-    step = np.empty_like(y)
+        np.multiply(np.multiply(y, -0.5, out=step), y, out=step)  # -0.5 * y * y
+        cur *= np.exp(step, out=step)
     yield cur
     for n in range(1, n_max + 1):
         np.multiply(math.sqrt(2.0 / n), y, out=step)
@@ -253,15 +260,18 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
     return coeff
 
 
-def _series(coeff: np.ndarray, row: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _series(coeff: np.ndarray, row, y: np.ndarray, scratch=_fresh) -> np.ndarray:
     """sum_g coeff[g, row[i]] u_g(y[i]) for every i, consuming the rows of _osc_rows as
-    they come, so no (degree + 1) x len(y) table is built."""
-    row = np.asarray(row, dtype=np.intp)  # else every take converts it again
-    rows = _osc_rows(coeff.shape[0] - 1, y)
-    out = coeff[0].take(row) * next(rows)
-    term = np.empty_like(out)
+    they come, so no (degree + 1) x len(y) table is built. Every temporary, the result
+    included, comes from ``scratch`` (see _fresh)."""
+    idx = scratch("row", y, np.intp)
+    idx[...] = row  # else every take converts it again
+    rows = _osc_rows(coeff.shape[0] - 1, y, scratch=scratch)
+    out = np.take(coeff[0], idx, out=scratch("series", y, coeff.dtype))
+    out *= next(rows)
+    term = scratch("term", y, coeff.dtype)
     for c, u in zip(coeff[1:], rows):
-        np.take(c, row, out=term)
+        np.take(c, idx, out=term)
         term *= u
         out += term
     return out
@@ -274,10 +284,12 @@ def _density_coefficients(v: _DomainView, a) -> np.ndarray:
     return _coefficients(c, 1, math.sqrt(v.scale) * np.asarray(a, dtype=float))
 
 
-def _density_rows(v: _DomainView, coeff: np.ndarray, row, b) -> np.ndarray:
+def _density_rows(v: _DomainView, coeff: np.ndarray, row, b, scratch=_fresh) -> np.ndarray:
     """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _density_coefficients(v, a);
-    the caller keeps coeff for as many calls as share the abscissae a."""
-    out = np.abs(_series(coeff, row, math.sqrt(v.scale) * np.asarray(b, dtype=float)))
+    the caller keeps coeff for as many calls as share the abscissae a. Every temporary,
+    the result included, comes from ``scratch`` (see _fresh)."""
+    y = np.multiply(b, math.sqrt(v.scale), out=scratch("y", b))
+    out = np.abs(_series(coeff, row, y, scratch), out=scratch("density", b))
     out *= out
     out *= v.scale
     return out
@@ -389,7 +401,7 @@ def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
     big = mag > 1e-14 * mag.max(axis=0)
     degree = np.where(big.any(axis=0), coeff.shape[0] - 1 - np.argmax(big[::-1], axis=0), 0)
     out = np.full((coeff.shape[1], coeff.shape[0] - 1), np.nan)
-    for d in np.unique(degree[degree > 0]).tolist():
+    for d in sorted(set(degree[degree > 0].tolist())):  # np.unique imports numpy.ma
         cols = np.flatnonzero(degree == d)
         c = coeff[:d + 1, cols].T
         off = np.sqrt(np.arange(1, d) / 2.0)
@@ -449,8 +461,9 @@ def _parities(state: FockState) -> tuple[int | None, int | None, int | None]:
 
 
 def _is_uncorrelated(view: _DomainView) -> bool:
-    """True when rank(c) = 1, every 2x2 minor of the occupied block within 1e-14: the
-    state factorizes and mode 2's conditional statistics equal its marginal ones."""
-    c = view.c[view.c.any(axis=1)][:, view.c.any(axis=0)]
-    outer = np.multiply.outer(c, c)
-    return bool(np.max(np.abs(outer - outer.transpose(0, 3, 2, 1))) <= 1e-14)
+    """True when rank(c) = 1, so the state factorizes and mode 2's conditional statistics
+    are its marginal ones: with c[p, q] the largest |entry|, each 2x2 minor c[i, j] c[p, q]
+    - c[i, q] c[p, j] is within 1e-14 (c has unit norm; exact zeros mean rank 1)."""
+    c = view.c
+    p, q = np.unravel_index(np.argmax(np.abs(c)), c.shape)
+    return bool(np.max(np.abs(c * c[p, q] - np.outer(c[:, q], c[p]))) <= 1e-14)

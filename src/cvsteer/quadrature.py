@@ -86,20 +86,15 @@ _G7_WEIGHTS = np.array([
 
 
 # Most integrand points one sweep of _adaptive_many evaluates, so a sweep's working set
-# does not grow with the batch. Its point-sized arrays (16,384 doubles, 128 KB) must not
-# be allocated afresh on every sweep, nor on every integral: freed at the top of the
-# heap, they push the free top past glibc's default trim threshold of 128 KB, glibc
-# hands that memory back to the kernel, and the next user faults it in again. With
-# seven such arrays per sweep, the general-states benchmark read 26.7k minor faults,
-# against 0.7k at the same peak RSS with trimming disabled
-# (MALLOC_TRIM_THRESHOLD_=1000000000). With one workspace per integral, a repeated
-# entropic_value of 0.6|0,16> + 0.8|16,0> still faulted 1,127 pages back in, and the
-# benchmark read 1.5k-2.9k faults by where the checkout's path put the heap. So each
-# thread keeps one grow-only _Workspace per nesting depth of _adaptive_many for its
-# whole lifetime; that repeat then takes 25 faults, and the benchmark 0.6k at any path.
-# The buffers take 20 bytes per point: 320 KB per depth once a full sweep has run, more
-# only after a single task's sweep outgrew the cap. The integrand is called on blocks
-# of at most _BLOCK_POINTS points, whose temporaries are 32 KB.
+# does not grow with the batch. No array of a sweep or of a block is allocated afresh:
+# freed at the top of the heap, it pushes the free top past glibc's trim threshold,
+# glibc hands the memory back to the kernel, and the next user faults it in again. So
+# each thread keeps for its lifetime one grow-only _Workspace per nesting depth of
+# _adaptive_many (20 bytes per point, 24 per pending panel) and the _scratch buffers of
+# the integrand's blocks of at most _BLOCK_POINTS points. Fresh sweep buffers cost the
+# general-states benchmark 26.7k minor faults and fresh block temporaries 34.5k; the
+# latter read 0.6k only while np.unique's import of numpy.ma padded the heap. Held, it
+# reads about 0.33k at any checkout path.
 _SWEEP_POINTS = 16_384
 _BLOCK_POINTS = 4_096
 
@@ -124,11 +119,13 @@ def _segments(lo: float, hi: float,
 
 class _Workspace:
     """Grow-only buffers that the sweeps of one nesting depth share: integrand points,
-    task ids and values."""
+    task ids and values, and the ``pending`` panels (task, left, right), a stack that
+    ends at the buffers' end and whose top is the front of the worklist."""
 
     def __init__(self):
         self.x = self.fv = np.empty(0)
         self.tid = np.empty(0, dtype=np.int32)
+        self.pending = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
 
     def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of ``size`` entries of the point, task-id and value buffers."""
@@ -137,19 +134,43 @@ class _Workspace:
             self.tid = np.empty(size, dtype=np.int32)
         return self.x[:size], self.tid[:size], self.fv[:size]
 
+    def push(self, top: int, *panels: np.ndarray) -> int:
+        """Push the (task, left, right) arrays ``panels`` on the stack topped at ``top``;
+        returns the new top. A full stack moves to the end of buffers twice as large."""
+        size, rest = panels[0].size, self.pending[0].size - top
+        if size > top:
+            grown = max(rest + size, 2 * self.pending[0].size)
+            old, self.pending = self.pending, tuple(np.empty(grown, p.dtype) for p in panels)
+            for buf, kept in zip(self.pending, old):
+                buf[grown - rest:] = kept[top:]
+            top = grown - rest
+        for buf, new in zip(self.pending, panels):
+            buf[top - size:top] = new
+        return top - size
+
 
 class _ThreadWorkspaces(threading.local):
     """This thread's workspaces, one per nesting depth of _adaptive_many: depth 0 serves
     the outer, Reid and 1-D integrals, depth 1 the inner batches of a 2-D integral.
     Every sweep writes the entries it reads, so no value passes from one integral to
-    the next; only the pages stay mapped."""
+    the next; only the pages stay mapped. ``scratch`` holds _scratch's buffers."""
 
     def __init__(self):
         self.depth = 0
         self.works: list[_Workspace] = []
+        self.scratch: dict = {}
 
 
 _HELD = _ThreadWorkspaces()
+
+
+def _scratch(name: str, like: np.ndarray, dtype=float) -> np.ndarray:
+    """This thread's held buffer ``name`` of ``dtype``, shaped like ``like``, for the
+    temporaries of one integrand block; valid until its next request."""
+    buf = _HELD.scratch.get((name, dtype))
+    if buf is None or buf.size < like.size:
+        buf = _HELD.scratch[name, dtype] = np.empty(like.size, dtype)
+    return buf[:like.size].reshape(like.shape)
 
 
 def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
@@ -169,12 +190,11 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
     evaluated, summed and split together: the cap changes only the grouping of tasks
     into sweeps, never a value, error or flag. The sweeps fill the calling thread's
     _Workspace for the current nesting depth (one more than the call that f runs in, if
-    any), which the thread keeps after the call for the next call at that depth.
+    any), the worklist included, which the thread keeps for the next call at that depth.
     Returns the values, error estimates and convergence flags of the tasks.
     Deterministic: panel ordering, splitting and accumulation are data-driven.
     """
     n_tasks = cuts.shape[0]
-    task, left, right = _segments(lo, hi, cuts)
     depth = np.zeros(n_tasks, dtype=np.intp)
     values = np.zeros(n_tasks)
     errors = np.zeros(n_tasks)
@@ -187,14 +207,17 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
     work = held.works[held.depth]
     held.depth += 1
     try:
-        while task.size:
+        top = work.push(work.pending[0].size, *_segments(lo, hi, cuts))
+        while top < work.pending[0].size:
             # Sweep the tasks before the one holding panel number ``cap``, or the first
             # task alone when it holds more than ``cap`` panels
+            task, left, right = (p[top:] for p in work.pending)
             n = task.size
             if n > cap:
                 n = int(np.searchsorted(task, task[cap])) or int(
                     np.searchsorted(task, task[0], side="right"))
             t, a, b = task[:n], left[:n], right[:n]
+            top += n
             half = 0.5 * (b - a)
             mid = a + half
             pts, tids, fv = work.take(n * _GK_NODES.size)
@@ -218,10 +241,11 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
             errors += np.bincount(t[stop], weights=perr[stop], minlength=n_tasks)
             failed[t[stop & ~ok]] = True
             depth[t[0]:t[-1] + 1] += 1
+            # The children of the split panels, built before they may overwrite t, a, b
             keep = ~stop
-            left = np.concatenate((np.stack((a[keep], mid[keep]), axis=1).ravel(), left[n:]))
-            right = np.concatenate((np.stack((mid[keep], b[keep]), axis=1).ravel(), right[n:]))
-            task = np.concatenate((np.repeat(t[keep], 2), task[n:]))
+            top = work.push(top, np.repeat(t[keep], 2),
+                            np.stack((a[keep], mid[keep]), axis=1).ravel(),
+                            np.stack((mid[keep], b[keep]), axis=1).ravel())
     finally:
         held.depth -= 1
     return values, errors, ~failed
@@ -252,10 +276,12 @@ def _neg_plogp(v: np.ndarray) -> np.ndarray:
     """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR.
 
     Never returns NaN or -inf: values at or below the floor (including any negative
-    rounding noise of a nonnegative density) contribute exactly 0.
+    rounding noise of a nonnegative density) contribute exactly 0. The result is the
+    thread's _scratch buffer "plogp".
     """
-    out = np.zeros_like(v)
-    np.log(v, out=out, where=v > ENTROPY_FLOOR)
+    out = _scratch("plogp", v)
+    out.fill(0.0)  # for the entries at or below the floor
+    np.log(v, out=out, where=np.greater(v, ENTROPY_FLOOR, out=_scratch("mask", v, bool)))
     out *= v
     return np.negative(out, out=out)
 

@@ -321,6 +321,29 @@ def test_help_documents_exit_codes():
         assert token in proc.stdout
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma (1.3 MB of modules, loaded by np.unique) serves no command: every
+    # command runs in one fresh interpreter, which then has not imported it
+    code = (
+        "import contextlib, io, sys\n"
+        "from cvsteer.cli import main\n"
+        "loose = ['--panel-tol', '1e-7', '--half-width', '6']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['eval', '--theta', '0.7']),\n"
+        "             main(['sweep', '--state', 'psi', '--steps', '5', *loose]),\n"
+        "             main(['critical', '--state', 'psi-prime', '--criteria', 'reid,chsh']),\n"
+        "             main(['report', '--state', 'psi-prime', *loose])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(cvsteer.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env, cwd=tmp_path, check=True)
+    assert proc.stdout.split("]")[-1].split() == ["False"]
+    assert proc.stdout.startswith(f"[{EXIT_OK}, {EXIT_OK}, {EXIT_NO_ROOT}, {EXIT_OK}]")
+
+
 FLAGS_OF_COMMAND = {
     "eval": "--state --criteria --theta --half-width --L --panel-tol --output --format "
             "--allow-flagged",

@@ -25,8 +25,17 @@ from cvsteer.criteria import (
     entropic_value,
     reid_value,
 )
-from cvsteer.fock import Domain, FockState, UnitSystem, make_psi, make_psi_prime, marginal_density
-from cvsteer.fock import _is_uncorrelated, _parities, _view
+from cvsteer.fock import (
+    Domain,
+    FockState,
+    UnitSystem,
+    joint_density,
+    make_psi,
+    make_psi_prime,
+    marginal_density,
+    wavefunction,
+)
+from cvsteer.fock import _DomainView, _is_uncorrelated, _parities, _view
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
 
 criteria_mod = importlib.import_module("cvsteer.criteria")
@@ -468,6 +477,38 @@ class TestRankOnePath:
         entropic_value(state)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank_test_matches_all_minors(self, seed):
+        # Oracle: every 2x2 minor of c within 1e-14, where the rank test reads only the
+        # minors through the entry of largest modulus
+        def all_minors_vanish(c):
+            rows, cols = c.shape
+            return all(abs(c[i, j] * c[k, l] - c[i, l] * c[k, j]) <= 1e-14
+                       for i in range(rows) for k in range(i + 1, rows)
+                       for j in range(cols) for l in range(j + 1, cols))
+
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(2, 7, size=2)
+        vec = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rank_one = np.outer(vec(rows), vec(cols))
+        rank_two = rank_one + np.outer(vec(rows), vec(cols))
+        for c, rank in ((rank_one, 1), (rank_two, 2)):
+            c = c / np.linalg.norm(c)
+            assert all_minors_vanish(c) == (rank == 1)
+            assert _is_uncorrelated(_DomainView(scale=1.0, c=c)) == (rank == 1)
+
+    def test_rank_test_memory_at_n30(self):
+        # The degree-30 two-mode squeezed vacuum: the test reads O(size of c) minors; the
+        # outer product of c with itself peaked at 35 MB
+        view = _view(two_mode_squeezed_vacuum(0.5, 30), Domain.POSITION, UnitSystem())
+        tracemalloc.start()
+        try:
+            assert not _is_uncorrelated(view)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
 
 @st.composite
 def central_parity_states(draw, factorized=False):
@@ -602,6 +643,29 @@ class TestSweepCap:
             assert res.components == whole.components
             assert res.converged == whole.converged
 
+    def test_deep_task_bit_identical(self):
+        # Task 1 needs over a thousand pending panels of one generation, so it is swept
+        # alone past the cap and its children outgrow the worklist stack, between two
+        # smooth tasks. Values and errors as float.hex, recorded before the pending
+        # panels moved from per-sweep arrays to the workspace's stack.
+        def f(tid, x):
+            return np.where(tid == 1, np.cos(300.0 * x), np.exp(-x * x) * (1.0 + tid))
+
+        def run():
+            cuts = np.array([[math.nan], [0.5], [-1.0]])
+            vals, errs, ok = quadrature_mod._adaptive_many(f, -8.0, 8.0, cuts, 1e-12, 20)
+            return ([v.hex() for v in vals], [e.hex() for e in errs], ok.tolist(),
+                    quadrature_mod._HELD.works[0].x.size)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a thread with no workspace yet
+            values, errors, ok, points = pool.submit(run).result(timeout=300)
+        assert values == ["0x1.c5bf891b4ef52p+0", "-0x1.3359f7b1fed01p-10",
+                          "0x1.544fa6d47b37fp+2"]
+        assert errors == ["0x1.37e331a2bac4ap-43", "0x1.1ab4688000000p-43",
+                          "0x1.d24fe70a70253p-44"]
+        assert ok == [True, True, True]
+        assert points > quadrature_mod._SWEEP_POINTS
+
     def test_sweeps_and_allocations_bounded_at_n12(self, monkeypatch):
         # With every batched sweep capped, one conditional entropy of a nodal n = 12
         # state holds a few sweep-sized arrays; uncapped, it peaked at 8.0 MB of
@@ -703,6 +767,19 @@ class TestHeldWorkspaces:
             sys.setswitchinterval(interval)
         assert got == [serial, serial[::-1]]
 
+    def test_public_densities_not_overwritten(self):
+        # The engine's blocks take their temporaries from the thread's held scratch; the
+        # public functions return arrays of their own, which no later evaluation touches
+        state = FockState.from_terms([(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993),
+                                      (4, 1, -0.6357547514092701)])
+        a, b = np.linspace(-3.0, 3.0, 64), np.linspace(2.0, -2.0, 64)
+        got = [joint_density(state, a, b), wavefunction(state, a, b), marginal_density(state, a)]
+        kept = [x.copy() for x in got]
+        entropic_value(state)
+        assert all(np.array_equal(x, k) for x, k in zip(got, kept))
+        assert not any(np.shares_memory(x, buf) for x in got
+                       for buf in quadrature_mod._HELD.scratch.values())
+
     @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
     def test_repeated_evaluation_faults_in_no_buffers(self):
         # In a fresh process, the second evaluation of the mixed-parity state of
@@ -729,6 +806,72 @@ class TestHeldWorkspaces:
         first, second, third = json.loads(out.stdout)
         assert first > 100
         assert second <= 50 and third <= 50
+
+
+# The general-states benchmark's six templates as (terms, m*omega values)
+TEMPLATE_STATES = [
+    ([(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)], (1.0,)),
+    ([(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993), (4, 1, -0.6357547514092701)],
+     (1.0, 2.0)),
+    ([(0, 0, 0.5709217176240943), (1, 1, -0.5720614377818821), (2, 2, -0.45854384520706243),
+      (3, 3, -0.36950188872426803)], (1.0,)),
+    ([(1, 0, 0.7391520237083793 + 0.07703524260170534j),
+      (0, 2, 0.20667666913448657 - 0.49221049173258735j),
+      (3, 3, 0.34429506342611127 - 0.21022452951392717j)], (1.0, 0.5)),
+    ([(0, 1, -0.1655572842024828 + 0.40448809408187864j),
+      (1, 0, -0.5314747884868021 + 0.2778775780023087j),
+      (2, 2, 0.14104737179012275 - 0.2655741031106924j),
+      (4, 3, -0.504182812836414 + 0.32353437861902606j)], (1.0,)),
+    ([(2, 0, 0.3895325905256482 + 0.25383370792497706j),
+      (2, 1, -0.3909065969108248 - 0.28438767872473086j),
+      (2, 3, -0.09961383788762108 - 0.7350003902188699j)], (1.0,)),
+]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+class TestHeapLayout:
+    """The 2-D entropy's inner blocks allocate nothing, so page faults do not hang on
+    where earlier allocations left the heap. When they allocated their temporaries
+    afresh, the states after the first took 2,979 to 25,338 faults by the process's
+    layout once np.unique, which imports numpy.ma (1.3 MB of modules), was gone, and
+    135 with numpy.ma imported first; held, they take 110 to 140 either way."""
+
+    CODE = (
+        "import json, resource, sys\n"
+        "if sys.argv[1] == 'ma':\n"
+        "    import numpy.ma\n"
+        "from cvsteer import FockState, UnitSystem, chsh_max, entropic_value, reid_value\n"
+        "faults = []\n"
+        "for terms, m_omegas in json.loads(sys.argv[2]):\n"
+        "    state = FockState.from_terms([(n1, n2, complex(*c)) for n1, n2, c in terms])\n"
+        "    for m_omega in m_omegas:\n"
+        "        units = UnitSystem(m_omega)\n"
+        "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "        reid_value(state, units=units)\n"
+        "        entropic_value(state, units=units)\n"
+        "        chsh_max(state)\n"
+        "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(json.dumps([faults, 'numpy.ma' in sys.modules]))\n"
+    )
+
+    def test_template_states_fault_little_after_the_first(self):
+        encode = lambda terms: [[n1, n2, [complex(c).real, complex(c).imag]] for n1, n2, c in terms]
+        states = json.dumps([[encode(terms), m_omegas] for terms, m_omegas in TEMPLATE_STATES])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(criteria_mod.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        procs = {mode: subprocess.Popen([sys.executable, "-c", self.CODE, mode, states],
+                                        env=env, stdout=subprocess.PIPE, text=True)
+                 for mode in ("plain", "ma")}
+        got = {}
+        for mode, proc in procs.items():
+            out, _err = proc.communicate(timeout=300)
+            assert proc.returncode == 0
+            got[mode] = json.loads(out)
+        for faults, _ma in got.values():
+            assert len(faults) == 8
+            assert sum(faults[1:]) <= 400
+        assert got["plain"][1] is False
 
 
 def two_mode_squeezed_vacuum(lam: float, n_max: int) -> FockState:

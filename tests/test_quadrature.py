@@ -335,6 +335,31 @@ class TestSweepWorkspace:
         assert len(calls) == 2 * n_first
         assert all(x.base is last[level] for level, _tid, x in calls[n_first:])
 
+    def test_worklist_held_across_sweeps_and_integrals(self, monkeypatch):
+        # The pending panels are a stack in the depth's workspace: every sweep of a
+        # repeated integral pops and pushes the same three buffers, and no sweep
+        # concatenates the remaining worklist
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.concatenate called")
+
+        monkeypatch.setattr(np, "concatenate", refuse)
+        stacks = []
+
+        def f(x):
+            stacks.append(quadrature_mod._HELD.works[0].pending)
+            return np.cos(300.0 * x)
+
+        run = lambda: adaptive_panels(f, -8.0, 8.0, 1e-12, 20)
+        first = run()
+        n_first = len(stacks)
+        assert run() == first
+        assert len(stacks) == 2 * n_first > 20
+        last = stacks[n_first - 1]
+        assert all(all(x is y for x, y in zip(bufs, last)) for bufs in stacks[n_first:])
+        c, s = math.cos(1.1), math.sin(1.1)
+        integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), DEFAULT_SPEC,
+                             inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s))
+
     def test_depth_restored_when_the_integrand_raises(self):
         def g(a, row, b):
             raise FloatingPointError
