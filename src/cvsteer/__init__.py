@@ -11,11 +11,8 @@ from .criteria import (
     CRITERIA,
     LN_PI_E,
     REID_BOUND,
-    CorrelationMatrix,
     CriterionResult,
     chsh_max,
-    conditional_entropy,
-    conditional_variance_min,
     correlation_matrix,
     entropic_value,
     reid_value,
@@ -28,13 +25,10 @@ from .fock import (
     NATURAL_UNITS,
     UnitSystem,
     conditional_mean,
-    eigenfunction_p,
-    eigenfunction_x,
     joint_density,
     make_psi,
     make_psi_prime,
     marginal_density,
-    wavefunction,
 )
 from .quadrature import (
     DEFAULT_SPEC,
@@ -61,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHSH_CLASSICAL_BOUND",
     "CRITERIA",
-    "CorrelationMatrix",
     "CriterionResult",
     "CriticalAngle",
     "DEFAULT_SPEC",
@@ -82,12 +75,8 @@ __all__ = [
     "UnitSystem",
     "adaptive_panels",
     "chsh_max",
-    "conditional_entropy",
     "conditional_mean",
-    "conditional_variance_min",
     "correlation_matrix",
-    "eigenfunction_p",
-    "eigenfunction_x",
     "entropic_value",
     "find_critical_angles",
     "hierarchy_report",
@@ -99,6 +88,5 @@ __all__ = [
     "marginal_density",
     "reid_value",
     "sweep",
-    "wavefunction",
     "__version__",
 ]

@@ -52,13 +52,10 @@ __all__ = [
     "CRITERIA",
     "Criterion",
     "CriterionResult",
-    "CorrelationMatrix",
     "LN_PI_E",
     "REID_BOUND",
     "CHSH_CLASSICAL_BOUND",
-    "conditional_variance_min",
     "reid_value",
-    "conditional_entropy",
     "entropic_value",
     "correlation_matrix",
     "chsh_max",
@@ -91,17 +88,6 @@ class CriterionResult:
     converged: bool = True
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """t[i][j] = <sigma_i x sigma_j> under the pseudo-Pauli pairing of Fock levels
-    (2n, 2n+1); entries are exact coefficient-space sums, no quadrature."""
-
-    t: np.ndarray
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.t, compute_uv=False)
-
-
 def _effective_width(spec: QuadratureSpec, view) -> float:
     # The window is set in oscillator units y = sqrt(scale) x, where level n reaches its
     # turning point sqrt(2n+1), and mapped back to x. It reaches 4.2 past the turning
@@ -121,6 +107,15 @@ def _variance_uncorrelated(view) -> float:
 
 def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
                           units: UnitSystem) -> tuple[float, bool]:
+    """Minimal average conditional variance Delta2_min of mode 2 inferred from mode 1,
+    and whether the tolerance was met.
+
+    Delta2_min = <b^2> - int N(a)^2 / M(a) da with N(a) = int b P(a,b) db and M the
+    marginal: the cross term of the squared deviation from the conditional mean
+    collapses onto the correction integral. <b^2>, N and M are exact ladder-operator
+    sums; only N^2 / M, rational in a, is integrated, and points with M at or below the
+    density floor contribute zero.
+    """
     view = _view(state, dom, units)
     if _is_uncorrelated(view):
         return _variance_uncorrelated(view), True
@@ -137,22 +132,6 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
                                  spec.max_depth, (0.0,), fold=_parities(state)[0] is not None)
     second = _mode2_moment(view, _ladder_position_sq)
     return max(second - correction.value, 0.0), correction.converged
-
-
-def conditional_variance_min(state: FockState, dom: Domain,
-                             spec: QuadratureSpec = DEFAULT_SPEC,
-                             units: UnitSystem = NATURAL_UNITS) -> float:
-    """Minimal average conditional variance of mode 2 inferred from mode 1.
-
-    Delta2_min = <b^2> - int N(a)^2 / M(a) da with N(a) = int b P(a,b) db and M the
-    marginal: the cross term of the squared deviation from the conditional mean
-    collapses onto the correction integral. <b^2>, N(a) and M(a) are exact finite
-    ladder-operator sums over the Fock terms; only the correction integrand, which is
-    rational in a, goes through the adaptive panel integrator. Points with M(a) at or
-    below the density floor contribute zero.
-    """
-    value, _converged = _conditional_variance(state, dom, spec, units)
-    return value
 
 
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
@@ -183,6 +162,7 @@ def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
 
 def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
                          units: UnitSystem) -> tuple[float, bool]:
+    """h(B2|B1) = H(B1,B2) - H(B1), and whether both integrals met the tolerance."""
     view = _view(state, dom, units)
     if _is_uncorrelated(view):
         return _entropy_uncorrelated(state, dom, spec, units)
@@ -208,14 +188,6 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 
 
-def conditional_entropy(state: FockState, dom: Domain,
-                        spec: QuadratureSpec = DEFAULT_SPEC,
-                        units: UnitSystem = NATURAL_UNITS) -> float:
-    """Average conditional differential entropy h(B2|B1) = H(B1,B2) - H(B1)."""
-    value, _converged = _conditional_entropy(state, dom, spec, units)
-    return value
-
-
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
@@ -237,8 +209,8 @@ def _pauli(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def correlation_matrix(state: FockState) -> CorrelationMatrix:
-    """t[i][j] = <Psi| sigma_i x sigma_j |Psi> in the Fock coefficient space.
+def correlation_matrix(state: FockState) -> np.ndarray:
+    """The read-only 3 x 3 array t[i][j] = <Psi| sigma_i x sigma_j |Psi>.
 
     With C the amplitude matrix, zero-padded to even sizes so that no level loses its
     partner, t[i][j] = Re sum conj(sigma_i C) (C sigma_j^T): the operators are
@@ -250,7 +222,7 @@ def correlation_matrix(state: FockState) -> CorrelationMatrix:
     right = _pauli(padded.T).transpose(0, 2, 1)
     t = np.real(np.sum(left[:, None] * right[None, :], axis=(2, 3)))
     t.setflags(write=False)
-    return CorrelationMatrix(t=t)
+    return t
 
 
 def chsh_max(state: FockState, theta: float | None = None) -> CriterionResult:
@@ -260,7 +232,7 @@ def chsh_max(state: FockState, theta: float | None = None) -> CriterionResult:
     over all settings is 2 sqrt(u1 + u2) with u1 >= u2 the two largest eigenvalues of
     T^T T, i.e. the squared leading singular values of T.
     """
-    sv = correlation_matrix(state).singular_values()
+    sv = np.linalg.svd(correlation_matrix(state), compute_uv=False)
     return _result("chsh", 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2), sv.tolist(), True, theta)
 
 

@@ -25,9 +25,6 @@ __all__ = [
     "DegenerateMarginal",
     "make_psi",
     "make_psi_prime",
-    "eigenfunction_x",
-    "eigenfunction_p",
-    "wavefunction",
     "joint_density",
     "marginal_density",
     "conditional_mean",
@@ -73,7 +70,7 @@ NATURAL_UNITS = UnitSystem()
 
 @dataclass(frozen=True)
 class FockState:
-    """Two-mode wavefunction as a finite list of (n1, n2, amplitude) Fock terms.
+    """Two-mode state as a finite list of (n1, n2, amplitude) Fock terms.
 
     Terms are unique in (n1, n2), sorted, and normalized: sum |amp|^2 = 1 within 1e-12
     (Fock products are orthonormal, so this is the norm). Build via ``from_terms``.
@@ -140,9 +137,7 @@ def make_psi_prime(theta: float) -> FockState:
 
 
 def _maybe_scalar(arr, scalar_in: bool):
-    if scalar_in:
-        return arr[()].item() if isinstance(arr, np.ndarray) else arr
-    return arr
+    return arr.item() if scalar_in else arr
 
 
 def _fresh(_name: str, like: np.ndarray, dtype=float) -> np.ndarray:
@@ -176,36 +171,6 @@ def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True, scratch=
         yield cur
 
 
-def _osc_table(n_max: int, y: np.ndarray, include_gaussian: bool = True) -> np.ndarray:
-    """The rows of _osc_rows stacked into one (n_max + 1,) + y.shape table."""
-    out = np.empty((n_max + 1,) + np.shape(y))
-    for n, row in enumerate(_osc_rows(n_max, y, include_gaussian)):
-        out[n] = row
-    return out
-
-
-def eigenfunction_x(n: int, x, units: UnitSystem = NATURAL_UNITS):
-    """phi(n, x): n-th oscillator eigenfunction, position representation (real)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    scalar_in = np.ndim(x) == 0
-    s = units.m_omega
-    y = math.sqrt(s) * np.asarray(x, dtype=float)
-    return _maybe_scalar(s ** 0.25 * _osc_table(n, y)[n], scalar_in)
-
-
-def eigenfunction_p(n: int, p, units: UnitSystem = NATURAL_UNITS):
-    """Momentum representation of phi(n, .): (-i)^n times the scale-inverted
-    eigenfunction, under the Fourier kernel (2*pi)^(-1/2) exp(-i p x)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    scalar_in = np.ndim(p) == 0
-    inv = 1.0 / units.m_omega
-    y = math.sqrt(inv) * np.asarray(p, dtype=float)
-    val = _PHASE_MINUS_I[n % 4] * (inv ** 0.25 * _osc_table(n, y)[n])
-    return _maybe_scalar(val, scalar_in)
-
-
 def _real_up_to_phase(amps: np.ndarray) -> np.ndarray | None:
     """The amplitudes made real by stripping a global phase, or None when they are
     genuinely complex."""
@@ -234,6 +199,11 @@ class _DomainView:
         complex; computed on first use (only the entropy paths ask)."""
         return _real_up_to_phase(self.c)
 
+    @cached_property
+    def live(self) -> list[bool]:
+        """live[g]: whether mode 2's level g holds a term (_density_rows skips the rest)."""
+        return self.c.any(axis=0).tolist()
+
 
 @lru_cache(maxsize=4096)
 def _view(state: FockState, dom: Domain, units: UnitSystem) -> _DomainView:
@@ -260,22 +230,6 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
     return coeff
 
 
-def _series(coeff: np.ndarray, row: np.ndarray, y: np.ndarray, scratch=_fresh) -> np.ndarray:
-    """sum_g coeff[g, row[i]] u_g(y[i]) for every i, consuming the rows of _osc_rows as
-    they come, so no (degree + 1) x len(y) table is built. ``row`` holds valid column
-    indices of coeff, as np.intp (any other integer type is converted on every take).
-    Every temporary, the result included, comes from ``scratch`` (see _fresh)."""
-    rows = _osc_rows(coeff.shape[0] - 1, y, scratch=scratch)
-    out = coeff[0].take(row, out=scratch("series", y, coeff.dtype), mode="clip")
-    out *= next(rows)
-    term = scratch("term", y, coeff.dtype)
-    for c, u in zip(coeff[1:], rows):
-        c.take(row, out=term, mode="clip")
-        term *= u
-        out += term
-    return out
-
-
 def _density_coefficients(v: _DomainView, a) -> np.ndarray:
     """The mode-2 coefficients c_g(a) that _density_rows sums, in real arithmetic when
     the amplitudes are real up to a global phase (the density does not see it)."""
@@ -285,24 +239,29 @@ def _density_coefficients(v: _DomainView, a) -> np.ndarray:
 
 def _density_rows(v: _DomainView, coeff: np.ndarray, row, b, scratch=_fresh) -> np.ndarray:
     """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _density_coefficients(v, a);
-    the caller keeps coeff for as many calls as share the abscissae a. Every temporary,
-    the result included, comes from ``scratch`` (see _fresh)."""
+    the caller keeps coeff for as many calls as share the abscissae a. ``row`` holds
+    valid column indices of coeff, as np.intp (any other integer type is converted on
+    every take). The series sum_g coeff[g, row[i]] u_g(y[i]) consumes the rows of
+    _osc_rows as they come, so no (degree + 1) x len(b) table is built. It skips the
+    levels without a term (v.live), whose rows are zero (adding a zero is exact up to
+    its sign, which |.| drops), and sums a complex series as its real and imaginary
+    parts, with a float term. Every temporary, the result included, comes from
+    ``scratch`` (see _fresh)."""
     y = np.multiply(b, math.sqrt(v.scale), out=scratch("y", b))
-    out = np.abs(_series(coeff, row, y, scratch), out=scratch("density", b))
+    series = scratch("series", y, coeff.dtype)
+    series.fill(0.0)
+    parts = [(coeff, series)] if coeff.dtype == float else [
+        (coeff.real, series.real), (coeff.imag, series.imag)]
+    term = scratch("term", y)
+    for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, y, scratch=scratch)):
+        for part, s in parts if v.live[g] else ():
+            part[g].take(row, out=term, mode="clip")
+            term *= u
+            s += term
+    out = np.abs(series, out=y)  # y is spent
     out *= out
     out *= v.scale
     return out
-
-
-def wavefunction(state: FockState, a, b, dom: Domain = Domain.POSITION,
-                 units: UnitSystem = NATURAL_UNITS):
-    """Complex amplitude at (a, b) in the requested domain; broadcasts over a, b."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    v = _view(state, dom, units)
-    root = math.sqrt(v.scale)
-    coeff = _coefficients(v.c, 1, root * a.ravel())
-    out = root * _series(coeff, np.arange(a.size), root * b.ravel())
-    return _maybe_scalar(out.reshape(a.shape), a.ndim == 0)
 
 
 def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
@@ -416,7 +375,7 @@ def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
 def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray | None:
     """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
 
-    Zero *curves* of the density exist only when the wavefunction is real up to a
+    Zero *curves* of the density exist only when the amplitudes are real up to a
     global phase; then b -> psi(a, b) is the density's series from _coefficients, and
     the real roots of its polynomial part inside (-limit, limit) are returned,
     NaN-padded to shape (len(a), max n2).

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -366,3 +367,14 @@ def test_command_help_lists_its_options_with_library_defaults(command):
     assert f"(default {DEFAULT_SPEC.panel_tol})" in text
     assert (f"(default {_ROOT_TOL})" in text) == (command == "critical")
     assert "(default 1e-6)" not in text
+
+
+@pytest.mark.parametrize("module", ["cvsteer", "cvsteer.sweep", "cvsteer.criteria",
+                                    "cvsteer.quadrature", "cvsteer.fock"])
+def test_every_exported_name_resolves(module):
+    # perfbench/trace_spans.py calls getattr on every __all__ entry of the package and
+    # of each layer, so a stale entry would stop every traced benchmark run
+    mod = importlib.import_module(module)
+    assert mod.__all__
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -19,8 +19,6 @@ from cvsteer.criteria import (
     LN_PI_E,
     _effective_width,
     chsh_max,
-    conditional_entropy,
-    conditional_variance_min,
     correlation_matrix,
     entropic_value,
     reid_value,
@@ -33,7 +31,6 @@ from cvsteer.fock import (
     make_psi,
     make_psi_prime,
     marginal_density,
-    wavefunction,
 )
 from cvsteer.fock import _DomainView, _is_uncorrelated, _parities, _view
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
@@ -84,36 +81,44 @@ COND_ENTROPY_ORACLE = {
 H_LEVEL1 = np.euler_gamma + math.log(2.0) + 0.5 * math.log(math.pi) - 0.5
 
 
+def delta2_min(state, dom, units=UnitSystem()):
+    """Delta2_min of mode 2 in ``dom``, as reid_value's component."""
+    name = "delta2_min_x2" if dom is Domain.POSITION else "delta2_min_p2"
+    return reid_value(state, units=units).components[name]
+
+
+def h_x2_given_x1(state):
+    """h(X2|X1), as entropic_value's component."""
+    return entropic_value(state).components["h_x2_given_x1"]
+
+
 class TestConditionalVariance:
     def test_ground_product(self):
-        assert conditional_variance_min(make_psi(0.0), Domain.POSITION) == pytest.approx(0.5, abs=1e-14)
+        assert delta2_min(make_psi(0.0), Domain.POSITION) == pytest.approx(0.5, abs=1e-14)
 
     def test_excited_product(self):
-        assert conditional_variance_min(make_psi(math.pi / 2), Domain.POSITION) == pytest.approx(1.5, abs=1e-14)
+        assert delta2_min(make_psi(math.pi / 2), Domain.POSITION) == pytest.approx(1.5, abs=1e-14)
 
     def test_psi_prime_bob_ground(self):
-        assert conditional_variance_min(make_psi_prime(math.pi / 2), Domain.POSITION) == pytest.approx(0.5, abs=1e-14)
+        assert delta2_min(make_psi_prime(math.pi / 2), Domain.POSITION) == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("theta,expected", [
         (t, d2) for t, (_v, d2) in REID_ORACLE_PSI.items() if d2 is not None])
     def test_against_erfc_oracle(self, theta, expected):
-        state = make_psi(theta)
-        for dom in Domain:
-            assert conditional_variance_min(state, dom) == pytest.approx(expected, abs=1e-11)
+        components = reid_value(make_psi(theta)).components
+        for name in ("delta2_min_x2", "delta2_min_p2"):
+            assert components[name] == pytest.approx(expected, abs=1e-11)
 
     def test_momentum_equals_position_at_unit_scale(self):
-        state = make_psi_prime(0.7)
-        vx = conditional_variance_min(state, Domain.POSITION)
-        vp = conditional_variance_min(state, Domain.MOMENTUM)
-        assert vx == pytest.approx(vp, abs=1e-12)
+        components = reid_value(make_psi_prime(0.7)).components
+        assert components["delta2_min_x2"] == pytest.approx(components["delta2_min_p2"], abs=1e-12)
 
     def test_scale_covariance(self):
         # x-variance scales as 1/s, p-variance as s; the product is invariant
         state = make_psi(0.8)
-        units = UnitSystem(m_omega=2.0)
-        vx = conditional_variance_min(state, Domain.POSITION, units=units)
-        vp = conditional_variance_min(state, Domain.MOMENTUM, units=units)
-        vx1 = conditional_variance_min(state, Domain.POSITION)
+        vx = delta2_min(state, Domain.POSITION, UnitSystem(m_omega=2.0))
+        vp = delta2_min(state, Domain.MOMENTUM, UnitSystem(m_omega=2.0))
+        vx1 = delta2_min(state, Domain.POSITION)
         assert vx == pytest.approx(0.5 * vx1, rel=1e-10)
         assert vx * vp == pytest.approx(vx1 * vx1, rel=1e-10)
 
@@ -155,29 +160,27 @@ class TestReid:
 
 class TestConditionalEntropy:
     def test_product_ground(self):
-        val = conditional_entropy(make_psi(0.0), Domain.POSITION)
-        assert val == pytest.approx(0.5 * LN_PI_E, abs=1e-14)
+        assert h_x2_given_x1(make_psi(0.0)) == pytest.approx(0.5 * LN_PI_E, abs=1e-14)
 
     def test_product_excited(self):
-        val = conditional_entropy(make_psi(math.pi / 2), Domain.POSITION)
-        assert val == pytest.approx(H_LEVEL1, abs=1e-14)
+        assert h_x2_given_x1(make_psi(math.pi / 2)) == pytest.approx(H_LEVEL1, abs=1e-14)
 
     @pytest.mark.parametrize("theta", list(COND_ENTROPY_ORACLE))
     def test_against_scipy_oracle(self, theta):
         h_psi, h_psip = COND_ENTROPY_ORACLE[theta]
-        assert conditional_entropy(make_psi(theta), Domain.POSITION) == pytest.approx(h_psi, abs=1e-9)
-        assert conditional_entropy(make_psi_prime(theta), Domain.POSITION) == pytest.approx(h_psip, abs=1e-9)
+        assert h_x2_given_x1(make_psi(theta)) == pytest.approx(h_psi, abs=1e-9)
+        assert h_x2_given_x1(make_psi_prime(theta)) == pytest.approx(h_psip, abs=1e-9)
 
     @pytest.mark.parametrize("builder", [make_psi, make_psi_prime])
     @pytest.mark.parametrize("theta", [0.3, 0.9, 1.4])
     def test_conditioning_reduces_entropy(self, builder, theta):
         state = builder(theta)
-        for dom in Domain:
-            h_cond = conditional_entropy(state, dom)
+        components = entropic_value(state).components
+        for dom, name in zip(Domain, ("h_x2_given_x1", "h_p2_given_p1")):
             h_marg = integrate_entropy_1d(
                 lambda b: marginal_density(state, b, dom, mode=2), DEFAULT_SPEC,
                 breakpoints=(0.0,)).value
-            assert h_cond <= h_marg + 1e-10
+            assert components[name] <= h_marg + 1e-10
 
     def test_peak_allocation(self):
         # The 2-D integrand builds the mode-2 coefficients of an outer batch's abscissae
@@ -189,7 +192,7 @@ class TestConditionalEntropy:
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
         tracemalloc.start()
         try:
-            conditional_entropy(state, Domain.POSITION)
+            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC, UnitSystem())
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -234,37 +237,36 @@ class TestEntropic:
 
 class TestCorrelationMatrix:
     def test_bell_point(self):
-        cm = correlation_matrix(make_psi(math.pi / 4))
-        np.testing.assert_allclose(cm.t, np.diag([1.0, -1.0, 1.0]), atol=1e-15)
+        t = correlation_matrix(make_psi(math.pi / 4))
+        np.testing.assert_allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-15)
 
     def test_product_point(self):
-        cm = correlation_matrix(make_psi(0.0))
-        np.testing.assert_allclose(cm.t, np.diag([0.0, 0.0, 1.0]), atol=1e-15)
+        t = correlation_matrix(make_psi(0.0))
+        np.testing.assert_allclose(t, np.diag([0.0, 0.0, 1.0]), atol=1e-15)
 
     def test_psi_prime_anticorrelated_parity(self):
-        cm = correlation_matrix(make_psi_prime(math.pi / 2))
-        assert cm.t[2, 2] == -1.0
+        t = correlation_matrix(make_psi_prime(math.pi / 2))
+        assert t[2, 2] == -1.0
 
     @given(st.floats(min_value=0.0, max_value=math.pi))
     @settings(max_examples=60, deadline=None)
     def test_diagonal_structure_and_bounds(self, theta):
-        cm = correlation_matrix(make_psi(theta))
+        t = correlation_matrix(make_psi(theta))
         s2t = 2.0 * math.sin(theta) * math.cos(theta)
-        np.testing.assert_allclose(cm.t, np.diag([s2t, -s2t, 1.0]), atol=1e-10)
-        assert np.all(np.abs(cm.t) <= 1.0 + 1e-10)
+        np.testing.assert_allclose(t, np.diag([s2t, -s2t, 1.0]), atol=1e-10)
+        assert np.all(np.abs(t) <= 1.0 + 1e-10)
 
     def test_higher_level_pairing(self):
         # sigma_z signs by parity within (2n, 2n+1) pairs: levels 2 and 3 anti-align
         state = FockState.from_terms([(2, 2, math.sqrt(0.5)), (3, 3, math.sqrt(0.5))])
-        cm = correlation_matrix(state)
-        assert cm.t[2, 2] == pytest.approx(1.0, abs=1e-15)
-        assert cm.t[0, 0] == pytest.approx(1.0, abs=1e-12)  # sigma_x couples the pair
+        t = correlation_matrix(state)
+        assert t[2, 2] == pytest.approx(1.0, abs=1e-15)
+        assert t[0, 0] == pytest.approx(1.0, abs=1e-12)  # sigma_x couples the pair
 
     def test_off_block_superposition(self):
         # Terms from different pairs: sigma_x cannot connect level 1 to level 2
         state = FockState.from_terms([(0, 0, math.sqrt(0.5)), (2, 2, math.sqrt(0.5))])
-        cm = correlation_matrix(state)
-        assert cm.t[0, 0] == 0.0
+        assert correlation_matrix(state)[0, 0] == 0.0
 
 
     @pytest.mark.parametrize("levels", [(1, 1), (1, 6), (2, 3), (3, 2), (5, 5), (6, 4), (6, 6)])
@@ -288,7 +290,7 @@ class TestCorrelationMatrix:
             ops1 = [np.kron(np.eye(padded.shape[0] // 2), s) for s in pauli]
             ops2 = [np.kron(np.eye(padded.shape[1] // 2), s) for s in pauli]
             expected = [[np.vdot(psi, np.kron(o1, o2) @ psi).real for o2 in ops2] for o1 in ops1]
-            np.testing.assert_allclose(correlation_matrix(state).t, expected, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(correlation_matrix(state), expected, rtol=0, atol=1e-14)
 
 
 class TestChsh:
@@ -543,8 +545,8 @@ class TestParityFold:
     def test_entropy(self, state, dom, m_omega):
         assert _parities(state)[0] is not None
         units = UnitSystem(m_omega)
-        folded = conditional_entropy(state, dom, DEFAULT_SPEC, units)
-        full = unfolded(conditional_entropy, state, dom, DEFAULT_SPEC, units)
+        folded, _ok = criteria_mod._conditional_entropy(state, dom, DEFAULT_SPEC, units)
+        full, _ok = unfolded(criteria_mod._conditional_entropy, state, dom, DEFAULT_SPEC, units)
         assert folded == pytest.approx(full, abs=1e-12)
 
     @given(central_parity_states(), st.sampled_from(list(Domain)),
@@ -552,8 +554,8 @@ class TestParityFold:
     @settings(max_examples=40, deadline=None)
     def test_reid_correction(self, state, dom, m_omega):
         units = UnitSystem(m_omega)
-        folded = conditional_variance_min(state, dom, DEFAULT_SPEC, units)
-        full = unfolded(conditional_variance_min, state, dom, DEFAULT_SPEC, units)
+        folded, _ok = criteria_mod._conditional_variance(state, dom, DEFAULT_SPEC, units)
+        full, _ok = unfolded(criteria_mod._conditional_variance, state, dom, DEFAULT_SPEC, units)
         assert folded == pytest.approx(full, abs=1e-12)
 
 
@@ -683,7 +685,7 @@ class TestSweepCap:
         largest = batched_sweep_points(monkeypatch)
         tracemalloc.start()
         try:
-            conditional_entropy(state, Domain.POSITION)
+            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC, UnitSystem())
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -742,7 +744,7 @@ class TestEngineBitIdentity:
     def test_chsh_and_correlation_hex(self, build, theta, chsh, diagonal):
         state = build(theta)
         assert chsh_max(state).value.hex() == chsh
-        t = correlation_matrix(state).t
+        t = correlation_matrix(state)
         expected = np.diag([float.fromhex(h) for h in diagonal])
         assert [x.hex() for x in t.ravel()] == [x.hex() for x in expected.ravel()]
 
@@ -781,7 +783,7 @@ class TestHeldWorkspaces:
         state = FockState.from_terms([(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993),
                                       (4, 1, -0.6357547514092701)])
         a, b = np.linspace(-3.0, 3.0, 64), np.linspace(2.0, -2.0, 64)
-        got = [joint_density(state, a, b), wavefunction(state, a, b), marginal_density(state, a)]
+        got = [joint_density(state, a, b), marginal_density(state, a)]
         kept = [x.copy() for x in got]
         entropic_value(state)
         assert all(np.array_equal(x, k) for x, k in zip(got, kept))
@@ -790,8 +792,10 @@ class TestHeldWorkspaces:
 
     def test_template_states_hold_at_most_600_kb(self):
         # A fresh thread's workspaces and block scratch after Reid, entropic and CHSH of
-        # every general-states template: 573 KB. With sweeps of 16,384 points, and task
-        # ids copied from int32 into a scratch buffer for every block, they held 907 KB.
+        # every general-states template: 477 KB (573 KB with a separate density buffer
+        # and a complex series term).
+        # With sweeps of 16,384 points, and task ids copied from int32 into a scratch
+        # buffer for every block, they held 907 KB.
         def run():
             for terms, m_omegas in TEMPLATE_STATES:
                 state = FockState.from_terms(terms)

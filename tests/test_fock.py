@@ -14,20 +14,17 @@ from cvsteer.fock import (
     NATURAL_UNITS,
     UnitSystem,
     conditional_mean,
-    eigenfunction_p,
-    eigenfunction_x,
     joint_density,
     make_psi,
     make_psi_prime,
     marginal_density,
-    wavefunction,
 )
 from cvsteer.fock import (
     _density_coefficients,
     _density_rows,
     _ladder_position_sq,
     _mode2_moment,
-    _osc_table,
+    _osc_rows,
     _oscillator_roots,
     _parities,
     _view,
@@ -74,10 +71,17 @@ def adaptive_simpson(f, a, b, tol=1e-12, depth=30):
     return recurse(a, b, whole, depth)
 
 
-def hermite_from_table(n: int, y):
-    """Physicists' H_n(y) recovered from the normalized oscillator table _osc_table."""
+def osc_rows(n_max: int, y, include_gaussian: bool = True) -> np.ndarray:
+    """The rows u_0(y), ..., u_{n_max}(y) of the engine's recurrence _osc_rows, each
+    copied as it comes (the generator overwrites a row two steps later)."""
+    rows = _osc_rows(n_max, np.asarray(y, dtype=float), include_gaussian)
+    return np.array([row.copy() for row in rows])
+
+
+def hermite_from_rows(n: int, y):
+    """Physicists' H_n(y) recovered from the normalized oscillator rows of _osc_rows."""
     norm = math.pi ** 0.25 * math.sqrt(2.0 ** n * math.factorial(n))
-    return float(_osc_table(n, np.asarray(y, dtype=float), include_gaussian=False)[n]) * norm
+    return float(osc_rows(n, y, include_gaussian=False)[n]) * norm
 
 
 def hermval_oscillator(n: int, y):
@@ -87,72 +91,92 @@ def hermval_oscillator(n: int, y):
 
 
 class TestHermite:
-    """The oscillator table against numpy's independent Hermite-series evaluator."""
+    """The oscillator recurrence against numpy's independent Hermite-series evaluator."""
 
     def test_h0_is_one(self):
-        assert hermite_from_table(0, 3.7) == pytest.approx(hermval(3.7, [1.0]), rel=1e-14)
+        assert hermite_from_rows(0, 3.7) == pytest.approx(hermval(3.7, [1.0]), rel=1e-14)
         assert hermval(3.7, [1.0]) == 1.0
 
     def test_h1(self):
-        assert hermite_from_table(1, 0.5) == pytest.approx(hermval(0.5, [0.0, 1.0]), rel=1e-14)
+        assert hermite_from_rows(1, 0.5) == pytest.approx(hermval(0.5, [0.0, 1.0]), rel=1e-14)
         assert hermval(0.5, [0.0, 1.0]) == 1.0
 
     def test_h3_symbolic(self):
         # H_3(y) = 8 y^3 - 12 y by expanding the recurrence symbolically
-        assert hermite_from_table(3, 1.0) == pytest.approx(-4.0, abs=1e-14)
+        assert hermite_from_rows(3, 1.0) == pytest.approx(-4.0, abs=1e-14)
         y = 0.83
-        assert hermite_from_table(3, y) == pytest.approx(8 * y**3 - 12 * y, rel=1e-14)
+        assert hermite_from_rows(3, y) == pytest.approx(8 * y**3 - 12 * y, rel=1e-14)
         assert hermval(y, [0.0, 0.0, 0.0, 1.0]) == pytest.approx(8 * y**3 - 12 * y, rel=1e-14)
 
     @given(st.integers(min_value=1, max_value=25),
            st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_recurrence_consistency(self, n, y):
-        # _osc_table runs the normalized recurrence; hermval runs Clenshaw on the
+        # _osc_rows runs the normalized recurrence; hermval runs Clenshaw on the
         # physicists' one. Both carry the Gaussian, so every value is O(1).
-        table = _osc_table(n + 1, np.array(y))
+        table = osc_rows(n + 1, y)
         for k in (n - 1, n, n + 1):
             lhs, rhs = float(table[k]), hermval_oscillator(k, y)
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_rejects_negative_order(self):
+        # A Fock level enters only through a state's terms, which reject negative ones
         with pytest.raises(ValueError):
-            eigenfunction_x(-1, 0.0)
+            FockState.from_terms([(-1, 0, 1.0)])
         with pytest.raises(ValueError):
-            eigenfunction_p(-1, 0.0)
+            FockState.from_terms([(0, -1, 1.0)])
+
+
+def level(n: int) -> FockState:
+    """|n, 0>: its mode-1 marginal is |phi_n|^2 in either domain."""
+    return FockState.from_terms([(n, 0, 1.0)])
 
 
 class TestEigenfunctions:
+    """The single-mode eigenfunctions through the public densities of |n, 0>."""
+
     def test_odd_function_at_origin(self):
-        assert eigenfunction_x(1, 0.0) == 0.0
+        assert marginal_density(level(1), 0.0) == 0.0
+        assert joint_density(level(1), 0.0, 0.3) == 0.0
 
     def test_ground_state_at_origin(self):
-        assert eigenfunction_x(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
+        assert marginal_density(level(0), 0.0) == pytest.approx(math.pi**-0.5, rel=1e-14)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_normalization(self, n):
-        val = gh_1d(lambda x: eigenfunction_x(n, x) ** 2)
+        val = gh_1d(lambda x: marginal_density(level(n), x))
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_momentum_ground_state(self):
-        assert eigenfunction_p(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
+        assert marginal_density(level(0), 0.0, Domain.MOMENTUM) == pytest.approx(
+            math.pi**-0.5, rel=1e-14)
 
     def test_momentum_unitarity(self):
-        val = gh_1d(lambda p: np.abs(eigenfunction_p(1, p)) ** 2)
+        val = gh_1d(lambda p: marginal_density(level(1), p, Domain.MOMENTUM))
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_momentum_phase_convention(self):
-        # phi_p(n) = (-i)^n * scale-inverted phi_x(n)
-        p = 0.9
-        assert eigenfunction_p(1, p) == pytest.approx((-1j) * eigenfunction_x(1, p), rel=1e-14)
-        assert eigenfunction_p(2, p) == pytest.approx(-eigenfunction_x(2, p), rel=1e-14)
+        # Level n carries (-i)^n in momentum, so i|1,0> adds to |0,0> in phase there:
+        # (u_0 + u_1)^2(p) u_0^2(b) / 2, against (u_0 - u_1)^2 under +i and u_0^2 + u_1^2
+        # in position
+        state = FockState.from_terms([(0, 0, math.sqrt(0.5)), (1, 0, 1j * math.sqrt(0.5))])
+        p, b = 0.9, -0.4
+        expected = (1.0 + math.sqrt(2.0) * p) ** 2 * math.exp(-p * p - b * b) / (2.0 * math.pi)
+        assert joint_density(state, p, b, Domain.MOMENTUM) == pytest.approx(expected, rel=1e-14)
+        # Cross terms whose n1 + n2 differ by 1, 2 and 3, against the term-by-term oracle
+        state = FockState.from_terms(
+            [(0, 0, 0.5), (1, 0, 0.5j), (1, 1, -0.5), (2, 1, 0.5 * cmath.exp(0.4j))])
+        a, b = np.linspace(-3.0, 3.0, 13)[:, None], np.linspace(-2.5, 2.5, 11)[None, :]
+        psi, mag = hermval_amplitude(state.terms, a, b, Domain.MOMENTUM, 1.0)
+        got = joint_density(state, a, b, Domain.MOMENTUM)
+        assert np.all(np.abs(got - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
 
     def test_scale_dependence(self):
         units = UnitSystem(m_omega=2.0)
         x = 0.7
-        assert eigenfunction_x(0, x, units) == pytest.approx(
-            2.0**0.25 * math.pi**-0.25 * math.exp(-x * x), rel=1e-14)
+        assert marginal_density(level(0), x, units=units) == pytest.approx(
+            2.0**0.5 * math.pi**-0.5 * math.exp(-2.0 * x * x), rel=1e-14)
 
 
 class TestStateConstructors:
@@ -251,9 +275,9 @@ class TestDensities:
         theta = 0.6
         st0 = make_psi(theta)
         p1, p2 = 0.8, 0.5
-        expected = math.sqrt(1 / math.pi) * (math.cos(theta) - 2 * p1 * p2 * math.sin(theta)) \
-            * math.exp(-(p1**2 + p2**2) / 2)
-        assert wavefunction(st0, p1, p2, Domain.MOMENTUM) == pytest.approx(expected, rel=1e-13)
+        expected = (math.cos(theta) - 2 * p1 * p2 * math.sin(theta)) ** 2 \
+            * math.exp(-(p1**2 + p2**2)) / math.pi
+        assert joint_density(st0, p1, p2, Domain.MOMENTUM) == pytest.approx(expected, rel=1e-13)
 
     @given(st.floats(min_value=0.0, max_value=math.pi),
            st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4))
@@ -351,10 +375,8 @@ class TestStreamedAmplitude:
             b = rng.uniform(-4.0, 4.0, 40) / scale
             for pa, pb in ((a, b), (a[:, None], b[None, :])):
                 psi, mag = hermval_amplitude(state.terms, pa, pb, dom, m_omega)
-                got = wavefunction(state, pa, pb, dom, units)
-                assert got.shape == psi.shape
-                assert np.all(np.abs(got - psi) <= 1e-13 * mag)
                 dens = joint_density(state, pa, pb, dom, units)
+                assert dens.shape == psi.shape
                 assert np.all(np.abs(dens - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
 
     @pytest.mark.parametrize("m_omega,dom,is_complex", CASES)
