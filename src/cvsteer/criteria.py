@@ -128,8 +128,8 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
     width = _effective_width(spec, view)
     # N^2 / M is even under central parity. The integral scales as 1 / view.scale, and
     # so does its tolerance: the same relative accuracy under any m_omega
-    correction = adaptive_panels(ratio, -width, width, spec.panel_tol / view.scale,
-                                 spec.max_depth, (0.0,), fold=_parities(state)[0] is not None)
+    correction = adaptive_panels(ratio, -width, width, spec.panel_tol / view.scale, (0.0,),
+                                 fold=_parities(state)[0] is not None)
     second = _mode2_moment(view, _ladder_position_sq)
     return max(second - correction.value, 0.0), correction.converged
 

@@ -72,29 +72,25 @@ NATURAL_UNITS = UnitSystem()
 class FockState:
     """Two-mode state as a finite list of (n1, n2, amplitude) Fock terms.
 
-    Terms are unique in (n1, n2), sorted, and normalized: sum |amp|^2 = 1 within 1e-12
+    Terms are strictly increasing in (n1, n2) and normalized: sum |amp|^2 = 1 within 1e-12
     (Fock products are orthonormal, so this is the norm). Build via ``from_terms``.
     """
 
     terms: tuple[tuple[int, int, complex], ...]
-    max_n: int
 
     def __post_init__(self):
-        seen = set()
-        top = 0
+        last = None
         for n1, n2, _amp in self.terms:
             if n1 < 0 or n2 < 0 or n1 != int(n1) or n2 != int(n2):
                 raise ValueError("Fock indices must be nonnegative integers")
-            if (n1, n2) in seen:
-                raise ValueError(f"duplicate Fock pair ({n1}, {n2})")
-            seen.add((n1, n2))
-            top = max(top, n1, n2)
+            if last is not None and (n1, n2) <= last:
+                raise ValueError(f"duplicate Fock pair ({n1}, {n2})" if (n1, n2) == last
+                                 else "terms must be sorted by (n1, n2)")
+            last = (n1, n2)
         if not self.terms:
             raise ValueError("state must have at least one term")
         if not abs(self.norm_sq() - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |amp|^2 = {self.norm_sq()!r}")
-        if self.max_n != top:
-            raise ValueError("max_n does not match the largest Fock index")
 
     @classmethod
     def from_terms(cls, terms) -> "FockState":
@@ -109,8 +105,7 @@ class FockState:
             if abs(amp) >= _AMP_DROP:
                 kept.append((n1, n2, amp))
         kept.sort(key=lambda t: (t[0], t[1]))
-        top = max((max(n1, n2) for n1, n2, _ in kept), default=0)
-        return cls(terms=tuple(kept), max_n=top)
+        return cls(terms=tuple(kept))
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for _, _, a in self.terms))
@@ -365,11 +360,16 @@ def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
         off = np.sqrt(np.arange(1, d) / 2.0)
         mats = np.broadcast_to(np.diag(off, 1) + np.diag(off, -1), (cols.size, d, d)).copy()
         mats[:, -1, :] -= math.sqrt(d / 2.0) * c[:, :d] / c[:, d:]
-        # A 1x1 matrix is its own eigenvalue
-        roots = mats[:, :, 0] if d == 1 else np.linalg.eigvals(mats)
-        real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
-        out[cols, :d] = np.sort(np.where(real, roots.real, np.nan), axis=1)
+        out[cols, :d] = _real_eigenvalues(mats)
     return out
+
+
+def _real_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of the stack ``mats`` (..., d, d) that are real
+    within 1e-9 (1 + |z|), ascending, the others NaN and last; a 1x1 matrix is its own."""
+    roots = mats[..., 0] if mats.shape[-1] == 1 else np.linalg.eigvals(mats)
+    real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
+    return np.sort(np.where(real, roots.real, np.nan), axis=-1)
 
 
 def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray | None:

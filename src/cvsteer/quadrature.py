@@ -35,20 +35,16 @@ class QuadratureSpec:
     half_width  truncation L of panel integrals to [-L, L] in oscillator units; the
                 criteria keep it 4.2 to 28 past the outermost level's turning point
     panel_tol   absolute tolerance for one adaptive panel integral, in oscillator units
-    max_depth   bisection depth limit per panel
     """
 
     half_width: float = 8.0
     panel_tol: float = 1e-10
-    max_depth: int = 40
 
     def __post_init__(self):
         if not 0.0 < self.half_width < np.inf:
             raise ValueError("half_width must be positive and finite")
         if not 0.0 < self.panel_tol < 1.0:
             raise ValueError("panel_tol must lie in (0, 1)")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -57,7 +53,7 @@ DEFAULT_SPEC = QuadratureSpec()
 @dataclass(frozen=True)
 class IntegralResult:
     """Value plus error estimate; ``converged=False`` means the tolerance was not met
-    within max_depth (the value is still the best available estimate)."""
+    within _MAX_DEPTH bisections (the value is still the best available estimate)."""
 
     value: float
     error: float
@@ -87,17 +83,20 @@ _G7_WEIGHTS = np.array([
 
 # Most points of one call of the integrand, and of one sweep of _adaptive_many: a sweep
 # holds at most _BLOCK_POINTS // 15 panels (4,095 points), unless a single task holds
-# more, which is then swept alone in blocks of _BLOCK_POINTS. No point-sized array of a
-# sweep or of a block is allocated afresh: freed at the top of the heap, it pushes the
-# free top past glibc's trim threshold, glibc hands the memory back to the kernel, and
-# the next user faults it in again. So each thread keeps for its lifetime one grow-only
-# _Workspace per nesting depth of _adaptive_many (24 bytes per point and per pending
-# panel, 96 KB of points for a full sweep) and the _scratch buffers of the integrand's
-# blocks; a sweep's own temporaries are 2 KB panel arrays, recycled inside the heap.
-# Fresh sweep buffers cost the general-states benchmark 26.7k minor faults and fresh
-# block temporaries 34.5k; held, it read about 330 with sweeps of 16,384 points and
-# reads about 120 with sweeps of one block.
+# more, which is then swept alone in blocks of _BLOCK_POINTS. A point-sized array freed
+# at the top of the heap can push the free top past glibc's trim threshold; glibc then
+# hands the memory back to the kernel, and the next sweep faults it in again. So each
+# thread holds for its lifetime one grow-only _Workspace per nesting depth of
+# _adaptive_many (points, task ids and values, 24 bytes per point; pending panels, 24
+# bytes each) and the _scratch buffers of the integrand's blocks. A sweep still
+# allocates its panel arrays (8 bytes per panel, at most 2.2 KB) and, inside numpy, the
+# iterator buffers of the broadcasting fills of points and task ids (64 KB and 32 KB);
+# glibc recycles both inside the heap.
 _BLOCK_POINTS = 4_096
+
+# Bisections of a panel before its task is given up as unconverged: what stops an
+# integrand that never meets its tolerance (a NaN one, say)
+_MAX_DEPTH = 40
 
 # Roundoff floor of a panel sum, per unit of its absolute Kronrod sum
 _NOISE = 100.0 * np.finfo(float).eps
@@ -189,7 +188,7 @@ def _scratch(name: str, like: np.ndarray, dtype=float) -> np.ndarray:
     return buf[:like.size].reshape(like.shape)
 
 
-def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
+def _adaptive_many(f, lo, hi, cuts, tol):
     """Integrals over [lo, hi] of a batch of tasks, one per row of ``cuts``, each to the
     absolute tolerance ``tol``, by shared worklist refinement.
 
@@ -244,18 +243,14 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
             half = 0.5 * width
             mid = a + half
             m = n * nodes
-            pts, tids, fabs = work.take(m)
+            pts, tids, fv = work.take(m)
             grid = pts.reshape(n, nodes)
             np.multiply(half[:, None], _GK_NODES, out=grid)
             grid += mid[:, None]
             tids.reshape(n, nodes)[:] = t[:, None]
-            if m <= _BLOCK_POINTS:
-                fv = f(tids, pts)
-            else:
-                fv = fabs
-                for k in range(0, m, _BLOCK_POINTS):
-                    block = slice(k, k + _BLOCK_POINTS)
-                    fv[block] = f(tids[block], pts[block])
+            for k in range(0, m, _BLOCK_POINTS):
+                block = slice(k, k + _BLOCK_POINTS)
+                fv[block] = f(tids[block], pts[block])
             fv = fv.reshape(n, nodes)
             ik = (fv @ _GK_WEIGHTS) * half
             ig = (fv @ _G7_WEIGHTS) * half
@@ -263,8 +258,8 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
             ok = perr <= tol * width / span
             # Roundoff floor of the panel sum: refining below it cannot reduce the error
             # estimate, so a tolerance under the floor would otherwise split forever.
-            noise = _NOISE * (np.abs(fv, out=fabs.reshape(n, nodes)) @ _GK_WEIGHTS) * half
-            stop = ok | (perr <= noise) | (depth[t] >= max_depth)
+            noise = _NOISE * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
+            stop = ok | (perr <= noise) | (depth[t] >= _MAX_DEPTH)
             t0, t1 = int(t[0]), int(t[-1]) + 1
             done = t[stop] - t0
             values[t0:t1] += np.bincount(done, weights=ik[stop], minlength=t1 - t0)
@@ -282,8 +277,7 @@ def _adaptive_many(f, lo, hi, cuts, tol, max_depth):
     return values, errors, ~failed
 
 
-def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                    tol: float, max_depth: int,
+def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
                     breakpoints: Sequence[float] = (), fold: bool = False) -> IntegralResult:
     """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``.
 
@@ -297,7 +291,7 @@ def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     if fold:
         lo, tol = 0.5 * (lo + hi), 0.5 * tol
     vals, errs, ok = _adaptive_many(lambda _t, x: f(x), lo, hi,
-                                    np.reshape(breakpoints, (1, -1)), tol, max_depth)
+                                    np.reshape(breakpoints, (1, -1)), tol)
     copies = 2.0 if fold else 1.0
     return IntegralResult(value=copies * float(vals[0]), error=copies * float(errs[0]),
                           converged=bool(ok[0]))
@@ -328,8 +322,7 @@ def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: Quadrature
     doubled (0 should be a breakpoint, see ``adaptive_panels``).
     """
     L = spec.half_width
-    return adaptive_panels(lambda x: _neg_plogp(g(x)), -L, L, spec.panel_tol,
-                           spec.max_depth, breakpoints, fold)
+    return adaptive_panels(lambda x: _neg_plogp(g(x)), -L, L, spec.panel_tol, breakpoints, fold)
 
 
 def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -367,13 +360,12 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
         hints = inner_breakpoints(avals) if inner_breakpoints is not None else None
         cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
         vals, errs, ok = _adaptive_many(lambda tid, b: _neg_plogp(g(avals, tid, b)), -L, L,
-                                        cuts, inner_tol, spec.max_depth)
+                                        cuts, inner_tol)
         inner_ok = inner_ok and bool(ok.all())
         inner_err = max(inner_err, float(errs.max()))
         return vals
 
-    outer = adaptive_panels(outer_f, -L, L, spec.panel_tol, spec.max_depth, outer_breakpoints,
-                            fold)
+    outer = adaptive_panels(outer_f, -L, L, spec.panel_tol, outer_breakpoints, fold)
     return IntegralResult(
         value=outer.value,
         error=outer.error + 2.0 * L * inner_err,

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .criteria import CRITERIA, Criterion
-from .fock import FockState, _parities, make_psi, make_psi_prime
+from .fock import FockState, _parities, _real_eigenvalues, make_psi, make_psi_prime
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
@@ -135,11 +135,11 @@ def _criterion(name: str) -> Criterion:
 def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
           spec: QuadratureSpec = DEFAULT_SPEC, theta_min: float = 0.0,
           theta_max: float = math.pi) -> SweepResult:
-    """Evaluate the requested criteria on a uniform theta grid.
+    """Evaluate the requested criteria on a uniform theta grid, in grid order.
 
-    Results are emitted in grid order; the per-theta evaluations are independent, so
-    the output does not depend on any execution interleaving. Unmet quadrature
-    tolerances are collected in ``flagged`` without aborting the sweep.
+    Unmet quadrature tolerances are collected in ``flagged`` without aborting the sweep.
+    On a mirrored family (see the module docstring) an angle below pi/2 whose
+    reflection pi - theta is on the grid takes the reflection's values and flags.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -152,19 +152,24 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     for name in sorted(requested):
         _criterion(name)
     wanted = [c for c in CRITERIA if c in requested]
-    thetas = np.linspace(theta_min, theta_max, n_points)
+    build = STATE_BUILDERS[family]
+    thetas = np.linspace(theta_min, theta_max, n_points).tolist()
+    mirrors = set(thetas) if _mirrored(build(0.0), build(0.5 * math.pi)) else set()
+    results: dict[float, list] = {}
     columns: dict[str, list[float]] = {c: [] for c in wanted}
     flagged: list[tuple[str, float]] = []
-    for theta in thetas.tolist():
-        state = STATE_BUILDERS[family](theta)
-        for c in wanted:
-            res = CRITERIA[c].evaluate(state, spec, theta)
+    for theta in thetas:
+        source = math.pi - theta if theta < 0.5 * math.pi and math.pi - theta in mirrors else theta
+        if source not in results:
+            state = build(source)
+            results[source] = [CRITERIA[c].evaluate(state, spec, source) for c in wanted]
+        for c, res in zip(wanted, results[source]):
             columns[c].append(res.value)
             if not res.converged:
                 flagged.append((c, theta))
     return SweepResult(
         state_id=family,
-        thetas=tuple(thetas.tolist()),
+        thetas=tuple(thetas),
         values={c: tuple(col) for c, col in columns.items()},
         flagged=tuple(flagged),
     )
@@ -186,9 +191,9 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
 def _chebyshev_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots in (-1, 1) of sum_k c_k T_k(x), ascending.
 
-    They are the eigenvalues of the colleague matrix of the recurrence x T_0 = T_1,
-    x T_k = (T_(k-1) + T_(k+1)) / 2, its last row closed by -c[:m] / (2 c[m]) (Good
-    1961; numpy's chebcompanion), with the real filter of ``fock._oscillator_roots``.
+    They are the real eigenvalues (``fock._real_eigenvalues``) of the colleague matrix
+    of the recurrence x T_0 = T_1, x T_k = (T_(k-1) + T_(k+1)) / 2, its last row closed
+    by -c[:m] / (2 c[m]) (Good 1961; numpy's chebcompanion).
     """
     m = coeffs.size - 1
     if m < 1:
@@ -196,9 +201,8 @@ def _chebyshev_roots(coeffs: np.ndarray) -> np.ndarray:
     mat = np.diag(np.full(m - 1, 0.5), 1) + np.diag(np.full(m - 1, 0.5), -1)
     mat[0, 1:2] = 1.0
     mat[-1] -= (0.5 if m > 1 else 1.0) * coeffs[:m] / coeffs[m]
-    roots = np.linalg.eigvals(mat)
-    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
-    return np.sort(real[np.abs(real) < 1.0])
+    roots = _real_eigenvalues(mat)
+    return roots[np.abs(roots) < 1.0]  # NaN fails too
 
 
 def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,

@@ -229,8 +229,9 @@ class TestEntropic:
         rebuilt = LN_PI_E - res.components["h_x2_given_x1"] - res.components["h_p2_given_p1"]
         assert res.value == pytest.approx(rebuilt, abs=1e-12)
 
-    def test_unmet_tolerance_propagates(self):
-        res = entropic_value(make_psi(1.1), spec=QuadratureSpec(panel_tol=1e-15, max_depth=3))
+    def test_unmet_tolerance_propagates(self, monkeypatch):
+        monkeypatch.setattr(quadrature_mod, "_MAX_DEPTH", 3)
+        res = entropic_value(make_psi(1.1), spec=QuadratureSpec(panel_tol=1e-15))
         assert not res.converged
         assert math.isfinite(res.value)
 
@@ -596,16 +597,16 @@ def batched_sweep_points(monkeypatch) -> dict:
     largest = {"call": 0, "shared": 0}
     adaptive_many = quadrature_mod._adaptive_many
 
-    def recorded(f, lo, hi, cuts, tol, max_depth):
+    def recorded(f, lo, hi, cuts, tol):
         if cuts.shape[0] == 1:  # a single task
-            return adaptive_many(f, lo, hi, cuts, tol, max_depth)
+            return adaptive_many(f, lo, hi, cuts, tol)
 
         def integrand(tid, x):
             largest["call"] = max(largest["call"], len(x))
             if tid[0] != tid[-1]:
                 largest["shared"] = max(largest["shared"], len(x))
             return f(tid, x)
-        return adaptive_many(integrand, lo, hi, cuts, tol, max_depth)
+        return adaptive_many(integrand, lo, hi, cuts, tol)
 
     monkeypatch.setattr(quadrature_mod, "_adaptive_many", recorded)
     return largest
@@ -658,7 +659,7 @@ class TestSweepCap:
 
         def run():
             cuts = np.array([[math.nan], [0.5], [-1.0]])
-            vals, errs, ok = quadrature_mod._adaptive_many(f, -8.0, 8.0, cuts, 1e-12, 20)
+            vals, errs, ok = quadrature_mod._adaptive_many(f, -8.0, 8.0, cuts, 1e-12)
             return ([v.hex() for v in vals], [e.hex() for e in errs], ok.tolist(),
                     quadrature_mod._HELD.works[0].x.size)
 

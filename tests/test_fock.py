@@ -183,7 +183,6 @@ class TestStateConstructors:
     def test_psi_theta_zero_is_single_term(self):
         st0 = make_psi(0.0)
         assert st0.terms == ((0, 0, (1 + 0j)),)
-        assert st0.max_n == 0
 
     def test_psi_theta_quarter_pi(self):
         st0 = make_psi(math.pi / 4)
@@ -217,7 +216,7 @@ class TestStateConstructors:
         # abs(nan - 1) > tol is False: a plain comparison let this state through, and
         # chsh_max on it then failed inside the SVD
         with pytest.raises(ValueError, match="not normalized"):
-            FockState(terms=((0, 0, math.nan), (1, 1, 1.0)), max_n=1)
+            FockState(terms=((0, 0, math.nan), (1, 1, 1.0)))
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -248,9 +247,11 @@ class TestStateConstructors:
         assert state.terms == ((0, 0, 0.8 + 0j), (1, 2, 0.6 + 0j))
         assert all(type(n) is int for n1, n2, _amp in state.terms for n in (n1, n2))
 
-    def test_max_n_consistency_enforced(self):
-        with pytest.raises(ValueError, match="max_n"):
-            FockState(terms=((0, 3, 1.0 + 0j),), max_n=1)
+    def test_unsorted_terms_rejected_when_built_directly(self):
+        # Reversed terms would compare and hash apart from the sorted state of the same
+        # amplitudes, so caches keyed by the state would hold it twice
+        with pytest.raises(ValueError, match="sorted"):
+            FockState(terms=tuple(reversed(make_psi(0.7).terms)))
 
 
 class TestDensities:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -22,14 +23,16 @@ SQPI = math.sqrt(math.pi)
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        assert DEFAULT_SPEC == QuadratureSpec(half_width=8.0, panel_tol=1e-10, max_depth=40)
+        assert DEFAULT_SPEC == QuadratureSpec(half_width=8.0, panel_tol=1e-10)
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["half_width", "panel_tol"]
+        assert quadrature_mod._MAX_DEPTH == 40
 
     @pytest.mark.parametrize("kwargs", [
         {"half_width": float("nan")},
         {"half_width": 0.0},
         {"panel_tol": 0.0},
         {"panel_tol": 1.5},
-        {"max_depth": 0},
+        {"panel_tol": float("nan")},
         {"half_width": float("inf")},
     ])
     def test_validation(self, kwargs):
@@ -40,28 +43,29 @@ class TestQuadratureSpec:
 
 class TestAdaptivePanels:
     def test_polynomial_exact(self):
-        res = adaptive_panels(lambda x: x * x, 0.0, 1.0, 1e-12, 10)
+        res = adaptive_panels(lambda x: x * x, 0.0, 1.0, 1e-12)
         assert res.converged
         assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_breakpoints_recover_kink(self):
         # NaN padding, duplicates and cuts outside (lo, hi) split nothing
         for breakpoints in [(0.0,), (0.0, 0.0), (math.nan, 0.0), (-3.0, 1.0, 0.0, 5.0)]:
-            res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, 40, breakpoints=breakpoints)
+            res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, breakpoints=breakpoints)
             assert res.converged
             assert res.value == pytest.approx(1.0, rel=1e-14)
 
     def test_fold_integrates_the_upper_half(self):
         # |x| on [-1, 1] folded about 0: [0, 1] at half the tolerance, doubled
-        res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, 40, breakpoints=(0.0,), fold=True)
+        res = adaptive_panels(np.abs, -1.0, 1.0, 1e-13, breakpoints=(0.0,), fold=True)
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-14)
-        half = adaptive_panels(np.abs, 0.0, 1.0, 0.5e-13, 40)
+        half = adaptive_panels(np.abs, 0.0, 1.0, 0.5e-13)
         assert (res.value, res.error) == (2.0 * half.value, 2.0 * half.error)
 
-    def test_depth_exhaustion_flags(self):
+    def test_depth_exhaustion_flags(self, monkeypatch):
         # Tolerance far below the roundoff floor of the sum cannot be met
-        res = adaptive_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-15, 3)
+        monkeypatch.setattr(quadrature_mod, "_MAX_DEPTH", 3)
+        res = adaptive_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-15)
         assert not res.converged
         assert res.value == pytest.approx(SQPI, rel=1e-10)
 
@@ -126,9 +130,10 @@ class TestEntropy1d:
         h1 = integrate_entropy_1d(g_scaled, spec).value
         assert h1 - h0 == pytest.approx(math.log(lam), abs=1e-10)
 
-    def test_unmet_tolerance_flagged_value_returned(self):
+    def test_unmet_tolerance_flagged_value_returned(self, monkeypatch):
         g = lambda x: np.exp(-x * x) / SQPI
-        res = integrate_entropy_1d(g, QuadratureSpec(panel_tol=1e-15, max_depth=4))
+        monkeypatch.setattr(quadrature_mod, "_MAX_DEPTH", 4)
+        res = integrate_entropy_1d(g, QuadratureSpec(panel_tol=1e-15))
         assert not res.converged
         assert res.value == pytest.approx(0.5 * (1 + math.log(math.pi)), abs=1e-8)
 
@@ -179,13 +184,15 @@ class TestEntropy2d:
         without = integrate_entropy_2d(g, DEFAULT_SPEC)
         assert with_hints.value == pytest.approx(without.value, abs=5e-10)
 
-    def test_unconverged_inner_integrals_reach_error(self):
+    def test_unconverged_inner_integrals_reach_error(self, monkeypatch):
         # |b| e^{-b^2} has a kink at b = 0 and no pre-split: cut at depth 4, the inner
         # integrals miss their tolerance by far more than the outer estimate shows. Its
         # entropy is 1 + gamma/2, since int_0^inf b e^{-b^2} ln b db = -gamma/4.
         g = lambda a, row, b: np.exp(-a[row] ** 2) / SQPI * np.abs(b) * np.exp(-b * b)
         exact = 0.5 * (1 + math.log(math.pi)) + 1.0 + 0.5 * np.euler_gamma
-        cut = integrate_entropy_2d(g, QuadratureSpec(max_depth=4))
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature_mod, "_MAX_DEPTH", 4)
+            cut = integrate_entropy_2d(g, DEFAULT_SPEC)
         assert not cut.converged
         assert abs(cut.value - exact) > 1e-8
         assert cut.error >= abs(cut.value - exact)
@@ -198,13 +205,14 @@ class TestEntropy2d:
         # depth 4: the outer sweep covers [0, L] at half the tolerance, and the result
         # carries twice its value and error plus 2L times the largest inner estimate
         g = lambda a, row, b: np.exp(-a[row] ** 2) / SQPI * np.abs(b) * np.exp(-b * b)
-        spec = QuadratureSpec(max_depth=4)
+        monkeypatch.setattr(quadrature_mod, "_MAX_DEPTH", 4)
+        spec = DEFAULT_SPEC
         L = spec.half_width
         calls = []
         adaptive_many = quadrature_mod._adaptive_many
 
-        def recorded(f, lo, hi, cuts, tol, max_depth):
-            out = adaptive_many(f, lo, hi, cuts, tol, max_depth)
+        def recorded(f, lo, hi, cuts, tol):
+            out = adaptive_many(f, lo, hi, cuts, tol)
             calls.append(((lo, hi, cuts.shape[0], tol), out))
             return out
 
@@ -227,7 +235,8 @@ class TestEntropy2d:
         # batched sweep: a task then exceeds the cap alone, and tasks whose inner
         # integrals fail share sweeps with tasks that converge
         g = lambda a, row, b: np.exp(-a[row] ** 2) / SQPI * np.abs(b) * np.exp(-b * b)
-        spec = QuadratureSpec(max_depth=4)
+        monkeypatch.setattr(quadrature_mod, "_MAX_DEPTH", 4)
+        spec = DEFAULT_SPEC
         results = []
         for points in (10 ** 12, 64 * 15, 8 * 15, 15):
             monkeypatch.setattr(quadrature_mod, "_BLOCK_POINTS", points)
@@ -258,7 +267,7 @@ def record_integrand_calls(monkeypatch) -> list:
     level = 0
     adaptive_many = quadrature_mod._adaptive_many
 
-    def recorded(f, lo, hi, cuts, tol, max_depth):
+    def recorded(f, lo, hi, cuts, tol):
         nonlocal level
         here = level = level + 1
 
@@ -266,7 +275,7 @@ def record_integrand_calls(monkeypatch) -> list:
             calls.append((here, int(tid[0]), x))
             return f(tid, x)
         try:
-            return adaptive_many(integrand, lo, hi, cuts, tol, max_depth)
+            return adaptive_many(integrand, lo, hi, cuts, tol)
         finally:
             level -= 1
 
@@ -283,7 +292,7 @@ class TestSweepWorkspace:
         calls = record_integrand_calls(monkeypatch)
         # About 760 periods need over a thousand panels: a single task's sweep, which
         # the cap does not split, grows past 4096 points and is evaluated in blocks
-        res = adaptive_panels(lambda x: np.cos(300.0 * x), -8.0, 8.0, 1e-12, 20)
+        res = adaptive_panels(lambda x: np.cos(300.0 * x), -8.0, 8.0, 1e-12)
         assert res.value == pytest.approx(2.0 * math.sin(2400.0) / 300.0, abs=1e-12)
         sizes = [x.size for _level, _tid, x in calls]
         assert quadrature_mod._BLOCK_POINTS == 4096
@@ -351,7 +360,7 @@ class TestSweepWorkspace:
             stacks.append(quadrature_mod._HELD.works[0].pending)
             return np.cos(300.0 * x)
 
-        run = lambda: adaptive_panels(f, -8.0, 8.0, 1e-12, 20)
+        run = lambda: adaptive_panels(f, -8.0, 8.0, 1e-12)
         first = run()
         n_first = len(stacks)
         assert run() == first
@@ -373,7 +382,7 @@ class TestSweepWorkspace:
     def test_returned_arrays_only_read(self):
         stored = np.full(4096, -0.25)
         keep = stored.copy()
-        res = adaptive_panels(lambda x: stored[:x.size], -1.0, 1.0, 1e-12, 10)
+        res = adaptive_panels(lambda x: stored[:x.size], -1.0, 1.0, 1e-12)
         assert res.value == pytest.approx(-0.5, rel=1e-14)
         assert np.array_equal(stored, keep)
         stored = np.full(4096, 0.25)

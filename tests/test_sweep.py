@@ -151,6 +151,29 @@ class TestSweep:
         b = sweep("psi", {"reid", "chsh"}, 9, spec=FAST_SPEC)
         assert a == b
 
+    def test_mirrored_grid_reuses_reflections(self, monkeypatch):
+        # On a mirrored family an angle below pi/2 whose reflection is on the grid takes
+        # the reflection's value and flag, evaluated once; flags stay in grid order
+        seen = []
+
+        def evaluate(criterion, state, spec, theta):
+            seen.append(theta)
+            return CriterionResult(criterion=criterion, theta=theta, value=theta,
+                                   components={}, violated=False, converged=theta < 2.0)
+
+        stand_in(monkeypatch, evaluate, ("chsh",))
+        res = sweep("psi", {"chsh"}, 5)
+        t = res.thetas
+        assert sorted(seen) == list(t[2:])
+        assert res.values["chsh"] == (t[4], t[3], t[2], t[3], t[4])
+        assert res.flagged == tuple(("chsh", t[i]) for i in (0, 1, 3, 4))
+        # |00> against |22> has no mirror: every angle is evaluated
+        seen.clear()
+        a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
+        monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda theta: family(a, b, theta))
+        assert sweep("psi", {"chsh"}, 5).values["chsh"] == t
+        assert seen == list(t)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             sweep("psi", {"reid"}, 1)
