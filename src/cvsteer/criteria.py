@@ -7,8 +7,9 @@ Three detectors over a two-mode Fock superposition:
 * CHSH under pseudo-Pauli observables: I = 2 sqrt(u1 + u2) with u1 >= u2 the largest
   eigenvalues of T^T T, violated (Bell nonlocality) when I > 2.
 
-Position and momentum enter symmetrically: the momentum evaluation reuses the same
-machinery on the scale-inverted domain view.
+Position and momentum enter symmetrically, in oscillator units, where both share one
+basis: m*omega only shifts the components (Delta2 / s and h - (1/2) ln s, with s the
+domain's oscillator scale), never a value.
 """
 
 from __future__ import annotations
@@ -89,13 +90,12 @@ class CriterionResult:
 
 
 def _effective_width(spec: QuadratureSpec, view) -> float:
-    # The window is set in oscillator units y = sqrt(scale) x, where level n reaches its
-    # turning point sqrt(2n+1), and mapped back to x. It reaches 4.2 past the turning
-    # point, which leaves two-sided tails of |u_n|^2 below 2e-13 for every n <= 40, and
-    # stops 28 past it: there every term's density underflows to 0.0, and a wider window
-    # would only put the first Gauss-Kronrod nodes where the density is not.
+    # Level n reaches its turning point sqrt(2n+1). The window reaches 4.2 past the
+    # turning point, which leaves two-sided tails of |u_n|^2 below 2e-13 for every
+    # n <= 40, and stops 28 past it: there every term's density underflows to 0.0, and a
+    # wider window would only put the first Gauss-Kronrod nodes where the density is not.
     turning = math.sqrt(2 * max(view.c.shape) - 1)
-    return min(max(spec.half_width, turning + 4.2), turning + 28.0) / math.sqrt(view.scale)
+    return min(max(spec.half_width, turning + 4.2), turning + 28.0)
 
 
 def _variance_uncorrelated(view) -> float:
@@ -105,10 +105,10 @@ def _variance_uncorrelated(view) -> float:
     return _mode2_moment(view, _ladder_position_sq) - mean * mean
 
 
-def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
-                          units: UnitSystem) -> tuple[float, bool]:
+def _conditional_variance(state: FockState, dom: Domain,
+                          spec: QuadratureSpec) -> tuple[float, bool]:
     """Minimal average conditional variance Delta2_min of mode 2 inferred from mode 1,
-    and whether the tolerance was met.
+    in oscillator units, and whether the tolerance was met.
 
     Delta2_min = <b^2> - int N(a)^2 / M(a) da with N(a) = int b P(a,b) db and M the
     marginal: the cross term of the squared deviation from the conditional mean
@@ -116,7 +116,7 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
     sums; only N^2 / M, rational in a, is integrated, and points with M at or below the
     density floor contribute zero.
     """
-    view = _view(state, dom, units)
+    view = _view(state, dom)
     if _is_uncorrelated(view):
         return _variance_uncorrelated(view), True
 
@@ -126,9 +126,8 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
         return np.where(good, n * n / np.where(good, m, 1.0), 0.0)
 
     width = _effective_width(spec, view)
-    # N^2 / M is even under central parity. The integral scales as 1 / view.scale, and
-    # so does its tolerance: the same relative accuracy under any m_omega
-    correction = adaptive_panels(ratio, -width, width, spec.panel_tol / view.scale, (0.0,),
+    # N^2 / M is even under central parity
+    correction = adaptive_panels(ratio, -width, width, spec.panel_tol, (0.0,),
                                  fold=_parities(state)[0] is not None)
     second = _mode2_moment(view, _ladder_position_sq)
     return max(second - correction.value, 0.0), correction.converged
@@ -137,35 +136,35 @@ def _conditional_variance(state: FockState, dom: Domain, spec: QuadratureSpec,
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
-    d2x, ok_x = _conditional_variance(state, Domain.POSITION, spec, units)
-    d2p, ok_p = _conditional_variance(state, Domain.MOMENTUM, spec, units)
-    return _result("reid", REID_BOUND - d2x * d2p, (d2x, d2p), ok_x and ok_p, theta)
+    d2x, ok_x = _conditional_variance(state, Domain.POSITION, spec)
+    d2p, ok_p = _conditional_variance(state, Domain.MOMENTUM, spec)
+    s = units.m_omega
+    return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p, theta)
 
 
-def _entropy_uncorrelated(state: FockState, dom: Domain, spec: QuadratureSpec,
-                          units: UnitSystem) -> tuple[float, bool]:
+def _entropy_uncorrelated(state: FockState, dom: Domain,
+                          spec: QuadratureSpec) -> tuple[float, bool]:
     """Factorized state: h(B2|B1) = h(B2). Exact when mode 2 occupies one level n <= 1;
     otherwise the 1-d marginal entropy is integrated numerically."""
-    view = _view(state, dom, units)
+    view = _view(state, dom)
     levels = np.flatnonzero(view.c.any(axis=0))
     if levels.size == 1 and levels[0] <= 1:
-        if levels[0] == 0:
-            return 0.5 * math.log(math.pi * math.e / view.scale), True
-        return _H_LEVEL1 - 0.5 * math.log(view.scale), True
+        return (0.5 * math.log(math.pi * math.e) if levels[0] == 0 else _H_LEVEL1), True
     width = _effective_width(spec, view)
     cuts = _marginal_zero_hints(view, width) + (0.0,)
-    res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, units, mode=2),
+    # At unit m*omega the public marginal is the one in oscillator units
+    res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, mode=2),
                                replace(spec, half_width=width), breakpoints=cuts,
                                fold=_parities(state)[0] is not None)
     return res.value, res.converged
 
 
-def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
-                         units: UnitSystem) -> tuple[float, bool]:
-    """h(B2|B1) = H(B1,B2) - H(B1), and whether both integrals met the tolerance."""
-    view = _view(state, dom, units)
+def _conditional_entropy(state: FockState, dom: Domain,
+                         spec: QuadratureSpec) -> tuple[float, bool]:
+    """h(B2|B1) = H(B1,B2) - H(B1) in oscillator units, and whether both met the tolerance."""
+    view = _view(state, dom)
     if _is_uncorrelated(view):
-        return _entropy_uncorrelated(state, dom, spec, units)
+        return _entropy_uncorrelated(state, dom, spec)
     width = _effective_width(spec, view)
     espec = replace(spec, half_width=width)
     fold = _parities(state)[0] is not None
@@ -183,7 +182,7 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
         inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
         outer_breakpoints=(0.0,), fold=fold,
     )
-    marg_res = integrate_entropy_1d(lambda a: marginal_density(state, a, dom, units),
+    marg_res = integrate_entropy_1d(lambda a: marginal_density(state, a, dom),
                                     espec, breakpoints=(0.0,), fold=fold)
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 
@@ -191,36 +190,28 @@ def _conditional_entropy(state: FockState, dom: Domain, spec: QuadratureSpec,
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
-    h_x, ok_x = _conditional_entropy(state, Domain.POSITION, spec, units)
-    h_p, ok_p = _conditional_entropy(state, Domain.MOMENTUM, spec, units)
-    return _result("entropic", LN_PI_E - h_x - h_p, (h_x, h_p), ok_x and ok_p, theta)
+    h_x, ok_x = _conditional_entropy(state, Domain.POSITION, spec)
+    h_p, ok_p = _conditional_entropy(state, Domain.MOMENTUM, spec)
+    shift = 0.5 * math.log(units.m_omega)
+    return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift),
+                   ok_x and ok_p, theta)
 
 
-def _pauli(c: np.ndarray) -> np.ndarray:
-    """sigma_x c, sigma_y c and sigma_z c stacked, the pseudo-Paulis acting on the first
-    index of c within its level pairs (2k, 2k+1); that index has even length, so every
-    level has its partner. sigma_x swaps a pair, sigma_y swaps it with the phases -i
-    (onto 2k) and +i (onto 2k+1), sigma_z negates level 2k+1."""
-    even, odd = c[0::2], c[1::2]
-    out = np.empty((3,) + c.shape, dtype=complex)
-    out[0, 0::2], out[0, 1::2] = odd, even
-    out[1, 0::2], out[1, 1::2] = -1j * odd, 1j * even
-    out[2, 0::2], out[2, 1::2] = even, -odd
-    return out
+# sigma_x, sigma_y and sigma_z: the pseudo-Paulis act within each level pair (2k, 2k+1)
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def correlation_matrix(state: FockState) -> np.ndarray:
     """The read-only 3 x 3 array t[i][j] = <Psi| sigma_i x sigma_j |Psi>.
 
-    With C the amplitude matrix, zero-padded to even sizes so that no level loses its
-    partner, t[i][j] = Re sum conj(sigma_i C) (C sigma_j^T): the operators are
-    Hermitian, and images outside C's support meet zeros, so no truncation occurs.
+    C, the amplitude matrix zero-padded to even sizes so that every level has its
+    partner, is read as blocks C[k, a, l, b] of level pairs (2k + a, 2l + b), and
+    t[i][j] = Re sum conj(C[k, a, l, b]) sigma_i[a, c] sigma_j[b, d] C[k, c, l, d].
     """
-    c = _view(state, Domain.POSITION, NATURAL_UNITS).c
-    padded = np.pad(c, ((0, c.shape[0] % 2), (0, c.shape[1] % 2)))
-    left = _pauli(padded).conj()
-    right = _pauli(padded.T).transpose(0, 2, 1)
-    t = np.real(np.sum(left[:, None] * right[None, :], axis=(2, 3)))
+    c = _view(state, Domain.POSITION).c
+    p, q = (c.shape[0] + 1) // 2, (c.shape[1] + 1) // 2
+    blocks = np.pad(c, ((0, 2 * p - c.shape[0]), (0, 2 * q - c.shape[1]))).reshape(p, 2, q, 2)
+    t = np.einsum("kalb,iac,jbd,kcld->ij", blocks.conj(), _PAULI, _PAULI, blocks).real
     t.setflags(write=False)
     return t
 

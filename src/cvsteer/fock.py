@@ -1,10 +1,11 @@
 """Two-mode harmonic-oscillator Fock superpositions and their densities.
 
 Natural units throughout: hbar = 1, with the product m*omega kept as one configurable
-positive scale. Position-domain eigenfunctions use the oscillator scale s = m*omega;
-the momentum representation of the same state is the scale-inverted oscillator basis
-(s -> 1/s) with an extra phase (-i)^n per excitation, fixed by the Fourier kernel
-(2*pi)^(-1/2) exp(-i p x) applied per mode.
+positive scale. Position-domain eigenfunctions use the oscillator scale s = m*omega,
+momentum ones the inverted scale s = 1/(m*omega) and an extra phase (-i)^n per
+excitation, fixed by the Fourier kernel (2*pi)^(-1/2) exp(-i p x) applied per mode.
+Below the public functions everything is in oscillator units y = sqrt(s) x, where both
+domains share one basis; the public densities map coordinates in and values out.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,8 +57,9 @@ class DegenerateMarginal(ValueError):
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """m_omega is the product m*omega, kept configurable for scale-invariance checks;
-    hbar is 1 (the criteria constants 1/4 and ln(pi e) presuppose it)."""
+    """m_omega is the product m*omega; hbar is 1 (the criteria constants 1/4 and ln(pi e)
+    presuppose it). It enters the public densities and the criteria's components, never
+    a criterion value: the code below them works in oscillator units (see _scale)."""
 
     m_omega: float = 1.0
 
@@ -66,6 +69,11 @@ class UnitSystem:
 
 
 NATURAL_UNITS = UnitSystem()
+
+
+def _scale(units: UnitSystem, dom: Domain) -> float:
+    """The oscillator scale s of a domain: m*omega in position, 1/(m*omega) in momentum."""
+    return units.m_omega if dom is Domain.POSITION else 1.0 / units.m_omega
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,11 @@ class FockState:
     def __post_init__(self):
         last = None
         for n1, n2, _amp in self.terms:
-            if n1 < 0 or n2 < 0 or n1 != int(n1) or n2 != int(n2):
+            try:
+                valid = operator.index(n1) >= 0 and operator.index(n2) >= 0
+            except TypeError:  # 2.0 included: from_terms converts it, the engine cannot
+                valid = False
+            if not valid:
                 raise ValueError("Fock indices must be nonnegative integers")
             if last is not None and (n1, n2) <= last:
                 raise ValueError(f"duplicate Fock pair ({n1}, {n2})" if (n1, n2) == last
@@ -180,12 +192,10 @@ def _real_up_to_phase(amps: np.ndarray) -> np.ndarray | None:
 class _DomainView:
     """A state's amplitude matrix c[n1, n2] in one domain's oscillator basis.
 
-    ``scale`` is the oscillator scale of that domain (s for position, 1/s for
-    momentum); momentum amplitudes already include the (-i)^(n1+n2) phases. ``c`` is
-    read-only, of shape (max n1 + 1, max n2 + 1).
+    Momentum amplitudes already include the (-i)^(n1+n2) phases. ``c`` is read-only,
+    of shape (max n1 + 1, max n2 + 1).
     """
 
-    scale: float
     c: np.ndarray
 
     @cached_property
@@ -201,22 +211,22 @@ class _DomainView:
 
 
 @lru_cache(maxsize=4096)
-def _view(state: FockState, dom: Domain, units: UnitSystem) -> _DomainView:
+def _view(state: FockState, dom: Domain) -> _DomainView:
     n1, n2, amps = zip(*state.terms)
     c = np.zeros((max(n1) + 1, max(n2) + 1), dtype=complex)
     c[n1, n2] = amps
     if dom is Domain.MOMENTUM:
         c *= np.array(_PHASE_MINUS_I)[np.add.outer(*map(np.arange, c.shape)) % 4]
     c.setflags(write=False)
-    return _DomainView(scale=units.m_omega if dom is Domain.POSITION else 1.0 / units.m_omega, c=c)
+    return _DomainView(c=c)
 
 
 def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
                   include_gaussian: bool = True) -> np.ndarray:
     """c_g(y) = sum_n c[n, g] u_n(y) for mode 1 (sum_n c[g, n] u_n(y) for mode 2), shape
-    (levels of the other mode,) + y.shape: at y = sqrt(s) a the amplitude is sqrt(s)
-    sum_g c_g u_g(sqrt(s) b), and the marginal of ``mode`` is sqrt(s) sum_g |c_g|^2.
-    Only nonzero entries are added, term by term in (n1, n2) order."""
+    (levels of the other mode,) + y.shape: the amplitude is sum_g c_g(y) u_g(y2), and the
+    marginal of ``mode`` is sum_g |c_g(y)|^2. Only nonzero entries are added, term by
+    term in (n1, n2) order."""
     m = c if mode == 1 else c.T
     coeff = np.zeros((m.shape[1],) + y.shape, dtype=c.dtype)
     for row, u in zip(m, _osc_rows(m.shape[0] - 1, y, include_gaussian)):
@@ -228,44 +238,42 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
 def _density_coefficients(v: _DomainView, a) -> np.ndarray:
     """The mode-2 coefficients c_g(a) that _density_rows sums, in real arithmetic when
     the amplitudes are real up to a global phase (the density does not see it)."""
-    c = v.c if v.aligned is None else v.aligned
-    return _coefficients(c, 1, math.sqrt(v.scale) * np.asarray(a, dtype=float))
+    return _coefficients(v.c if v.aligned is None else v.aligned, 1, np.asarray(a, dtype=float))
 
 
 def _density_rows(v: _DomainView, coeff: np.ndarray, row, b, scratch=_fresh) -> np.ndarray:
     """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _density_coefficients(v, a);
     the caller keeps coeff for as many calls as share the abscissae a. ``row`` holds
     valid column indices of coeff, as np.intp (any other integer type is converted on
-    every take). The series sum_g coeff[g, row[i]] u_g(y[i]) consumes the rows of
+    every take). The series sum_g coeff[g, row[i]] u_g(b[i]) consumes the rows of
     _osc_rows as they come, so no (degree + 1) x len(b) table is built. It skips the
     levels without a term (v.live), whose rows are zero (adding a zero is exact up to
     its sign, which |.| drops), and sums a complex series as its real and imaginary
     parts, with a float term. Every temporary, the result included, comes from
     ``scratch`` (see _fresh)."""
-    y = np.multiply(b, math.sqrt(v.scale), out=scratch("y", b))
-    series = scratch("series", y, coeff.dtype)
+    series = scratch("series", b, coeff.dtype)
     series.fill(0.0)
     parts = [(coeff, series)] if coeff.dtype == float else [
         (coeff.real, series.real), (coeff.imag, series.imag)]
-    term = scratch("term", y)
-    for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, y, scratch=scratch)):
+    term = scratch("term", b)
+    for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, b, scratch=scratch)):
         for part, s in parts if v.live[g] else ():
             part[g].take(row, out=term, mode="clip")
             term *= u
             s += term
-    out = np.abs(series, out=y)  # y is spent
+    out = np.abs(series, out=scratch("out", b))
     out *= out
-    out *= v.scale
     return out
 
 
 def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
                   units: UnitSystem = NATURAL_UNITS):
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    v = _view(state, dom, units)
+    s = _scale(units, dom)
+    a, b = np.broadcast_arrays(*(math.sqrt(s) * np.asarray(x, dtype=float) for x in (a, b)))
+    v = _view(state, dom)
     out = _density_rows(v, _density_coefficients(v, a.ravel()), np.arange(a.size), b.ravel())
-    return _maybe_scalar(out.reshape(a.shape), a.ndim == 0)
+    return _maybe_scalar(s * out.reshape(a.shape), a.ndim == 0)
 
 
 def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
@@ -277,27 +285,25 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    v = _view(state, dom, units)
-    root = math.sqrt(v.scale)
-    coeff = _coefficients(v.c, mode, root * np.asarray(a, dtype=float))
+    root = math.sqrt(_scale(units, dom))
+    coeff = _coefficients(_view(state, dom).c, mode, root * np.asarray(a, dtype=float))
     return _maybe_scalar(root * np.sum(np.abs(coeff) ** 2, axis=0), np.ndim(a) == 0)
 
 
-def _ladder_position(n_max: int, scale: float) -> np.ndarray:
-    """Matrix elements <m| x |n> in the scale-s oscillator basis, x = (a+a^+)/sqrt(2s)."""
-    m = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max):
-        m[n + 1, n] = m[n, n + 1] = math.sqrt((n + 1) / (2.0 * scale))
-    return m
+def _ladder_position(n_max: int) -> np.ndarray:
+    """Matrix elements <m| y |n> in the oscillator basis, y = (a+a^+)/sqrt(2): the
+    Jacobi matrix of the recurrence y u_n = sqrt(n/2) u_{n-1} + sqrt((n+1)/2) u_{n+1}."""
+    off = np.sqrt(np.arange(1, n_max + 1) / 2.0)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
-def _ladder_position_sq(n_max: int, scale: float) -> np.ndarray:
-    """Matrix elements <m| x^2 |n> in the scale-s oscillator basis."""
+def _ladder_position_sq(n_max: int) -> np.ndarray:
+    """Matrix elements <m| y^2 |n> in the oscillator basis."""
     m = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
-        m[n, n] = (2 * n + 1) / (2.0 * scale)
+        m[n, n] = (2 * n + 1) / 2.0
         if n + 2 <= n_max:
-            m[n + 2, n] = m[n, n + 2] = math.sqrt((n + 1) * (n + 2)) / (2.0 * scale)
+            m[n + 2, n] = m[n, n + 2] = math.sqrt((n + 1) * (n + 2)) / 2.0
     return m
 
 
@@ -305,24 +311,22 @@ def _moments(view: _DomainView, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M(a), N(a)) = (int P(a, b) db, int b P(a, b) db), exact finite Fock sums.
 
     With the mode-2 series coefficients c_g of _coefficients, integrating b out leaves
-    mode-2 matrix elements: M = sqrt(s) sum_g |c_g|^2 is the mode-1 marginal, and
-    N = sqrt(s) sum_gh conj(c_g) c_h <g| x |h>.
+    mode-2 matrix elements: M = sum_g |c_g|^2 is the mode-1 marginal, and
+    N = sum_gh conj(c_g) c_h <g| y |h>.
     """
-    root = math.sqrt(view.scale)
-    c = _coefficients(view.c, 1, root * np.asarray(a, dtype=float))
-    m = root * np.sum(np.abs(c) ** 2, axis=0)
-    x1 = _ladder_position(c.shape[0] - 1, view.scale)
-    n = root * np.real(np.sum(c.conj() * (x1 @ c), axis=0))
+    c = _coefficients(view.c, 1, np.asarray(a, dtype=float))
+    m = np.sum(np.abs(c) ** 2, axis=0)
+    n = np.real(np.sum(c.conj() * (_ladder_position(c.shape[0] - 1) @ c), axis=0))
     return m, n
 
 
 def _mode2_moment(view: _DomainView, ladder) -> float:
-    """<b^k> = Re sum conj(C) (C X), exact, with X = ladder(max n2, scale) mode 2's
-    matrix of x^k: <b> from _ladder_position, <b^2> from _ladder_position_sq. The
-    BLAS dot of vdot keeps psi and psi-prime on their pinned bits; an elementwise sum
-    moves about one value in seven by an ulp."""
+    """<y^k> = Re sum conj(C) (C Y), exact, with Y = ladder(max n2) mode 2's matrix of
+    y^k: <y> from _ladder_position, <y^2> from _ladder_position_sq. The BLAS dot of
+    vdot keeps psi and psi-prime on their pinned bits; an elementwise sum moves about
+    one value in seven by an ulp."""
     c = view.c
-    return float(np.real(np.vdot(c, c @ ladder(c.shape[1] - 1, view.scale))))
+    return float(np.real(np.vdot(c, c @ ladder(c.shape[1] - 1))))
 
 
 def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
@@ -334,21 +338,22 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     floor; callers forming weighted averages must treat such points as contributing
     zero (their weight is the marginal itself).
     """
-    m, n = _moments(_view(state, dom, units), np.array([float(a)]))
-    if not m[0] > DENSITY_FLOOR:
-        raise DegenerateMarginal(f"marginal at {a!r} is {m[0]!r}")
-    return float(n[0] / m[0])
+    root = math.sqrt(_scale(units, dom))
+    m, n = _moments(_view(state, dom), np.array([root * float(a)]))
+    if not root * m[0] > DENSITY_FLOOR:
+        raise DegenerateMarginal(f"marginal at {a!r} is {root * m[0]!r}")
+    return float(n[0] / m[0] / root)
 
 
 def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
     """Real roots of sum_j coeff[j, i] u_j(y) e^(y^2/2) for every column i at once.
 
     Returns shape (columns, rows - 1), each row sorted ascending and NaN-padded. The
-    roots are the eigenvalues of the Jacobi matrix of y u_j = sqrt(j/2) u_{j-1} +
-    sqrt((j+1)/2) u_{j+1}, its last row closed by -sqrt(d/2) c[:d] / c[d] (numpy's
-    hermcompanion in the oscillator basis; Golub & Welsch 1969, Barnett 1975). A
-    column's degree d is the index of its last coefficient above 1e-14 of its largest,
-    so columns whose leading coefficients vanish are solved at their lower degree.
+    roots are the eigenvalues of the Jacobi matrix of y (_ladder_position), its last row
+    closed by -sqrt(d/2) c[:d] / c[d] (numpy's hermcompanion in the oscillator basis;
+    Golub & Welsch 1969, Barnett 1975). A column's degree d is the index of its last
+    coefficient above 1e-14 of its largest, so columns whose leading coefficients vanish
+    are solved at their lower degree.
     """
     mag = np.abs(coeff)
     big = mag > 1e-14 * mag.max(axis=0)
@@ -357,8 +362,7 @@ def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
     for d in sorted(set(degree[degree > 0].tolist())):  # np.unique imports numpy.ma
         cols = np.flatnonzero(degree == d)
         c = coeff[:d + 1, cols].T
-        off = np.sqrt(np.arange(1, d) / 2.0)
-        mats = np.broadcast_to(np.diag(off, 1) + np.diag(off, -1), (cols.size, d, d)).copy()
+        mats = np.broadcast_to(_ladder_position(d - 1), (cols.size, d, d)).copy()
         mats[:, -1, :] -= math.sqrt(d / 2.0) * c[:, :d] / c[:, d:]
         out[cols, :d] = _real_eigenvalues(mats)
     return out
@@ -382,10 +386,8 @@ def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray 
     """
     if view.aligned is None:
         return None
-    root_scale = math.sqrt(view.scale)
-    ya = root_scale * np.asarray(a, dtype=float)
-    coeff = _coefficients(view.aligned, 1, ya, include_gaussian=False)
-    out = _oscillator_roots(coeff) / root_scale
+    out = _oscillator_roots(_coefficients(view.aligned, 1, np.asarray(a, dtype=float),
+                                          include_gaussian=False))
     out[np.abs(out) >= limit] = np.nan
     return out
 
@@ -397,7 +399,7 @@ def _marginal_zero_hints(view: _DomainView, limit: float) -> tuple[float, ...]:
     row = _real_up_to_phase(view.c[np.argmax(np.sum(np.abs(view.c) ** 2, axis=1))])
     if row is None:
         return ()
-    zeros = _oscillator_roots(row[:, None])[0] / math.sqrt(view.scale)
+    zeros = _oscillator_roots(row[:, None])[0]
     return tuple(zeros[np.abs(zeros) < limit].tolist())
 
 

@@ -192,7 +192,7 @@ class TestConditionalEntropy:
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
         tracemalloc.start()
         try:
-            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC, UnitSystem())
+            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -405,12 +405,16 @@ class TestTruncationWidth:
         from scipy.special import eval_hermite, gammaln
 
         for n in range(31):
-            view = _view(FockState.from_terms([(0, n, 1.0)]), dom, UnitSystem(m_omega=m_omega))
-            y0 = math.sqrt(view.scale) * _effective_width(DEFAULT_SPEC, view)
+            # The window is in oscillator units y; in x (or p) units it ends at x0 =
+            # y0 / sqrt(s), and the level's density there is sqrt(s) |u_n(sqrt(s) x)|^2
+            y0 = _effective_width(DEFAULT_SPEC, _view(FockState.from_terms([(0, n, 1.0)]), dom))
+            s = m_omega if dom is Domain.POSITION else 1.0 / m_omega
+            x0 = y0 / math.sqrt(s)
             log_norm = n * math.log(2.0) + gammaln(n + 1) + 0.5 * math.log(math.pi)
-            level = lambda y: eval_hermite(n, y) ** 2 * np.exp(-y * y - log_norm)
-            tail, _err = quad(level, y0, np.inf, epsabs=1e-16, epsrel=1e-8)
-            assert 2.0 * tail < 1e-12, (n, y0, tail)
+            level = lambda x: math.sqrt(s) * eval_hermite(n, math.sqrt(s) * x) ** 2 * np.exp(
+                -s * x * x - log_norm)
+            tail, _err = quad(level, x0, np.inf, epsabs=1e-16, epsrel=1e-8)
+            assert 2.0 * tail < 1e-12, (n, x0, tail)
 
     @pytest.mark.parametrize("units,spec", [
         *[(UnitSystem(m_omega=m), DEFAULT_SPEC) for m in (1e-6, 0.5, 2.0, 1e2, 1e4, 1e6)],
@@ -421,8 +425,9 @@ class TestTruncationWidth:
         # past the turning point. A window kept in position units, or not capped, put the
         # first Gauss-Kronrod nodes where the density had underflowed: entropic was 5.9
         # off at m_omega 1e6, and Reid 0.51 off at half_width 2000, both converged. Reid's
-        # correction integral scales as 1 / m_omega, and so does its tolerance: with a
-        # fixed one it was flagged at m_omega 1e4 and beyond, though right to 2e-16
+        # correction integral in x units scales as 1 / m_omega: with a tolerance in x units
+        # it was flagged at m_omega 1e4 and beyond, though right to 2e-16. Both now
+        # integrate in oscillator units, where m_omega does not enter
         for build in (make_psi, make_psi_prime):
             state = build(0.7)
             for evaluate in (reid_value, entropic_value):
@@ -476,7 +481,7 @@ class TestRankOnePath:
         norm = math.sqrt(1.0 + 1e-12)
         state = FockState.from_terms([(0, 0, 1.0 / norm), (1, 1, 1e-6 / norm)])
         for dom in Domain:
-            assert not _is_uncorrelated(_view(state, dom, UnitSystem()))
+            assert not _is_uncorrelated(_view(state, dom))
         entropic_value(state)
         assert len(calls) == 2
 
@@ -498,12 +503,12 @@ class TestRankOnePath:
         for c, rank in ((rank_one, 1), (rank_two, 2)):
             c = c / np.linalg.norm(c)
             assert all_minors_vanish(c) == (rank == 1)
-            assert _is_uncorrelated(_DomainView(scale=1.0, c=c)) == (rank == 1)
+            assert _is_uncorrelated(_DomainView(c=c)) == (rank == 1)
 
     def test_rank_test_memory_at_n30(self):
         # The degree-30 two-mode squeezed vacuum: the test reads O(size of c) minors; the
         # outer product of c with itself peaked at 35 MB
-        view = _view(two_mode_squeezed_vacuum(0.5, 30), Domain.POSITION, UnitSystem())
+        view = _view(two_mode_squeezed_vacuum(0.5, 30), Domain.POSITION)
         tracemalloc.start()
         try:
             assert not _is_uncorrelated(view)
@@ -538,26 +543,43 @@ def unfolded(f, *args):
 class TestParityFold:
     """Under central parity the 2-D joint entropy, the 1-D marginal entropies and Reid's
     correction integral run over a >= 0 and are doubled; the same integrators unfolded
-    on [-L, L] give the same values within 1e-12."""
+    on [-L, L] give the same components, in both domains, within 1e-12."""
 
     @given(st.booleans().flatmap(lambda f: central_parity_states(factorized=f)),
-           st.sampled_from(list(Domain)), st.sampled_from([0.5, 1.0, 2.0]))
+           st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=8, deadline=None)
-    def test_entropy(self, state, dom, m_omega):
+    def test_entropy(self, state, m_omega):
         assert _parities(state)[0] is not None
         units = UnitSystem(m_omega)
-        folded, _ok = criteria_mod._conditional_entropy(state, dom, DEFAULT_SPEC, units)
-        full, _ok = unfolded(criteria_mod._conditional_entropy, state, dom, DEFAULT_SPEC, units)
-        assert folded == pytest.approx(full, abs=1e-12)
+        folded = entropic_value(state, units=units).components
+        full = unfolded(entropic_value, state, DEFAULT_SPEC, units).components
+        for name in folded:
+            assert folded[name] == pytest.approx(full[name], abs=1e-12)
 
-    @given(central_parity_states(), st.sampled_from(list(Domain)),
-           st.sampled_from([0.5, 1.0, 2.0]))
+    @given(central_parity_states(), st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=40, deadline=None)
-    def test_reid_correction(self, state, dom, m_omega):
+    def test_reid_correction(self, state, m_omega):
         units = UnitSystem(m_omega)
-        folded, _ok = criteria_mod._conditional_variance(state, dom, DEFAULT_SPEC, units)
-        full, _ok = unfolded(criteria_mod._conditional_variance, state, dom, DEFAULT_SPEC, units)
-        assert folded == pytest.approx(full, abs=1e-12)
+        folded = reid_value(state, units=units).components
+        full = unfolded(reid_value, state, DEFAULT_SPEC, units).components
+        for name in folded:
+            assert folded[name] == pytest.approx(full[name], abs=1e-12)
+
+
+def counted_points(monkeypatch) -> dict:
+    """Wrap quadrature._adaptive_many so that the returned dict's "points" counts every
+    integrand point (every adaptive sweep, inner and outer)."""
+    counter = {"points": 0}
+    adaptive_many = quadrature_mod._adaptive_many
+
+    def counted(f, *args):
+        def integrand(*xs):
+            counter["points"] += len(xs[-1])
+            return f(*xs)
+        return adaptive_many(integrand, *args)
+
+    monkeypatch.setattr(quadrature_mod, "_adaptive_many", counted)
+    return counter
 
 
 class TestWorkCounters:
@@ -575,19 +597,53 @@ class TestWorkCounters:
           (4, 1, -0.6357547514092701)], 3_851_580),
     ])
     def test_entropic_points(self, monkeypatch, terms, points):
-        count = 0
-        adaptive_many = quadrature_mod._adaptive_many
-
-        def counted(f, *args):
-            def integrand(*xs):
-                nonlocal count
-                count += len(xs[-1])
-                return f(*xs)
-            return adaptive_many(integrand, *args)
-
-        monkeypatch.setattr(quadrature_mod, "_adaptive_many", counted)
+        counter = counted_points(monkeypatch)
         entropic_value(FockState.from_terms(terms))
-        assert count == points
+        assert counter["points"] == points
+
+
+class TestOscillatorUnits:
+    """Every kernel and criterion integral runs in oscillator units, and m_omega enters
+    only as the change of variables of the components. So the criterion values and the
+    integrand points (counted_points) at any m_omega are those at
+    m_omega = 1, and the components are those at m_omega = 1 after the exact shifts
+    Delta2 x s^-1 in position, Delta2 x s in momentum and h -+ (1/2) ln s (s = m_omega).
+    When the kernels ran in x and p units, these states' points moved with m_omega by
+    up to 2% and their values by up to 5.3e-15."""
+
+    # psi(0.7) and the nodal n = 6, complex and factorized states of TestEngineBitIdentity
+    STATES = [
+        [(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))],
+        [(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)],
+        [(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
+        [(2, 0, 0.6), (2, 1, 0.48), (2, 3, 0.64)],
+    ]
+
+    @pytest.mark.parametrize("terms", STATES)
+    def test_values_work_and_components(self, monkeypatch, terms):
+        counter = counted_points(monkeypatch)
+        state = FockState.from_terms(terms)
+
+        def evaluate(m_omega):
+            counter["points"] = 0
+            units = UnitSystem(m_omega)
+            reid, ent = reid_value(state, units=units), entropic_value(state, units=units)
+            return reid, ent, counter["points"]
+
+        reid1, ent1, points1 = evaluate(1.0)
+        assert points1 > 0
+        for s in (0.5, 2.0, 1e4):
+            reid, ent, points = evaluate(s)
+            assert points == points1
+            assert abs(reid.value - reid1.value) <= 1e-14
+            assert abs(ent.value - ent1.value) <= 1e-14
+            d2x, d2p = reid.components.values()
+            h_x, h_p = ent.components.values()
+            shift = 0.5 * math.log(s)
+            unshifted = (d2x * s, d2p / s, h_x + shift, h_p - shift)
+            expected = (*reid1.components.values(), *ent1.components.values())
+            for got, want in zip(unshifted, expected):
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def batched_sweep_points(monkeypatch) -> dict:
@@ -686,7 +742,7 @@ class TestSweepCap:
         largest = batched_sweep_points(monkeypatch)
         tracemalloc.start()
         try:
-            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC, UnitSystem())
+            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -247,6 +247,16 @@ class TestStateConstructors:
         assert state.terms == ((0, 0, 0.8 + 0j), (1, 2, 0.6 + 0j))
         assert all(type(n) is int for n1, n2, _amp in state.terms for n in (n1, n2))
 
+    def test_non_integer_index_type_rejected_when_built_directly(self):
+        # A float index of integral value once passed, hashed equal to its int-indexed
+        # twin, and then raised TypeError in the engine; from_terms converts it, and numpy
+        # integers are integers
+        with pytest.raises(ValueError, match="^Fock indices"):
+            FockState(terms=((0, 2.0, 1.0),))
+        state = FockState(terms=((np.int64(0), np.uint8(2), 1.0),))
+        assert state == FockState.from_terms([(0, 2.0, 1.0)])
+        assert conditional_mean(state, 0.3, Domain.MOMENTUM) == 0.0
+
     def test_unsorted_terms_rejected_when_built_directly(self):
         # Reversed terms would compare and hash apart from the sorted state of the same
         # amplitudes, so caches keyed by the state would hold it twice
@@ -382,18 +392,20 @@ class TestStreamedAmplitude:
 
     @pytest.mark.parametrize("m_omega,dom,is_complex", CASES)
     def test_entropy_integrand(self, m_omega, dom, is_complex):
-        # The 2-D entropy integrand's contract: the density at (a[row[i]], b[i])
+        # The 2-D entropy integrand's contract: the density at (a[row[i]], b[i]) in
+        # oscillator units y = sqrt(s) x, which is 1/s times the density in x units at
+        # (y / sqrt(s)) for every m_omega
         rng = np.random.default_rng([int(4 * m_omega), dom is Domain.MOMENTUM, is_complex, 1])
-        units = UnitSystem(m_omega)
-        scale = math.sqrt(m_omega if dom is Domain.POSITION else 1.0 / m_omega)
+        s = m_omega if dom is Domain.POSITION else 1.0 / m_omega
         for _ in range(3):
             state = random_state(rng, is_complex)
-            a = rng.uniform(-4.0, 4.0, 7) / scale
+            a = rng.uniform(-4.0, 4.0, 7)
             row = rng.integers(0, a.size, 60)
-            b = rng.uniform(-4.0, 4.0, 60) / scale
-            psi, mag = hermval_amplitude(state.terms, a[row], b, dom, m_omega)
-            view = _view(state, dom, units)
-            got = _density_rows(view, _density_coefficients(view, a), row, b)
+            b = rng.uniform(-4.0, 4.0, 60)
+            psi, mag = hermval_amplitude(state.terms, a[row] / math.sqrt(s), b / math.sqrt(s),
+                                         dom, m_omega)
+            view = _view(state, dom)
+            got = s * _density_rows(view, _density_coefficients(view, a), row, b)
             assert np.all(np.abs(got - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
 
 
@@ -573,7 +585,8 @@ class TestExactMoments:
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
         p2 = self._density(b[:, None], b[None, :], dom, scale)
         expected_b2 = float(w @ p2 @ (w * b * b))
-        got_b2 = _mode2_moment(_view(self.STATE, dom, units), _ladder_position_sq)
+        # The ladder sum is <y^2> in oscillator units y = sqrt(s) b
+        got_b2 = _mode2_moment(_view(self.STATE, dom), _ladder_position_sq) / scale
         assert got_b2 == pytest.approx(expected_b2, rel=1e-12, abs=0.0)
 
 
