@@ -74,12 +74,12 @@ class _Option(NamedTuple):
     default: object
     commands: str  # the commands that read it, space-separated
     help: str
-    choices: object = None
 
 
 _ALL = "eval sweep critical report"
 _OPTIONS = (
-    _Option("state", ("--state",), str, "psi", _ALL, "built-in state family", STATE_BUILDERS),
+    _Option("state", ("--state",), str, "psi", _ALL,
+            f"built-in state family: {' or '.join(STATE_BUILDERS)} (any case, '_' for '-')"),
     _Option("criteria", ("--criteria",), _names, tuple(CRITERIA), "eval sweep critical",
             "comma-separated subset of the criteria"),
     _Option("theta", ("--theta",), float, None, "eval", "angle in [0, pi]; required"),
@@ -94,8 +94,8 @@ _OPTIONS = (
             "bracket width for critical angles"),
     _Option("output_path", ("--output",), str, None, _ALL,
             "output file (default: critical-<state>.<format> for critical, else stdout)"),
-    _Option("format", ("--format",), str, "csv", "eval sweep critical", "output format",
-            ("csv", "json")),
+    _Option("format", ("--format",), str, "csv", "eval sweep critical",
+            "output format: csv or json"),
     _Option("allow_flagged", ("--allow-flagged",), _boolean, False, _ALL,
             "accept results whose quadrature tolerance was not met"),
 )
@@ -310,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in _options_of(name):
             shown = ",".join(opt.default) if isinstance(opt.default, tuple) else opt.default
             text = opt.help if shown is None or shown is False else f"{opt.help} (default {shown})"
-            reads = ({"action": "store_true"} if opt.type is _boolean
-                     else {"type": opt.type, "choices": opt.choices})
+            reads = {"action": "store_true"} if opt.type is _boolean else {"type": opt.type}
             p.add_argument(*opt.flags, dest=opt.key, help=text, **reads)
         p.add_argument("--config", metavar="PATH",
                        help="flat 'key = value' file of this command's options; flags override it")

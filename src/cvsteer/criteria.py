@@ -9,7 +9,8 @@ Three detectors over a two-mode Fock superposition:
 
 Position and momentum enter symmetrically, in oscillator units, where both share one
 basis: m*omega only shifts the components (Delta2 / s and h - (1/2) ln s, with s the
-domain's oscillator scale), never a value.
+domain's oscillator scale), never a value. Below the public evaluators every function
+reads one domain's amplitude matrix c (fock._amplitudes), never the state.
 """
 
 from __future__ import annotations
@@ -27,18 +28,19 @@ from .fock import (
     FockState,
     NATURAL_UNITS,
     UnitSystem,
+    _amplitudes,
     _b_zero_hints,
-    _density_coefficients,
+    _coefficients,
     _density_rows,
     _is_uncorrelated,
     _ladder_position,
     _ladder_position_sq,
+    _marginal,
     _marginal_zero_hints,
     _mode2_moment,
     _moments,
     _parities,
-    _view,
-    marginal_density,
+    _real_up_to_phase,
 )
 from .quadrature import (
     DEFAULT_SPEC,
@@ -89,109 +91,100 @@ class CriterionResult:
     converged: bool = True
 
 
-def _effective_width(spec: QuadratureSpec, view) -> float:
+def _effective_width(spec: QuadratureSpec, c: np.ndarray) -> float:
     # Level n reaches its turning point sqrt(2n+1). The window reaches 4.2 past the
     # turning point, which leaves two-sided tails of |u_n|^2 below 2e-13 for every
     # n <= 40, and stops 28 past it: there every term's density underflows to 0.0, and a
     # wider window would only put the first Gauss-Kronrod nodes where the density is not.
-    turning = math.sqrt(2 * max(view.c.shape) - 1)
+    turning = math.sqrt(2 * max(c.shape) - 1)
     return min(max(spec.half_width, turning + 4.2), turning + 28.0)
 
 
-def _variance_uncorrelated(view) -> float:
-    """Factorized state: mode 2's conditional variance equals its marginal variance,
-    evaluated exactly with ladder matrix elements."""
-    mean = _mode2_moment(view, _ladder_position)
-    return _mode2_moment(view, _ladder_position_sq) - mean * mean
-
-
-def _conditional_variance(state: FockState, dom: Domain,
-                          spec: QuadratureSpec) -> tuple[float, bool]:
+def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
+                          fold: bool) -> tuple[float, bool]:
     """Minimal average conditional variance Delta2_min of mode 2 inferred from mode 1,
     in oscillator units, and whether the tolerance was met.
 
     Delta2_min = <b^2> - int N(a)^2 / M(a) da with N(a) = int b P(a,b) db and M the
     marginal: the cross term of the squared deviation from the conditional mean
     collapses onto the correction integral. <b^2>, N and M are exact ladder-operator
-    sums; only N^2 / M, rational in a, is integrated, and points with M at or below the
-    density floor contribute zero.
+    sums; only N^2 / M, rational in a, is integrated (over a >= 0 when ``fold``), and
+    points with M at or below the density floor contribute zero. A factorized state's
+    conditional variance is its marginal one.
     """
-    view = _view(state, dom)
-    if _is_uncorrelated(view):
-        return _variance_uncorrelated(view), True
+    second = _mode2_moment(c, _ladder_position_sq)
+    if _is_uncorrelated(c):
+        mean = _mode2_moment(c, _ladder_position)
+        return second - mean * mean, True
 
     def ratio(a: np.ndarray) -> np.ndarray:
-        m, n = _moments(view, a)
+        m, n = _moments(c, a)
         good = m > DENSITY_FLOOR
         return np.where(good, n * n / np.where(good, m, 1.0), 0.0)
 
-    width = _effective_width(spec, view)
-    # N^2 / M is even under central parity
-    correction = adaptive_panels(ratio, -width, width, spec.panel_tol, (0.0,),
-                                 fold=_parities(state)[0] is not None)
-    second = _mode2_moment(view, _ladder_position_sq)
+    width = _effective_width(spec, c)
+    correction = adaptive_panels(ratio, -width, width, spec.panel_tol, (0.0,), fold=fold)
     return max(second - correction.value, 0.0), correction.converged
 
 
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
-    d2x, ok_x = _conditional_variance(state, Domain.POSITION, spec)
-    d2p, ok_p = _conditional_variance(state, Domain.MOMENTUM, spec)
+    fold = _parities(state)[0] is not None  # central parity: the integrals fold
+    (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(_amplitudes(state, dom), spec, fold)
+                                for dom in Domain)
     s = units.m_omega
     return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p, theta)
 
 
-def _entropy_uncorrelated(state: FockState, dom: Domain,
-                          spec: QuadratureSpec) -> tuple[float, bool]:
+def _entropy_uncorrelated(c: np.ndarray, spec: QuadratureSpec,
+                          fold: bool) -> tuple[float, bool]:
     """Factorized state: h(B2|B1) = h(B2). Exact when mode 2 occupies one level n <= 1;
     otherwise the 1-d marginal entropy is integrated numerically."""
-    view = _view(state, dom)
-    levels = np.flatnonzero(view.c.any(axis=0))
+    levels = np.flatnonzero(c.any(axis=0))
     if levels.size == 1 and levels[0] <= 1:
         return (0.5 * math.log(math.pi * math.e) if levels[0] == 0 else _H_LEVEL1), True
-    width = _effective_width(spec, view)
-    cuts = _marginal_zero_hints(view, width) + (0.0,)
-    # At unit m*omega the public marginal is the one in oscillator units
-    res = integrate_entropy_1d(lambda b: marginal_density(state, b, dom, mode=2),
-                               replace(spec, half_width=width), breakpoints=cuts,
-                               fold=_parities(state)[0] is not None)
+    width = _effective_width(spec, c)
+    res = integrate_entropy_1d(lambda b: _marginal(c, 2, b), replace(spec, half_width=width),
+                               breakpoints=_marginal_zero_hints(c, width) + (0.0,), fold=fold)
     return res.value, res.converged
 
 
-def _conditional_entropy(state: FockState, dom: Domain,
-                         spec: QuadratureSpec) -> tuple[float, bool]:
-    """h(B2|B1) = H(B1,B2) - H(B1) in oscillator units, and whether both met the tolerance."""
-    view = _view(state, dom)
-    if _is_uncorrelated(view):
-        return _entropy_uncorrelated(state, dom, spec)
-    width = _effective_width(spec, view)
+def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
+                         fold: bool) -> tuple[float, bool]:
+    """h(B2|B1) = H(B1,B2) - H(B1) in oscillator units, and whether both met the
+    tolerance; every integral over a runs over a >= 0 when ``fold``."""
+    if _is_uncorrelated(c):
+        return _entropy_uncorrelated(c, spec, fold)
+    width = _effective_width(spec, c)
     espec = replace(spec, half_width=width)
-    fold = _parities(state)[0] is not None
+    real = _real_up_to_phase(c)
+    series = c if real is None else real
+    live = c.any(axis=0).tolist()
     held = [None, None]
 
     def density(a, row, b):
         # Every block of one outer batch passes the same array a: its mode-2
         # coefficients are built once per batch. Holding a keeps its id from reuse.
         if held[0] is not a:
-            held[:] = a, _density_coefficients(view, a)
-        return _density_rows(view, held[1], row, b, _scratch)
+            held[:] = a, _coefficients(series, 1, a)
+        return _density_rows(held[1], live, row, b, _scratch)
 
-    joint_res = integrate_entropy_2d(
-        density, espec,
-        inner_breakpoints=lambda av: _b_zero_hints(view, av, width),
-        outer_breakpoints=(0.0,), fold=fold,
-    )
-    marg_res = integrate_entropy_1d(lambda a: marginal_density(state, a, dom),
-                                    espec, breakpoints=(0.0,), fold=fold)
+    # The density has zero curves only when c is real up to a phase
+    hints = None if real is None else lambda av: _b_zero_hints(real, av, width)
+    joint_res = integrate_entropy_2d(density, espec, inner_breakpoints=hints,
+                                     outer_breakpoints=(0.0,), fold=fold)
+    marg_res = integrate_entropy_1d(lambda a: _marginal(c, 1, a), espec,
+                                    breakpoints=(0.0,), fold=fold)
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 
 
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
-    h_x, ok_x = _conditional_entropy(state, Domain.POSITION, spec)
-    h_p, ok_p = _conditional_entropy(state, Domain.MOMENTUM, spec)
+    fold = _parities(state)[0] is not None  # central parity: the integrals fold
+    (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(_amplitudes(state, dom), spec, fold)
+                                for dom in Domain)
     shift = 0.5 * math.log(units.m_omega)
     return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift),
                    ok_x and ok_p, theta)
@@ -208,7 +201,7 @@ def correlation_matrix(state: FockState) -> np.ndarray:
     partner, is read as blocks C[k, a, l, b] of level pairs (2k + a, 2l + b), and
     t[i][j] = Re sum conj(C[k, a, l, b]) sigma_i[a, c] sigma_j[b, d] C[k, c, l, d].
     """
-    c = _view(state, Domain.POSITION).c
+    c = _amplitudes(state, Domain.POSITION)
     p, q = (c.shape[0] + 1) // 2, (c.shape[1] + 1) // 2
     blocks = np.pad(c, ((0, 2 * p - c.shape[0]), (0, 2 * q - c.shape[1]))).reshape(p, 2, q, 2)
     t = np.einsum("kalb,iac,jbd,kcld->ij", blocks.conj(), _PAULI, _PAULI, blocks).real

@@ -15,7 +15,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -188,37 +187,15 @@ def _real_up_to_phase(amps: np.ndarray) -> np.ndarray | None:
     return aligned.real
 
 
-@dataclass(frozen=True)
-class _DomainView:
-    """A state's amplitude matrix c[n1, n2] in one domain's oscillator basis.
-
-    Momentum amplitudes already include the (-i)^(n1+n2) phases. ``c`` is read-only,
-    of shape (max n1 + 1, max n2 + 1).
-    """
-
-    c: np.ndarray
-
-    @cached_property
-    def aligned(self) -> np.ndarray | None:
-        """``c`` made real by stripping a global phase, or None when it is genuinely
-        complex; computed on first use (only the entropy paths ask)."""
-        return _real_up_to_phase(self.c)
-
-    @cached_property
-    def live(self) -> list[bool]:
-        """live[g]: whether mode 2's level g holds a term (_density_rows skips the rest)."""
-        return self.c.any(axis=0).tolist()
-
-
-@lru_cache(maxsize=4096)
-def _view(state: FockState, dom: Domain) -> _DomainView:
+def _amplitudes(state: FockState, dom: Domain) -> np.ndarray:
+    """The state's amplitude matrix C[n1, n2] in one domain's oscillator basis, of shape
+    (max n1 + 1, max n2 + 1); momentum amplitudes include the (-i)^(n1+n2) phases."""
     n1, n2, amps = zip(*state.terms)
     c = np.zeros((max(n1) + 1, max(n2) + 1), dtype=complex)
     c[n1, n2] = amps
     if dom is Domain.MOMENTUM:
         c *= np.array(_PHASE_MINUS_I)[np.add.outer(*map(np.arange, c.shape)) % 4]
-    c.setflags(write=False)
-    return _DomainView(c=c)
+    return c
 
 
 def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
@@ -235,19 +212,14 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
     return coeff
 
 
-def _density_coefficients(v: _DomainView, a) -> np.ndarray:
-    """The mode-2 coefficients c_g(a) that _density_rows sums, in real arithmetic when
-    the amplitudes are real up to a global phase (the density does not see it)."""
-    return _coefficients(v.c if v.aligned is None else v.aligned, 1, np.asarray(a, dtype=float))
-
-
-def _density_rows(v: _DomainView, coeff: np.ndarray, row, b, scratch=_fresh) -> np.ndarray:
-    """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _density_coefficients(v, a);
-    the caller keeps coeff for as many calls as share the abscissae a. ``row`` holds
-    valid column indices of coeff, as np.intp (any other integer type is converted on
-    every take). The series sum_g coeff[g, row[i]] u_g(b[i]) consumes the rows of
-    _osc_rows as they come, so no (degree + 1) x len(b) table is built. It skips the
-    levels without a term (v.live), whose rows are zero (adding a zero is exact up to
+def _density_rows(coeff: np.ndarray, live: list[bool], row, b, scratch=_fresh) -> np.ndarray:
+    """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _coefficients(c, 1, a), with c
+    the amplitude matrix or, cheaper and the same density, _real_up_to_phase of it; the
+    caller keeps coeff for as many calls as share the abscissae a. ``row`` holds valid
+    column indices of coeff, as np.intp (any other integer type is converted on every
+    take). The series sum_g coeff[g, row[i]] u_g(b[i]) consumes the rows of _osc_rows as
+    they come, so no (degree + 1) x len(b) table is built. It skips the levels g without
+    a term (live[g] is c[:, g].any()), whose rows are zero (adding a zero is exact up to
     its sign, which |.| drops), and sums a complex series as its real and imaginary
     parts, with a float term. Every temporary, the result included, comes from
     ``scratch`` (see _fresh)."""
@@ -257,7 +229,7 @@ def _density_rows(v: _DomainView, coeff: np.ndarray, row, b, scratch=_fresh) -> 
         (coeff.real, series.real), (coeff.imag, series.imag)]
     term = scratch("term", b)
     for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, b, scratch=scratch)):
-        for part, s in parts if v.live[g] else ():
+        for part, s in parts if live[g] else ():
             part[g].take(row, out=term, mode="clip")
             term *= u
             s += term
@@ -271,8 +243,10 @@ def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
     s = _scale(units, dom)
     a, b = np.broadcast_arrays(*(math.sqrt(s) * np.asarray(x, dtype=float) for x in (a, b)))
-    v = _view(state, dom)
-    out = _density_rows(v, _density_coefficients(v, a.ravel()), np.arange(a.size), b.ravel())
+    c = _amplitudes(state, dom)
+    real = _real_up_to_phase(c)
+    coeff = _coefficients(c if real is None else real, 1, a.ravel())
+    out = _density_rows(coeff, c.any(axis=0).tolist(), np.arange(a.size), b.ravel())
     return _maybe_scalar(s * out.reshape(a.shape), a.ndim == 0)
 
 
@@ -286,8 +260,13 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     root = math.sqrt(_scale(units, dom))
-    coeff = _coefficients(_view(state, dom).c, mode, root * np.asarray(a, dtype=float))
-    return _maybe_scalar(root * np.sum(np.abs(coeff) ** 2, axis=0), np.ndim(a) == 0)
+    dens = _marginal(_amplitudes(state, dom), mode, root * np.asarray(a, dtype=float))
+    return _maybe_scalar(root * dens, np.ndim(a) == 0)
+
+
+def _marginal(c: np.ndarray, mode: int, y: np.ndarray) -> np.ndarray:
+    """The marginal density of ``mode`` at oscillator coordinates y, sum_g |c_g(y)|^2."""
+    return np.sum(np.abs(_coefficients(c, mode, y)) ** 2, axis=0)
 
 
 def _ladder_position(n_max: int) -> np.ndarray:
@@ -307,25 +286,24 @@ def _ladder_position_sq(n_max: int) -> np.ndarray:
     return m
 
 
-def _moments(view: _DomainView, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moments(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M(a), N(a)) = (int P(a, b) db, int b P(a, b) db), exact finite Fock sums.
 
     With the mode-2 series coefficients c_g of _coefficients, integrating b out leaves
     mode-2 matrix elements: M = sum_g |c_g|^2 is the mode-1 marginal, and
     N = sum_gh conj(c_g) c_h <g| y |h>.
     """
-    c = _coefficients(view.c, 1, np.asarray(a, dtype=float))
-    m = np.sum(np.abs(c) ** 2, axis=0)
-    n = np.real(np.sum(c.conj() * (_ladder_position(c.shape[0] - 1) @ c), axis=0))
+    coeff = _coefficients(c, 1, np.asarray(a, dtype=float))
+    m = np.sum(np.abs(coeff) ** 2, axis=0)
+    n = np.real(np.sum(coeff.conj() * (_ladder_position(len(coeff) - 1) @ coeff), axis=0))
     return m, n
 
 
-def _mode2_moment(view: _DomainView, ladder) -> float:
+def _mode2_moment(c: np.ndarray, ladder) -> float:
     """<y^k> = Re sum conj(C) (C Y), exact, with Y = ladder(max n2) mode 2's matrix of
     y^k: <y> from _ladder_position, <y^2> from _ladder_position_sq. The BLAS dot of
     vdot keeps psi and psi-prime on their pinned bits; an elementwise sum moves about
     one value in seven by an ulp."""
-    c = view.c
     return float(np.real(np.vdot(c, c @ ladder(c.shape[1] - 1))))
 
 
@@ -339,7 +317,7 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     zero (their weight is the marginal itself).
     """
     root = math.sqrt(_scale(units, dom))
-    m, n = _moments(_view(state, dom), np.array([root * float(a)]))
+    m, n = _moments(_amplitudes(state, dom), np.array([root * float(a)]))
     if not root * m[0] > DENSITY_FLOOR:
         raise DegenerateMarginal(f"marginal at {a!r} is {root * m[0]!r}")
     return float(n[0] / m[0] / root)
@@ -376,27 +354,25 @@ def _real_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return np.sort(np.where(real, roots.real, np.nan), axis=-1)
 
 
-def _b_zero_hints(view: _DomainView, a: np.ndarray, limit: float) -> np.ndarray | None:
+def _b_zero_hints(real: np.ndarray, a: np.ndarray, limit: float) -> np.ndarray:
     """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
 
     Zero *curves* of the density exist only when the amplitudes are real up to a
-    global phase; then b -> psi(a, b) is the density's series from _coefficients, and
-    the real roots of its polynomial part inside (-limit, limit) are returned,
-    NaN-padded to shape (len(a), max n2).
+    global phase: ``real`` is the amplitude matrix made real (_real_up_to_phase), b ->
+    psi(a, b) its series from _coefficients, and the real roots of the series'
+    polynomial part inside (-limit, limit) are returned, NaN-padded to (len(a), max n2).
     """
-    if view.aligned is None:
-        return None
-    out = _oscillator_roots(_coefficients(view.aligned, 1, np.asarray(a, dtype=float),
+    out = _oscillator_roots(_coefficients(real, 1, np.asarray(a, dtype=float),
                                           include_gaussian=False))
     out[np.abs(out) >= limit] = np.nan
     return out
 
 
-def _marginal_zero_hints(view: _DomainView, limit: float) -> tuple[float, ...]:
+def _marginal_zero_hints(c: np.ndarray, limit: float) -> tuple[float, ...]:
     """Real zeros of mode 2's marginal inside (-limit, limit) for a rank-1 ``c``: its
     marginal is |series|^2 x Gaussian, the series of c's largest row, and has real zeros
     only when that row is real up to a phase."""
-    row = _real_up_to_phase(view.c[np.argmax(np.sum(np.abs(view.c) ** 2, axis=1))])
+    row = _real_up_to_phase(c[np.argmax(np.sum(np.abs(c) ** 2, axis=1))])
     if row is None:
         return ()
     zeros = _oscillator_roots(row[:, None])[0]
@@ -420,10 +396,9 @@ def _parities(state: FockState) -> tuple[int | None, int | None, int | None]:
     return tuple(int(col[0]) if np.all(col == col[0]) else None for col in parity.T)
 
 
-def _is_uncorrelated(view: _DomainView) -> bool:
+def _is_uncorrelated(c: np.ndarray) -> bool:
     """True when rank(c) = 1, so the state factorizes and mode 2's conditional statistics
     are its marginal ones: with c[p, q] the largest |entry|, each 2x2 minor c[i, j] c[p, q]
     - c[i, q] c[p, j] is within 1e-14 (c has unit norm; exact zeros mean rank 1)."""
-    c = view.c
     p, q = np.unravel_index(np.argmax(np.abs(c)), c.shape)
     return bool(np.max(np.abs(c * c[p, q] - np.outer(c[:, q], c[p]))) <= 1e-14)

@@ -138,8 +138,9 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     """Evaluate the requested criteria on a uniform theta grid, in grid order.
 
     Unmet quadrature tolerances are collected in ``flagged`` without aborting the sweep.
-    On a mirrored family (see the module docstring) an angle below pi/2 whose
-    reflection pi - theta is on the grid takes the reflection's values and flags.
+    On a mirrored family (see the module docstring) whose grid is symmetric about pi/2
+    (theta_min + theta_max == pi), grid angle i below pi/2 takes the values and flags of
+    its reflection, grid angle n_points - 1 - i, within a few ulps of pi - theta_i.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -154,15 +155,16 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     wanted = [c for c in CRITERIA if c in requested]
     build = STATE_BUILDERS[family]
     thetas = np.linspace(theta_min, theta_max, n_points).tolist()
-    mirrors = set(thetas) if _mirrored(build(0.0), build(0.5 * math.pi)) else set()
-    results: dict[float, list] = {}
+    mirrored = (theta_min + theta_max == math.pi
+                and _mirrored(build(0.0), build(0.5 * math.pi)))
+    results: dict[int, list] = {}
     columns: dict[str, list[float]] = {c: [] for c in wanted}
     flagged: list[tuple[str, float]] = []
-    for theta in thetas:
-        source = math.pi - theta if theta < 0.5 * math.pi and math.pi - theta in mirrors else theta
+    for i, theta in enumerate(thetas):
+        source = max(i, n_points - 1 - i) if mirrored else i
         if source not in results:
-            state = build(source)
-            results[source] = [CRITERIA[c].evaluate(state, spec, source) for c in wanted]
+            state = build(thetas[source])
+            results[source] = [CRITERIA[c].evaluate(state, spec, thetas[source]) for c in wanted]
         for c, res in zip(wanted, results[source]):
             columns[c].append(res.value)
             if not res.converged:
@@ -290,7 +292,7 @@ def find_critical_angles(state_id: str, criterion: str,
     by (family, criterion, spec, root_tol); the report reads it back at the default
     root_tol.
     """
-    if root_tol <= 0:
+    if not root_tol > 0:  # NaN fails too
         raise ValueError("root_tol must be positive")
     _criterion(criterion)
     search = _search(_family(state_id), criterion, spec, root_tol)

@@ -208,11 +208,14 @@ class TestConfigFile:
         assert out.splitlines()[1].startswith("chsh,")
 
     def test_state_spelling_normalized(self, capsys, tmp_path):
+        # The flag and the config key pass one check, so both take every spelling
         cfg = tmp_path / "run.cfg"
         cfg.write_text("state = PSI_PRIME\ncriteria = chsh\ntheta = 0.7854\nformat = json\n")
         code, out, _ = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == EXIT_OK
         assert json.loads(out)["state"] == "psi-prime"
+        assert run_cli(capsys, "eval", "--state", "PSI_PRIME", "--criteria", "chsh",
+                       "--theta", "0.7854", "--format", "json") == (EXIT_OK, out, "")
 
     def test_unknown_state_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -220,6 +223,8 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert err.startswith("config error: state:")
+        assert run_cli(capsys, "eval", "--state", "phi", "--theta", "0.5") == (
+            EXIT_CONFIG, "", err)
 
     def test_cli_overrides_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -32,7 +32,7 @@ from cvsteer.fock import (
     make_psi_prime,
     marginal_density,
 )
-from cvsteer.fock import _DomainView, _is_uncorrelated, _parities, _view
+from cvsteer.fock import _amplitudes, _is_uncorrelated, _parities
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_entropy_1d
 
 criteria_mod = importlib.import_module("cvsteer.criteria")
@@ -190,9 +190,10 @@ class TestConditionalEntropy:
         # those tables this evaluation peaked at 17.4 MB, with uncapped sweeps 3.1 MB.
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
+        c, fold = _amplitudes(state, Domain.POSITION), _parities(state)[0] is not None
         tracemalloc.start()
         try:
-            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC)
+            criteria_mod._conditional_entropy(c, DEFAULT_SPEC, fold)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,7 +408,8 @@ class TestTruncationWidth:
         for n in range(31):
             # The window is in oscillator units y; in x (or p) units it ends at x0 =
             # y0 / sqrt(s), and the level's density there is sqrt(s) |u_n(sqrt(s) x)|^2
-            y0 = _effective_width(DEFAULT_SPEC, _view(FockState.from_terms([(0, n, 1.0)]), dom))
+            c = _amplitudes(FockState.from_terms([(0, n, 1.0)]), dom)
+            y0 = _effective_width(DEFAULT_SPEC, c)
             s = m_omega if dom is Domain.POSITION else 1.0 / m_omega
             x0 = y0 / math.sqrt(s)
             log_norm = n * math.log(2.0) + gammaln(n + 1) + 0.5 * math.log(math.pi)
@@ -481,7 +483,7 @@ class TestRankOnePath:
         norm = math.sqrt(1.0 + 1e-12)
         state = FockState.from_terms([(0, 0, 1.0 / norm), (1, 1, 1e-6 / norm)])
         for dom in Domain:
-            assert not _is_uncorrelated(_view(state, dom))
+            assert not _is_uncorrelated(_amplitudes(state, dom))
         entropic_value(state)
         assert len(calls) == 2
 
@@ -503,15 +505,15 @@ class TestRankOnePath:
         for c, rank in ((rank_one, 1), (rank_two, 2)):
             c = c / np.linalg.norm(c)
             assert all_minors_vanish(c) == (rank == 1)
-            assert _is_uncorrelated(_DomainView(c=c)) == (rank == 1)
+            assert _is_uncorrelated(c) == (rank == 1)
 
     def test_rank_test_memory_at_n30(self):
         # The degree-30 two-mode squeezed vacuum: the test reads O(size of c) minors; the
         # outer product of c with itself peaked at 35 MB
-        view = _view(two_mode_squeezed_vacuum(0.5, 30), Domain.POSITION)
+        c = _amplitudes(two_mode_squeezed_vacuum(0.5, 30), Domain.POSITION)
         tracemalloc.start()
         try:
-            assert not _is_uncorrelated(view)
+            assert not _is_uncorrelated(c)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -740,9 +742,10 @@ class TestSweepCap:
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 12, s), (12, 0, -s)])
         largest = batched_sweep_points(monkeypatch)
+        c, fold = _amplitudes(state, Domain.POSITION), _parities(state)[0] is not None
         tracemalloc.start()
         try:
-            criteria_mod._conditional_entropy(state, Domain.POSITION, DEFAULT_SPEC)
+            criteria_mod._conditional_entropy(c, DEFAULT_SPEC, fold)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -804,6 +807,30 @@ class TestEngineBitIdentity:
         t = correlation_matrix(state)
         expected = np.diag([float.fromhex(h) for h in diagonal])
         assert [x.hex() for x in t.ravel()] == [x.hex() for x in expected.ravel()]
+
+
+class TestMatrixContract:
+    """The private kernels read a domain's amplitude matrix C and nothing else: on C's
+    transpose they give, bit for bit, the components that the public evaluators give
+    for the state with its modes swapped, whose matrix that transpose is."""
+
+    @pytest.mark.parametrize("terms", [
+        make_psi_prime(0.7).terms,
+        # The genuinely complex state of TestEngineBitIdentity
+        [(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
+    ])
+    def test_transposed_matrix_is_the_swapped_state(self, terms):
+        state = FockState.from_terms(terms)
+        swapped = FockState.from_terms([(n2, n1, amp) for n1, n2, amp in terms])
+        fold = _parities(state)[0] is not None
+        for kernel, evaluate in ((criteria_mod._conditional_variance, reid_value),
+                                 (criteria_mod._conditional_entropy, entropic_value)):
+            got = [kernel(np.ascontiguousarray(_amplitudes(state, dom).T), DEFAULT_SPEC, fold)
+                   for dom in Domain]
+            want = evaluate(swapped)
+            assert [value.hex() for value, _ok in got] == [
+                value.hex() for value in want.components.values()]
+            assert all(ok for _value, ok in got) and want.converged
 
 
 class TestHeldWorkspaces:

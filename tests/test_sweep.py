@@ -152,8 +152,8 @@ class TestSweep:
         assert a == b
 
     def test_mirrored_grid_reuses_reflections(self, monkeypatch):
-        # On a mirrored family an angle below pi/2 whose reflection is on the grid takes
-        # the reflection's value and flag, evaluated once; flags stay in grid order
+        # On a mirrored family grid angle i below pi/2 takes the value and flag of its
+        # reflection n - 1 - i, evaluated once; flags stay in grid order
         seen = []
 
         def evaluate(criterion, state, spec, theta):
@@ -173,6 +173,15 @@ class TestSweep:
         monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda theta: family(a, b, theta))
         assert sweep("psi", {"chsh"}, 5).values["chsh"] == t
         assert seen == list(t)
+
+    @pytest.mark.parametrize("state_id", ["psi", "psi-prime"])
+    def test_mirrored_default_grid_evaluates_its_upper_half(self, monkeypatch, state_id):
+        # Grid angle i < 157 of the 315-point grid takes the results of grid angle 314 - i.
+        # Reuse keyed by the float pi - theta_i missed the 37 reflections that linspace
+        # puts an ulp off, and evaluated 195 angles
+        calls = count_evaluations(monkeypatch)
+        sweep(state_id, {"chsh"}, 315)
+        assert len(calls) == 158
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -344,6 +353,8 @@ class TestFindCriticalAngles:
         calls = count_evaluations(monkeypatch)
         with pytest.raises(ValueError):
             find_critical_angles("psi", "reid", root_tol=0.0)
+        with pytest.raises(ValueError, match="root_tol"):
+            find_critical_angles("psi", "reid", root_tol=math.nan)
         with pytest.raises(ValueError, match="unknown criterion 'nope'"):
             find_critical_angles("psi", "nope")
         with pytest.raises(ValueError):
