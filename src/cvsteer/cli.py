@@ -17,15 +17,15 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .criteria import CRITERIA, CriterionResult
+from .criteria import CRITERIA
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .sweep import (
     NoRootInRange,
     STATE_BUILDERS,
     _ROOT_TOL,
-    _criterion,
+    _criteria,
     _family,
     find_critical_angles,
     hierarchy_report,
@@ -136,11 +136,9 @@ def _validate(config: argparse.Namespace) -> None:
         config.state = _family(config.state)
     except ValueError as exc:
         raise ConfigError(f"state: {exc}") from exc
-    if "criteria" in config and not config.criteria:
-        raise ConfigError("criteria: at least one criterion is required")
-    for c in getattr(config, "criteria", ()):
+    if "criteria" in config:
         try:
-            _criterion(c)
+            config.criteria = _criteria(config.criteria)
         except ValueError as exc:
             raise ConfigError(f"criteria: {exc}") from exc
     if "theta" in config and not (config.theta is not None and 0.0 <= config.theta <= math.pi):
@@ -162,6 +160,15 @@ def _validate(config: argparse.Namespace) -> None:
 def _fmt(x: float) -> str:
     """Shortest decimal with 10 significant digits; stable across runs."""
     return f"{x:.10g}"
+
+
+def _csv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """Comma-separated lines of the header and of each row of cells, newline-ended."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _finish(config: argparse.Namespace, text: str, path: str | None, unmet: str = "",
@@ -190,32 +197,18 @@ def _finish(config: argparse.Namespace, text: str, path: str | None, unmet: str 
     return EXIT_OK
 
 
-def _ordered(criteria: tuple[str, ...]) -> list[str]:
-    wanted = set(criteria)
-    return [c for c in CRITERIA if c in wanted]
-
-
-def _eval_csv(results: list[CriterionResult]) -> str:
-    lines = [",".join(_EVAL_COLUMNS)]
-    for res in results:
-        cells = [res.criterion, _fmt(res.theta), _fmt(res.value),
-                 str(res.violated).lower(), str(res.converged).lower()]
-        for col in _EVAL_COLUMNS[5:]:
-            cells.append(_fmt(res.components[col]) if col in res.components else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_eval(config: argparse.Namespace) -> int:
     state = STATE_BUILDERS[config.state](config.theta)
-    results = [CRITERIA[c].evaluate(state, config.spec, config.theta)
-               for c in _ordered(config.criteria)]
+    results = [CRITERIA[c].evaluate(state, config.spec) for c in config.criteria]
     if config.format == "json":
-        payload = {"state": config.state,
-                   "results": [dataclasses.asdict(r) for r in results]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json({"state": config.state, "results": [
+            dict(dataclasses.asdict(r), theta=config.theta) for r in results]})
     else:
-        text = _eval_csv(results)
+        rows = ([r.criterion, _fmt(config.theta), _fmt(r.value), str(r.violated).lower(),
+                 str(r.converged).lower()]
+                + [_fmt(r.components[col]) if col in r.components else ""
+                   for col in _EVAL_COLUMNS[5:]] for r in results)
+        text = _csv(_EVAL_COLUMNS, rows)
     unmet = [r.criterion for r in results if not r.converged]
     return _finish(config, text, config.output_path,
                    f"the evaluation of {', '.join(unmet)}" if unmet else "")
@@ -224,19 +217,13 @@ def cmd_eval(config: argparse.Namespace) -> int:
 def cmd_sweep(config: argparse.Namespace) -> int:
     result = sweep(config.state, config.criteria, config.steps, config.spec,
                    config.theta_min, config.theta_max)
-    wanted = _ordered(config.criteria)
+    columns = {CRITERIA[c].column: result.values[c] for c in config.criteria}
     if config.format == "json":
-        payload = {"state": config.state, "theta": list(result.thetas)}
-        for c in wanted:
-            payload[CRITERIA[c].column] = list(result.values[c])
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json({"state": config.state, "theta": list(result.thetas),
+                      **{name: list(values) for name, values in columns.items()}})
     else:
-        header = ["theta"] + [CRITERIA[c].column for c in wanted]
-        lines = [",".join(header)]
-        for i, theta in enumerate(result.thetas):
-            row = [_fmt(theta)] + [_fmt(result.values[c][i]) for c in wanted]
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
+        rows = zip(result.thetas, *columns.values())
+        text = _csv(["theta", *columns], ([_fmt(x) for x in row] for row in rows))
     return _finish(config, text, config.output_path,
                    f"{len(result.flagged)} grid point(s)" if result.flagged else "")
 
@@ -245,7 +232,7 @@ def cmd_critical(config: argparse.Namespace) -> int:
     records = []
     rootless = []
     unmet = []
-    for criterion in _ordered(config.criteria):
+    for criterion in config.criteria:
         try:
             roots = find_critical_angles(config.state, criterion, config.spec, config.root_tol)
             converged = all(r.converged for r in roots)
@@ -263,33 +250,24 @@ def cmd_critical(config: argparse.Namespace) -> int:
 
     path = config.output_path or f"critical-{config.state}.{config.format}"
     if config.format == "json":
-        payload = {"state": config.state, "root_tol": config.root_tol, "criticals": [
+        text = _json({"state": config.state, "root_tol": config.root_tol, "criticals": [
             {"criterion": r.criterion, "kind": r.kind, "angle": r.angle,
-             "bracket": list(r.bracket), "residual": r.residual} for r in records]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+             "bracket": list(r.bracket), "residual": r.residual} for r in records]})
     else:
-        lines = ["criterion,kind,angle,bracket_lo,bracket_hi,residual"]
-        for r in records:
-            lines.append(",".join([r.criterion, r.kind, repr(r.angle),
-                                   repr(r.bracket[0]), repr(r.bracket[1]), repr(r.residual)]))
-        text = "\n".join(lines) + "\n"
+        text = _csv(["criterion", "kind", "angle", "bracket_lo", "bracket_hi", "residual"],
+                    ([r.criterion, r.kind, *map(repr, (r.angle, *r.bracket, r.residual))]
+                     for r in records))
     what = f"the critical-angle searches for {', '.join(unmet)}" if unmet else ""
     return _finish(config, text, path, what, tuple(rootless))
 
 
 def cmd_report(config: argparse.Namespace) -> int:
     report = hierarchy_report(config.state, config.spec)
-    payload = {
-        "state": report.state_id,
-        "chsh_violation_region": [list(span) for span in report.chsh_violation_region],
-        "reid_detected": [list(span) for span in report.reid_detected],
-        "entropic_detected": [list(span) for span in report.entropic_detected],
-        "undetected_steering": [list(span) for span in report.undetected_steering],
-        "criteria_incomplete": report.criteria_incomplete,
-    }
+    payload = dataclasses.asdict(report)
+    payload["state"] = payload.pop("state_id")
+    del payload["flagged"]  # the warning on stderr and the exit code carry it
     what = f"the critical-angle searches for {', '.join(report.flagged)}" if report.flagged else ""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return _finish(config, text, config.output_path, what)
+    return _finish(config, _json(payload), config.output_path, what)
 
 
 def build_parser() -> argparse.ArgumentParser:

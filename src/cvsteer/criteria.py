@@ -79,12 +79,10 @@ class CriterionResult:
 
     ``violated`` is strict, value > bound with the bound from ``CRITERIA`` (0, or 2 for
     CHSH): boundary values are not violations. ``converged=False`` marks a quadrature
-    tolerance that was not met (the value is still the best estimate). ``theta`` is a
-    label supplied by the caller; NaN when the state was built directly.
+    tolerance that was not met (the value is still the best estimate).
     """
 
     criterion: str
-    theta: float
     value: float
     components: Mapping[str, float]
     violated: bool
@@ -128,13 +126,13 @@ def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
 
 
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
-               units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
+               units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
     fold = _parities(state)[0] is not None  # central parity: the integrals fold
     (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(_amplitudes(state, dom), spec, fold)
                                 for dom in Domain)
     s = units.m_omega
-    return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p, theta)
+    return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p)
 
 
 def _entropy_uncorrelated(c: np.ndarray, spec: QuadratureSpec,
@@ -180,14 +178,13 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
 
 
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
-                   units: UnitSystem = NATURAL_UNITS, theta: float | None = None) -> CriterionResult:
+                   units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
     fold = _parities(state)[0] is not None  # central parity: the integrals fold
     (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(_amplitudes(state, dom), spec, fold)
                                 for dom in Domain)
     shift = 0.5 * math.log(units.m_omega)
-    return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift),
-                   ok_x and ok_p, theta)
+    return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift), ok_x and ok_p)
 
 
 # sigma_x, sigma_y and sigma_z: the pseudo-Paulis act within each level pair (2k, 2k+1)
@@ -209,7 +206,7 @@ def correlation_matrix(state: FockState) -> np.ndarray:
     return t
 
 
-def chsh_max(state: FockState, theta: float | None = None) -> CriterionResult:
+def chsh_max(state: FockState) -> CriterionResult:
     """Maximal CHSH value over measurement directions, in closed form.
 
     For two parties measuring unit-vector combinations of an su(2) triple, the optimum
@@ -217,39 +214,37 @@ def chsh_max(state: FockState, theta: float | None = None) -> CriterionResult:
     T^T T, i.e. the squared leading singular values of T.
     """
     sv = np.linalg.svd(correlation_matrix(state), compute_uv=False)
-    return _result("chsh", 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2), sv.tolist(), True, theta)
+    return _result("chsh", 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2), sv.tolist(), True)
 
 
 class Criterion(NamedTuple):
     """One detector: the value it is violated above, its sweep column, the names of its
-    result components in order, and evaluate(state, spec, theta)."""
+    result components in order, and evaluate(state, spec)."""
 
     bound: float
     column: str
     components: tuple[str, ...]
-    evaluate: Callable[[FockState, QuadratureSpec, float | None], CriterionResult]
+    evaluate: Callable[[FockState, QuadratureSpec], CriterionResult]
 
 
 # The evaluators are looked up by name at call time, so a replaced module attribute (a
 # tracer's wrapper, a test's stand-in) is what the table calls.
 CRITERIA: Mapping[str, Criterion] = MappingProxyType({
     "reid": Criterion(0.0, "i_reid", ("delta2_min_x2", "delta2_min_p2"),
-                      lambda state, spec, theta: reid_value(state, spec=spec, theta=theta)),
+                      lambda state, spec: reid_value(state, spec=spec)),
     "entropic": Criterion(0.0, "i_ent", ("h_x2_given_x1", "h_p2_given_p1"),
-                          lambda state, spec, theta: entropic_value(state, spec=spec, theta=theta)),
+                          lambda state, spec: entropic_value(state, spec=spec)),
     "chsh": Criterion(CHSH_CLASSICAL_BOUND, "i_chsh",
                       ("t_singular_1", "t_singular_2", "t_singular_3"),
-                      lambda state, spec, theta: chsh_max(state, theta=theta)),
+                      lambda state, spec: chsh_max(state)),
 })
 
 
-def _result(criterion: str, value: float, components, converged: bool,
-            theta: float | None) -> CriterionResult:
+def _result(criterion: str, value: float, components, converged: bool) -> CriterionResult:
     """The result of one evaluation, its verdict and component names from ``CRITERIA``."""
     entry = CRITERIA[criterion]
     return CriterionResult(
         criterion=criterion,
-        theta=math.nan if theta is None else float(theta),
         value=value,
         components=dict(zip(entry.components, components)),
         violated=value > entry.bound,

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .criteria import CRITERIA, Criterion
+from .criteria import CRITERIA
 from .fock import FockState, _parities, _real_eigenvalues, make_psi, make_psi_prime
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
@@ -125,11 +125,16 @@ def _mirrored(a: FockState, b: FockState) -> bool:
                for pa, pb in zip(_parities(a)[1:], _parities(b)[1:]))
 
 
-def _criterion(name: str) -> Criterion:
-    """The CRITERIA entry of a criterion name."""
-    if name not in CRITERIA:
-        raise ValueError(f"unknown criterion {name!r}; expected one of {tuple(CRITERIA)}")
-    return CRITERIA[name]
+def _criteria(names: Iterable[str]) -> list[str]:
+    """The named criteria in CRITERIA order. Raises ValueError when none is named, or
+    names the first unknown one in the order given."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("at least one criterion is required")
+    for name in names:
+        if name not in CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}; expected one of {tuple(CRITERIA)}")
+    return [c for c in CRITERIA if c in names]
 
 
 def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
@@ -144,15 +149,11 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    if not theta_min < theta_max:
-        raise ValueError("theta_min must be < theta_max")
+    if not -math.inf < theta_min < theta_max < math.inf:  # NaN fails too
+        raise ValueError(f"theta_min/theta_max: need finite theta_min < theta_max, "
+                         f"got {theta_min!r} and {theta_max!r}")
     family = _family(state_id)
-    requested = set(criteria_set)
-    if not requested:
-        raise ValueError("criteria_set must name at least one criterion")
-    for name in sorted(requested):
-        _criterion(name)
-    wanted = [c for c in CRITERIA if c in requested]
+    wanted = _criteria(criteria_set)
     build = STATE_BUILDERS[family]
     thetas = np.linspace(theta_min, theta_max, n_points).tolist()
     mirrored = (theta_min + theta_max == math.pi
@@ -164,7 +165,7 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
         source = max(i, n_points - 1 - i) if mirrored else i
         if source not in results:
             state = build(thetas[source])
-            results[source] = [CRITERIA[c].evaluate(state, spec, thetas[source]) for c in wanted]
+            results[source] = [CRITERIA[c].evaluate(state, spec) for c in wanted]
         for c, res in zip(wanted, results[source]):
             columns[c].append(res.value)
             if not res.converged:
@@ -280,12 +281,13 @@ def find_critical_angles(state_id: str, criterion: str,
     Chebyshev coefficients decay below 10 * spec.panel_tol; the real roots of the chopped
     interpolants are the candidate crossings. Each is probed on either side at
     10 * spec.panel_tol / |slope|, slope of the samples around it, kept in
-    [root_tol/4, root_tol/2] and within half its distance to them; every sign change
-    between neighbouring samples and probes is shrunk by Illinois steps to a bracket no
-    wider than root_tol (kind="crossing"), so proxy roots where the true criterion keeps
-    its sign are dropped. Samples where the value equals the bound exactly without a
-    sign change are reported with kind="touch", a zero-width bracket and residual 0. On
-    a mirrored family each angle above pi/2 also gives pi - angle, bracket reflected.
+    [root_tol/4, root_tol/2], then cut to half its distance to them, so that both
+    probes stay between those samples; every sign change between neighbouring samples
+    and probes is shrunk by Illinois steps to a bracket no wider than root_tol
+    (kind="crossing"), so proxy roots where the true criterion keeps its sign are
+    dropped. Samples where the value equals the bound exactly without a sign change are
+    reported with kind="touch", a zero-width bracket and residual 0. On a mirrored
+    family each angle above pi/2 also gives pi - angle, bracket reflected.
     ``converged`` is False on every angle when any evaluation of the search missed its
     quadrature tolerance or a half was not resolved by degree _DEGREE_MAX. Raises
     NoRootInRange, with the same flag, when neither kind exists. The search is memoized
@@ -294,7 +296,7 @@ def find_critical_angles(state_id: str, criterion: str,
     """
     if not root_tol > 0:  # NaN fails too
         raise ValueError("root_tol must be positive")
-    _criterion(criterion)
+    _criteria((criterion,))
     search = _search(_family(state_id), criterion, spec, root_tol)
     if not search.roots:
         raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}",
@@ -311,7 +313,7 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
     missed: list[float] = []
 
     def gap(theta: float) -> float:
-        res = entry.evaluate(build(theta), spec, theta)
+        res = entry.evaluate(build(theta), spec)
         if not res.converged:
             missed.append(theta)
         return res.value - entry.bound
@@ -329,11 +331,13 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
     halves = [_chebyshev_half(sample, lo, hi, tol) for lo, hi in ends]
     samples = sorted(points.items())
     for r in np.concatenate([roots for roots, _ in halves]).tolist():
-        # The proxy's error is its chop tolerance over the slope; probes <= root_tol apart
+        # The proxy's error is its chop tolerance over the slope; probes <= root_tol apart,
+        # between the samples around r
         i = bisect.bisect(samples, (r,))
         (t0, f0), (t1, f1) = samples[i - 1], samples[i]
         error = tol * (t1 - t0) / max(abs(f1 - f0), 1e-300)
-        width = max(0.25 * root_tol, min(error, 0.5 * root_tol, 0.5 * (r - t0), 0.5 * (t1 - r)))
+        width = min(max(0.25 * root_tol, min(error, 0.5 * root_tol)),
+                    0.5 * (r - t0), 0.5 * (t1 - r))
         for theta in (r - width, r + width):
             if 0.0 < theta < math.pi:
                 sample(theta)

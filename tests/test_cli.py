@@ -15,6 +15,11 @@ from cvsteer.cli import EXIT_CONFIG, EXIT_IO, EXIT_NO_ROOT, EXIT_OK, EXIT_TOLERA
 from cvsteer.sweep import _ROOT_TOL
 
 
+EVAL_HEADER = ("criterion,theta,value,violated,converged,"
+               "delta2_min_x2,delta2_min_p2,h_x2_given_x1,h_p2_given_p1,"
+               "t_singular_1,t_singular_2,t_singular_3")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -27,9 +32,7 @@ class TestEval:
                                "--criteria", "chsh")
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[0] == ("criterion,theta,value,violated,converged,"
-                            "delta2_min_x2,delta2_min_p2,h_x2_given_x1,h_p2_given_p1,"
-                            "t_singular_1,t_singular_2,t_singular_3")
+        assert lines[0] == EVAL_HEADER
         cells = lines[1].split(",")
         assert cells[0] == "chsh"
         assert float(cells[2]) == pytest.approx(2.828427, abs=1e-5)
@@ -75,6 +78,14 @@ class TestEval:
         rec = payload["results"][0]
         rebuilt = 0.25 - rec["components"]["delta2_min_x2"] * rec["components"]["delta2_min_p2"]
         assert rec["value"] == pytest.approx(rebuilt, abs=1e-12)
+
+    def test_output_carries_the_requested_angle(self, capsys):
+        # The evaluators read the state alone: eval writes the angle it was given
+        argv = ["eval", "--theta", "0.9"]
+        payload = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        assert [r["theta"] for r in payload["results"]] == [0.9] * 3
+        rows = run_cli(capsys, *argv)[1].splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.9"] * 3
 
     def test_unmet_tolerance_exits_3(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--theta", "1.1", "--criteria", "entropic",
@@ -149,6 +160,24 @@ class TestSweepCommand:
         rows = out.strip().splitlines()[1:]
         assert float(rows[0].split(",")[0]) == 0.5
         assert float(rows[-1].split(",")[0]) == 1.0
+
+
+class TestWriters:
+    """One CSV and one JSON writer serve every command. Only the layout is read, never a
+    cell, so the BLAS build does not matter."""
+
+    @pytest.mark.parametrize("argv,header", [
+        (["sweep", "--criteria", "chsh", "--steps", "5"], "theta,i_chsh"),
+        (["eval", "--theta", "0.7", "--criteria", "chsh"], EVAL_HEADER),
+    ], ids=["sweep", "eval"])
+    def test_layout(self, capsys, argv, header):
+        code, text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert text.endswith("\n") and "\n\n" not in text
+        assert text.splitlines()[0] == header
 
 
 class TestCriticalCommand:

@@ -125,7 +125,7 @@ class TestConditionalVariance:
 
 class TestReid:
     def test_boundary_saturation_at_zero(self):
-        res = reid_value(make_psi(0.0), theta=0.0)
+        res = reid_value(make_psi(0.0))
         assert res.value == 0.0
         assert not res.violated
 
@@ -135,13 +135,13 @@ class TestReid:
 
     @pytest.mark.parametrize("theta,expected", [(t, v) for t, (v, _d) in REID_ORACLE_PSI.items()])
     def test_psi_against_oracle(self, theta, expected):
-        res = reid_value(make_psi(theta), theta=theta)
+        res = reid_value(make_psi(theta))
         assert res.value == pytest.approx(expected, abs=1e-11)
         assert res.violated == (expected > 0)
 
     @pytest.mark.parametrize("theta,expected", [(t, v) for t, (v, _d) in REID_ORACLE_PSI_PRIME.items()])
     def test_psi_prime_against_oracle(self, theta, expected):
-        res = reid_value(make_psi_prime(theta), theta=theta)
+        res = reid_value(make_psi_prime(theta))
         assert res.value == pytest.approx(expected, abs=1e-11)
 
     def test_near_critical_angle(self):
@@ -152,10 +152,6 @@ class TestReid:
         res = reid_value(make_psi(0.9))
         rebuilt = 0.25 - res.components["delta2_min_x2"] * res.components["delta2_min_p2"]
         assert res.value == pytest.approx(rebuilt, abs=1e-12)
-
-    def test_theta_label(self):
-        assert math.isnan(reid_value(make_psi(0.4)).theta)
-        assert reid_value(make_psi(0.4), theta=0.4).theta == 0.4
 
 
 class TestConditionalEntropy:
@@ -212,14 +208,14 @@ class TestEntropic:
 
     @pytest.mark.parametrize("theta,expected", list(ENTROPIC_ORACLE_PSI.items()))
     def test_psi_against_oracle(self, theta, expected):
-        res = entropic_value(make_psi(theta), theta=theta)
+        res = entropic_value(make_psi(theta))
         assert res.converged
         assert res.value == pytest.approx(expected, abs=2e-9)
         assert res.violated == (expected > 0)
 
     @pytest.mark.parametrize("theta,expected", list(ENTROPIC_ORACLE_PSI_PRIME.items()))
     def test_psi_prime_against_oracle(self, theta, expected):
-        res = entropic_value(make_psi_prime(theta), theta=theta)
+        res = entropic_value(make_psi_prime(theta))
         assert res.value == pytest.approx(expected, abs=2e-9)
 
     def test_near_critical_angle(self):
@@ -334,17 +330,18 @@ class TestCriteriaTable:
     @pytest.mark.parametrize("theta", [0.0, 0.7, 0.5 * math.pi])
     def test_results_follow_the_table(self, theta):
         for name, entry in CRITERIA.items():
-            res = entry.evaluate(make_psi_prime(theta), DEFAULT_SPEC, theta)
-            assert res.criterion == name and res.theta == theta
+            res = entry.evaluate(make_psi_prime(theta), DEFAULT_SPEC)
+            assert res.criterion == name
             assert tuple(res.components) == entry.components
             assert res.violated == (res.value > entry.bound)
 
     def test_evaluators_looked_up_at_call_time(self, monkeypatch):
         # A replaced module attribute (a tracer's wrapper, a stand-in) is what runs
-        for name in ("reid_value", "entropic_value", "chsh_max"):
-            monkeypatch.setattr(criteria_mod, name, lambda state, **kwargs: kwargs)
-        for entry in CRITERIA.values():
-            assert entry.evaluate(make_psi(0.7), DEFAULT_SPEC, 0.7)["theta"] == 0.7
+        evaluators = {"reid": "reid_value", "entropic": "entropic_value", "chsh": "chsh_max"}
+        for name in evaluators.values():
+            monkeypatch.setattr(criteria_mod, name, lambda state, name=name, **kwargs: name)
+        for criterion, entry in CRITERIA.items():
+            assert entry.evaluate(make_psi(0.7), DEFAULT_SPEC) == evaluators[criterion]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,10 +62,20 @@ def with_reflections(angles):
 
 def stand_in(monkeypatch, evaluate, criteria=tuple(EVALUATORS)):
     """Replace the evaluators of the named criteria in cvsteer.criteria, where the
-    CRITERIA table looks them up at call time, by evaluate(criterion, state, spec, theta)."""
+    CRITERIA table looks them up at call time, by evaluate(criterion, state, spec, theta).
+    Each STATE_BUILDERS entry is wrapped to record, by id, the angle of every state it
+    builds; the state is kept with it, so that its id is not reused. A test that swaps a
+    builder calls this again."""
+    angles = {}
+    for name, build in list(sweep_mod.STATE_BUILDERS.items()):
+        def recorded(theta, build=build):
+            state = build(theta)
+            angles[id(state)] = (state, theta)
+            return state
+        monkeypatch.setitem(sweep_mod.STATE_BUILDERS, name, recorded)
     for criterion in criteria:
-        def evaluator(state, spec=DEFAULT_SPEC, theta=None, criterion=criterion):
-            return evaluate(criterion, state, spec, theta)
+        def evaluator(state, spec=DEFAULT_SPEC, criterion=criterion):
+            return evaluate(criterion, state, spec, angles[id(state)][1])
         monkeypatch.setattr(criteria_mod, EVALUATORS[criterion], evaluator)
 
 
@@ -90,9 +101,8 @@ def close_pair_evaluate(converged=True, at=mirrored):
     def evaluate(criterion, state, spec, theta):
         t = at(theta)
         gap = math.exp(-t) * (t - CLOSE_PAIR[0]) * (t - CLOSE_PAIR[1])
-        return CriterionResult(criterion=criterion, theta=theta,
-                               value=CRITERIA[criterion].bound + gap, components={},
-                               violated=gap > 0.0, converged=converged)
+        return CriterionResult(criterion=criterion, value=CRITERIA[criterion].bound + gap,
+                               components={}, violated=gap > 0.0, converged=converged)
     return evaluate
 
 
@@ -158,7 +168,7 @@ class TestSweep:
 
         def evaluate(criterion, state, spec, theta):
             seen.append(theta)
-            return CriterionResult(criterion=criterion, theta=theta, value=theta,
+            return CriterionResult(criterion=criterion, value=theta,
                                    components={}, violated=False, converged=theta < 2.0)
 
         stand_in(monkeypatch, evaluate, ("chsh",))
@@ -171,6 +181,7 @@ class TestSweep:
         seen.clear()
         a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
         monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda theta: family(a, b, theta))
+        stand_in(monkeypatch, evaluate, ("chsh",))
         assert sweep("psi", {"chsh"}, 5).values["chsh"] == t
         assert seen == list(t)
 
@@ -194,6 +205,15 @@ class TestSweep:
             sweep("nope", {"reid"}, 5)
         with pytest.raises(ValueError, match="entropc"):
             sweep("psi", {"chsh", "entropc"}, 3)
+
+    @pytest.mark.parametrize("ends", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                      (0.0, math.nan)])
+    def test_rejects_non_finite_grid_ends(self, ends):
+        # Rejected by name before the grid is built, so no NaN angle reaches a builder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta_min/theta_max"):
+                sweep("psi", {"chsh"}, 3, theta_min=ends[0], theta_max=ends[1])
 
 
 class TestChebyshevProxy:
@@ -222,6 +242,16 @@ class TestFindCriticalAngles:
         assert len(got) == len(expected)
         for angle, ref in zip(got, expected):
             assert angle == pytest.approx(ref, abs=5e-4)
+
+    def test_probes_stay_between_their_samples(self, fresh_searches):
+        # At root_tol = 10 the root_tol/4 probe floor is wider than the gaps between the
+        # samples; a probe past them would bracket a spurious crossing. Psi's Reid value
+        # crosses once in each half
+        crossings = crossings_of(find_critical_angles("psi", "reid", root_tol=10.0))
+        assert len(crossings) == 2
+        for r, root in zip(crossings, CROSSINGS[("psi", "reid")]):
+            assert r.bracket[0] <= root <= r.bracket[1]
+            assert r.converged
 
     def test_angles_inside_brackets(self):
         for r in find_critical_angles("psi", "reid"):
@@ -270,7 +300,7 @@ class TestFindCriticalAngles:
         for r in touches:
             assert r.angle in (0.0, math.pi / 2, math.pi), r
             assert r.residual == 0.0 and r.bracket == (r.angle, r.angle)
-            value = entry.evaluate(build(r.angle), DEFAULT_SPEC, r.angle).value
+            value = entry.evaluate(build(r.angle), DEFAULT_SPEC).value
             assert value == entry.bound, (r, value)
 
     def test_monotone_refinement(self):
@@ -286,7 +316,7 @@ class TestFindCriticalAngles:
     def test_no_root_in_range(self, monkeypatch):
         # A criterion pinned strictly above its bound has neither crossing nor touch
         def constant(criterion, state, spec, theta):
-            return CriterionResult(criterion=criterion, theta=theta, value=1.0,
+            return CriterionResult(criterion=criterion, value=1.0,
                                    components={}, violated=True)
         stand_in(monkeypatch, constant)
         sweep_mod._search.cache_clear()
@@ -323,7 +353,7 @@ class TestFindCriticalAngles:
         # A search that finds nothing still reports that its evaluations missed their
         # tolerance, on the exception and as the critical command's warning
         def flagged_constant(criterion, state, spec, theta):
-            return CriterionResult(criterion=criterion, theta=theta, value=1.0,
+            return CriterionResult(criterion=criterion, value=1.0,
                                    components={}, violated=True, converged=False)
         stand_in(monkeypatch, flagged_constant)
         with pytest.raises(NoRootInRange) as info:
@@ -341,7 +371,7 @@ class TestFindCriticalAngles:
         # converged
         def kinked(criterion, state, spec, theta):
             gap = abs(mirrored(theta) - 1.0) - 0.1
-            return CriterionResult(criterion=criterion, theta=theta, value=gap,
+            return CriterionResult(criterion=criterion, value=gap,
                                    components={}, violated=gap > 0.0)
         stand_in(monkeypatch, kinked)
         roots = find_critical_angles("psi", "reid")
@@ -538,7 +568,7 @@ class TestHierarchyReport:
         # Reid pinned strictly above (below) its bound has no angle: the whole range is
         # one violated (unviolated) span, where NoRootInRange used to escape the report
         def pinned_reid(criterion, state, spec, theta):
-            return CriterionResult(criterion=criterion, theta=theta, value=gap,
+            return CriterionResult(criterion=criterion, value=gap,
                                    components={}, violated=gap > 0.0)
 
         stand_in(monkeypatch, pinned_reid, criteria=("reid",))
