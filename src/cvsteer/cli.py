@@ -7,7 +7,7 @@ override. ``report`` always writes JSON, with spans located at the default root_
 
 Exit codes: 0 ok; 2 invalid configuration (message names the field); 3 a quadrature
 tolerance was not met and --allow-flagged was absent; 4 unwritable output path;
-5 a requested criterion has no crossing-type critical angle.
+5 a requested criterion never meets its bound (no crossing and no touch).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _finish(config: argparse.Namespace, text: str, path: str | None, unmet: str 
             rootless: tuple[str, ...] = ()) -> int:
     """Write text to path (standard output when None), warn on stderr that ``unmet``
     missed its quadrature tolerance, and return the exit code: EXIT_IO when the output
-    could not be written, EXIT_NO_ROOT when a criterion in ``rootless`` has no crossing,
+    could not be written, EXIT_NO_ROOT when a criterion in ``rootless`` never meets its bound,
     EXIT_TOLERANCE when a tolerance was missed and --allow-flagged is absent."""
     try:
         if path is None:
@@ -189,7 +189,7 @@ def _finish(config: argparse.Namespace, text: str, path: str | None, unmet: str 
     if unmet:
         print(f"warning: {unmet} did not meet the quadrature tolerance", file=sys.stderr)
     if rootless:
-        print(f"no crossing found for: {', '.join(rootless)}", file=sys.stderr)
+        print(f"never meets its bound: {', '.join(rootless)}", file=sys.stderr)
         return EXIT_NO_ROOT
     if unmet and not config.allow_flagged:
         print("tolerance not met; rerun with --allow-flagged to accept", file=sys.stderr)
@@ -224,8 +224,8 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     else:
         rows = zip(result.thetas, *columns.values())
         text = _csv(["theta", *columns], ([_fmt(x) for x in row] for row in rows))
-    return _finish(config, text, config.output_path,
-                   f"{len(result.flagged)} grid point(s)" if result.flagged else "")
+    unmet = ", ".join(dict.fromkeys(c for c, _ in result.flagged))
+    return _finish(config, text, config.output_path, f"the sweep of {unmet}" if unmet else "")
 
 
 def cmd_critical(config: argparse.Namespace) -> int:
@@ -238,7 +238,6 @@ def cmd_critical(config: argparse.Namespace) -> int:
             converged = all(r.converged for r in roots)
         except NoRootInRange as exc:
             roots, converged = (), exc.converged
-        if not any(r.kind == "crossing" for r in roots):
             rootless.append(criterion)
         if not converged:
             unmet.append(criterion)
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvsteer",
         description="Steering and Bell criteria for two-mode oscillator Fock superpositions.",
         epilog="exit codes: 0 ok, 2 invalid config, 3 tolerance not met, "
-               "4 unwritable output, 5 no crossing for a criterion",
+               "4 unwritable output, 5 a criterion never meets its bound",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, func in (

@@ -20,10 +20,10 @@ the touch at 0. The reflection pi - theta is exact for theta >= pi/2 (Sterbenz),
 reflected bracket keeps its width. Both built-in families have this mirror.
 
 Each (family, criterion, spec, root_tol) is searched once per process (``_search``), and
-``find_critical_angles`` and ``hierarchy_report`` share that cache. The report has no
-root_tol of its own: it locates every span end at ``_ROOT_TOL`` (1e-6), and takes the
-sign of every span from the samples and probes of that search, so it evaluates no
-criterion of its own.
+``find_critical_angles``, ``hierarchy_report`` and ``sweep`` share that cache. The report
+and the sweep read the search at ``_ROOT_TOL`` (1e-6) and evaluate no criterion of their
+own: the report takes every span's sign from its samples and probes, and the sweep
+interpolates each half's final Lobatto samples at its grid angles.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class SweepResult:
     state_id: str
     thetas: tuple[float, ...]
     values: Mapping[str, tuple[float, ...]]
-    flagged: tuple[tuple[str, float], ...] = ()  # (criterion, theta) with unmet tolerance
+    flagged: tuple[tuple[str, float], ...] = ()  # each grid angle of a flagged search
 
 
 @dataclass(frozen=True)
@@ -140,42 +140,45 @@ def _criteria(names: Iterable[str]) -> list[str]:
 def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
           spec: QuadratureSpec = DEFAULT_SPEC, theta_min: float = 0.0,
           theta_max: float = math.pi) -> SweepResult:
-    """Evaluate the requested criteria on a uniform theta grid, in grid order.
-
-    Unmet quadrature tolerances are collected in ``flagged`` without aborting the sweep.
-    On a mirrored family (see the module docstring) whose grid is symmetric about pi/2
-    (theta_min + theta_max == pi), grid angle i below pi/2 takes the values and flags of
-    its reflection, grid angle n_points - 1 - i, within a few ulps of pi - theta_i.
-    """
+    """The requested criteria on a uniform grid in [0, pi], in grid order, interpolated from
+    the final Lobatto samples of their searches at _ROOT_TOL (a sample keeps its value). On
+    a mirrored family an angle below pi/2 is read at pi - theta. ``flagged`` holds every
+    grid angle of a criterion whose search missed a tolerance."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    if not -math.inf < theta_min < theta_max < math.inf:  # NaN fails too
-        raise ValueError(f"theta_min/theta_max: need finite theta_min < theta_max, "
+    if not 0.0 <= theta_min < theta_max <= math.pi:  # NaN fails too
+        raise ValueError(f"theta_min/theta_max: need 0 <= theta_min < theta_max <= pi, "
                          f"got {theta_min!r} and {theta_max!r}")
-    family = _family(state_id)
-    wanted = _criteria(criteria_set)
-    build = STATE_BUILDERS[family]
-    thetas = np.linspace(theta_min, theta_max, n_points).tolist()
-    mirrored = (theta_min + theta_max == math.pi
-                and _mirrored(build(0.0), build(0.5 * math.pi)))
-    results: dict[int, list] = {}
-    columns: dict[str, list[float]] = {c: [] for c in wanted}
-    flagged: list[tuple[str, float]] = []
-    for i, theta in enumerate(thetas):
-        source = max(i, n_points - 1 - i) if mirrored else i
-        if source not in results:
-            state = build(thetas[source])
-            results[source] = [CRITERIA[c].evaluate(state, spec) for c in wanted]
-        for c, res in zip(wanted, results[source]):
-            columns[c].append(res.value)
-            if not res.converged:
-                flagged.append((c, theta))
-    return SweepResult(
-        state_id=family,
-        thetas=tuple(thetas),
-        values={c: tuple(col) for c, col in columns.items()},
-        flagged=tuple(flagged),
-    )
+    family, wanted = _family(state_id), _criteria(criteria_set)
+    grid = np.linspace(theta_min, theta_max, n_points)
+    values, flagged = {}, []
+    for c in wanted:
+        search = _search(family, c, spec, _ROOT_TOL)
+        x = np.where(grid < search.halves[0][0], math.pi - grid, grid)  # mirrored: pi - theta
+        column = np.empty(n_points)
+        for lo, hi, points, gaps in search.halves:
+            inside = (lo <= x) & (x <= hi)
+            column[inside] = _barycentric(x[inside], points, gaps) + CRITERIA[c].bound
+        values[c] = tuple(column.tolist())
+        flagged += [] if search.converged else [(c, theta) for theta in grid.tolist()]
+    return SweepResult(family, tuple(grid.tolist()), values, tuple(flagged))
+
+
+def _barycentric(x: np.ndarray, points: tuple, values: tuple) -> np.ndarray:
+    """values at Chebyshev-Lobatto points interpolated at x by the second barycentric formula
+    (Berrut & Trefethen, SIAM Rev. 46 (2004) 501), summed node by node; a point is exact."""
+    weights = (-1.0) ** np.arange(len(points))
+    weights[[0, -1]] *= 0.5
+    num, den = np.zeros_like(x), np.zeros_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, f, w in zip(points, values, weights.tolist()):
+            d = w / (x - t)
+            num += d * f
+            den += d
+        out = num / den
+    for t, f in zip(points, values):
+        out[x == t] = f
+    return out
 
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
@@ -209,12 +212,12 @@ def _chebyshev_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
-                    tol: float) -> tuple[np.ndarray, bool]:
+                    tol: float) -> tuple[np.ndarray, bool, tuple]:
     """Interpolate sample on [lo, hi] at nested Chebyshev-Lobatto points of degree 16,
     32, ..., each level reusing the last, until the trailing max(5, n/8) coefficients are
     below tol (Chebfun's classic chop test). lo and hi are sampled exactly. Returns the
-    real roots of the interpolant chopped after its last coefficient >= tol, and whether
-    the tail fell below tol by degree _DEGREE_MAX.
+    real roots of the interpolant chopped after its last coefficient >= tol, whether the
+    tail fell below tol by degree _DEGREE_MAX, and (lo, hi, final points, their values).
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = _DEGREE_START
@@ -228,16 +231,19 @@ def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
             break
         odd = mid + half * np.cos(np.pi / (2 * n) * np.arange(1, 2 * n, 2))
         values = np.insert(values, np.arange(1, n + 1), [sample(t) for t in odd.tolist()])
+        thetas = np.insert(thetas, np.arange(1, n + 1), odd)
         n *= 2
     big = np.flatnonzero(np.abs(coeffs) >= tol)
     kept = coeffs[:big[-1] + 1] if big.size else coeffs[:0]
-    return mid + half * _chebyshev_roots(kept), chopped
+    return (mid + half * _chebyshev_roots(kept), chopped,
+            (lo, hi, tuple(thetas.tolist()), tuple(values.tolist())))
 
 
 class _Search(NamedTuple):
     roots: tuple[CriticalAngle, ...]
     points: tuple[tuple[float, float], ...]  # samples and probes (reflected), ascending
     converged: bool
+    halves: tuple[tuple, ...]  # (lo, hi, points, value - bound) per half sampled, ascending
 
 
 def _illinois(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float,
@@ -330,7 +336,7 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
     ends = ([] if mirrored else [(0.0, 0.5 * math.pi)]) + [(0.5 * math.pi, math.pi)]
     halves = [_chebyshev_half(sample, lo, hi, tol) for lo, hi in ends]
     samples = sorted(points.items())
-    for r in np.concatenate([roots for roots, _ in halves]).tolist():
+    for r in np.concatenate([roots for roots, _, _ in halves]).tolist():
         # The proxy's error is its chop tolerance over the slope; probes <= root_tol apart,
         # between the samples around r
         i = bisect.bisect(samples, (r,))
@@ -355,10 +361,10 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
                   for angle, (lo, hi), residual, kind in found if angle > 0.5 * math.pi]
         grid = sorted(dict(grid + [(math.pi - theta, value) for theta, value in grid]).items())
 
-    converged = not missed and all(chopped for _, chopped in halves)
+    converged = not missed and all(chopped for _, chopped, _ in halves)
     roots = tuple(CriticalAngle(criterion, angle, bracket, residual, kind, converged)
                   for angle, bracket, residual, kind in sorted(found))
-    return _Search(roots, tuple(grid), converged)
+    return _Search(roots, tuple(grid), converged, tuple(h for _, _, h in halves))
 
 
 def _violation_spans(family: str, criterion: str,

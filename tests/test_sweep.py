@@ -161,38 +161,99 @@ class TestSweep:
         b = sweep("psi", {"reid", "chsh"}, 9, spec=FAST_SPEC)
         assert a == b
 
-    def test_mirrored_grid_reuses_reflections(self, monkeypatch):
-        # On a mirrored family grid angle i below pi/2 takes the value and flag of its
-        # reflection n - 1 - i, evaluated once; flags stay in grid order
+    def test_mirrored_grid_reuses_reflections(self, monkeypatch, fresh_searches):
+        # A mirrored family's sweep reads the search of [pi/2, pi] only: grid angle i
+        # below pi/2 takes the value at its reflection, and a search that missed a
+        # tolerance flags every grid angle of its criterion, in grid order
         seen = []
 
         def evaluate(criterion, state, spec, theta):
             seen.append(theta)
-            return CriterionResult(criterion=criterion, value=theta,
+            return CriterionResult(criterion=criterion, value=math.cos(theta),
                                    components={}, violated=False, converged=theta < 2.0)
 
         stand_in(monkeypatch, evaluate, ("chsh",))
         res = sweep("psi", {"chsh"}, 5)
         t = res.thetas
-        assert sorted(seen) == list(t[2:])
-        assert res.values["chsh"] == (t[4], t[3], t[2], t[3], t[4])
-        assert res.flagged == tuple(("chsh", t[i]) for i in (0, 1, 3, 4))
-        # |00> against |22> has no mirror: every angle is evaluated
+        assert seen and all(math.pi / 2 <= theta <= math.pi for theta in seen)
+        assert res.values["chsh"] == pytest.approx(
+            [math.cos(max(x, math.pi - x)) for x in t], abs=1e-12)
+        assert res.values["chsh"][0] == res.values["chsh"][4] == math.cos(math.pi)
+        assert res.flagged == tuple(("chsh", x) for x in t)
+        # |00> against |22> has no mirror: both halves are sampled and read as they are
         seen.clear()
+        sweep_mod._search.cache_clear()
         a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
         monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda theta: family(a, b, theta))
         stand_in(monkeypatch, evaluate, ("chsh",))
-        assert sweep("psi", {"chsh"}, 5).values["chsh"] == t
-        assert seen == list(t)
+        res = sweep("psi", {"chsh"}, 5)
+        assert min(seen) == 0.0 and max(seen) == math.pi
+        assert any(0.0 < theta < math.pi / 2 for theta in seen)
+        assert res.values["chsh"] == pytest.approx([math.cos(x) for x in t], abs=1e-12)
+        assert res.flagged == tuple(("chsh", x) for x in t)
 
     @pytest.mark.parametrize("state_id", ["psi", "psi-prime"])
-    def test_mirrored_default_grid_evaluates_its_upper_half(self, monkeypatch, state_id):
-        # Grid angle i < 157 of the 315-point grid takes the results of grid angle 314 - i.
-        # Reuse keyed by the float pi - theta_i missed the 37 reflections that linspace
-        # puts an ulp off, and evaluated 195 angles
-        calls = count_evaluations(monkeypatch)
-        sweep(state_id, {"chsh"}, 315)
-        assert len(calls) == 158
+    def test_mirrored_default_grid_evaluates_its_upper_half(self, monkeypatch, fresh_searches,
+                                                           state_id):
+        # A cold 315-point sweep costs only its critical-angle searches, which evaluate
+        # angles in [pi/2, pi] alone and stay cached for find_critical_angles
+        seen = []
+
+        def evaluate(criterion, state, spec, theta):
+            seen.append((criterion, theta))
+            return chsh_max(state) if criterion == "chsh" else reid_value(state, spec=spec)
+
+        stand_in(monkeypatch, evaluate, ("reid", "chsh"))
+        sweep(state_id, {"reid", "chsh"}, 315)
+        most = TestFindCriticalAngles.MOST_EVALUATIONS
+        for criterion in ("reid", "chsh"):
+            count = sum(c == criterion for c, _ in seen)
+            assert 0 < count <= most[(state_id, criterion)], (criterion, count)
+        assert all(math.pi / 2 <= theta <= math.pi for _, theta in seen)
+        seen.clear()
+        find_critical_angles(state_id, "reid")
+        assert seen == []
+
+    def test_values_within_1e_10_of_direct_evaluation(self):
+        # At the default spec the search's interpolant is the criterion to 1e-10, at
+        # seeded angles on both sides of pi/2 that are no Lobatto sample
+        rng = np.random.default_rng(26)
+        for state_id in ("psi", "psi-prime"):
+            theta_min, theta_max = rng.uniform(0.05, 0.3), rng.uniform(2.85, 3.1)
+            res = sweep(state_id, CRITERIA, 12, theta_min=theta_min, theta_max=theta_max)
+            assert min(res.thetas) < math.pi / 2 < max(res.thetas)
+            build = sweep_mod.STATE_BUILDERS[state_id]
+            for criterion, entry in CRITERIA.items():
+                search = sweep_mod._search(state_id, criterion, DEFAULT_SPEC, sweep_mod._ROOT_TOL)
+                nodes = {t for half in search.halves for t in half[2]}
+                for theta, value in zip(res.thetas, res.values[criterion]):
+                    assert not {theta, math.pi - theta} & nodes
+                    direct = entry.evaluate(build(theta), DEFAULT_SPEC).value
+                    assert abs(value - direct) <= 1e-10, (state_id, criterion, theta)
+
+    def test_loose_spec_reid_within_its_tolerance(self):
+        # The loose spec's interpolant carries the error of its own samples: every Reid
+        # cell stays within 10 * panel_tol of the default spec's direct value
+        spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
+        for state_id in ("psi", "psi-prime"):
+            res = sweep(state_id, {"reid"}, 315, spec)
+            build = sweep_mod.STATE_BUILDERS[state_id]
+            worst = max(abs(value - reid_value(build(theta)).value)
+                        for theta, value in zip(res.thetas, res.values["reid"]))
+            assert worst <= 10 * spec.panel_tol, (state_id, worst)
+
+    def test_warning_names_the_flagged_criteria(self, capsys, monkeypatch, fresh_searches):
+        # The warning names each flagged criterion once, not the flagged grid points
+        def evaluate(criterion, state, spec, theta):
+            return CriterionResult(criterion=criterion, value=math.cos(theta), components={},
+                                   violated=False, converged=criterion != "reid")
+
+        stand_in(monkeypatch, evaluate, ("reid", "chsh"))
+        code = main(["sweep", "--state", "psi", "--criteria", "reid,chsh"])
+        err = capsys.readouterr().err
+        assert code == EXIT_TOLERANCE
+        assert "warning: the sweep of reid did not meet the quadrature tolerance" in err
+        assert "chsh" not in err and "grid point" not in err
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -205,6 +266,10 @@ class TestSweep:
             sweep("nope", {"reid"}, 5)
         with pytest.raises(ValueError, match="entropc"):
             sweep("psi", {"chsh", "entropc"}, 3)
+        # The grid must lie in [0, pi], the range the searches sample
+        for ends in ((-0.1, 1.0), (0.0, 3.2)):
+            with pytest.raises(ValueError, match="theta_min/theta_max"):
+                sweep("psi", {"chsh"}, 5, theta_min=ends[0], theta_max=ends[1])
 
     @pytest.mark.parametrize("ends", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                                       (0.0, math.nan)])
