@@ -45,7 +45,6 @@ from .fock import (
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    _scratch,
     adaptive_panels,
     integrate_entropy_1d,
     integrate_entropy_2d,
@@ -166,7 +165,7 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
         # coefficients are built once per batch. Holding a keeps its id from reuse.
         if held[0] is not a:
             held[:] = a, _coefficients(series, 1, a)
-        return _density_rows(held[1], live, row, b, _scratch)
+        return _density_rows(held[1], live, row, b)
 
     # The density has zero curves only when c is real up to a phase
     hints = None if real is None else lambda av: _b_zero_hints(real, av, width)

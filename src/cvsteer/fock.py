@@ -146,24 +146,16 @@ def _maybe_scalar(arr, scalar_in: bool):
     return arr.item() if scalar_in else arr
 
 
-def _fresh(_name: str, like: np.ndarray, dtype=float) -> np.ndarray:
-    """np.empty_like(like, dtype); the engine's blocks pass quadrature._scratch instead."""
-    return np.empty_like(like, dtype)
-
-
-def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True, scratch=_fresh):
+def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True):
     """Yield the normalized oscillator functions u_0(y), ..., u_{n_max}(y) in turn,
     co-evaluated with the Gaussian so the recurrence never overflows at large n.
 
     u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2); with include_gaussian=False
     the exp factor is dropped (polynomial part only, used where only zeros matter).
-    Only the last two rows are kept, in ``scratch``: a yielded row is overwritten two
-    steps later.
+    Only the last two rows are kept: a yielded row is overwritten two steps later.
     """
     y = np.asarray(y, dtype=float)
-    prev, cur, step = (scratch(name, y) for name in ("prev", "cur", "step"))
-    prev.fill(0.0)
-    cur.fill(_PI_QUARTER)
+    prev, cur, step = np.zeros_like(y), np.full_like(y, _PI_QUARTER), np.empty_like(y)
     if include_gaussian:
         np.multiply(np.multiply(y, -0.5, out=step), y, out=step)  # -0.5 * y * y
         cur *= np.exp(step, out=step)
@@ -212,28 +204,26 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
     return coeff
 
 
-def _density_rows(coeff: np.ndarray, live: list[bool], row, b, scratch=_fresh) -> np.ndarray:
-    """|Psi(a[row[i]], b[i])|^2 for every i, from coeff = _coefficients(c, 1, a), with c
-    the amplitude matrix or, cheaper and the same density, _real_up_to_phase of it; the
-    caller keeps coeff for as many calls as share the abscissae a. ``row`` holds valid
-    column indices of coeff, as np.intp (any other integer type is converted on every
-    take). The series sum_g coeff[g, row[i]] u_g(b[i]) consumes the rows of _osc_rows as
-    they come, so no (degree + 1) x len(b) table is built. It skips the levels g without
-    a term (live[g] is c[:, g].any()), whose rows are zero (adding a zero is exact up to
-    its sign, which |.| drops), and sums a complex series as its real and imaginary
-    parts, with a float term. Every temporary, the result included, comes from
-    ``scratch`` (see _fresh)."""
-    series = scratch("series", b, coeff.dtype)
-    series.fill(0.0)
+def _density_rows(coeff: np.ndarray, live: list[bool], row, b) -> np.ndarray:
+    """|Psi(a[row[i]], b[i])|^2 for every i, as a new array, from coeff =
+    _coefficients(c, 1, a), with c the amplitude matrix or, cheaper and the same
+    density, _real_up_to_phase of it; the caller keeps coeff for as many calls as share
+    the abscissae a. ``row`` holds valid column indices of coeff, as np.intp (any other
+    integer type is converted on every take). The series sum_g coeff[g, row[i]] u_g(b[i])
+    consumes the rows of _osc_rows as they come, so no (degree + 1) x len(b) table is
+    built. It skips the levels g without a term (live[g] is c[:, g].any()), whose rows
+    are zero (adding a zero is exact up to its sign, which |.| drops), and sums a complex
+    series as its real and imaginary parts, with a float term."""
+    series = np.zeros(b.shape, coeff.dtype)
     parts = [(coeff, series)] if coeff.dtype == float else [
         (coeff.real, series.real), (coeff.imag, series.imag)]
-    term = scratch("term", b)
-    for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, b, scratch=scratch)):
+    term = np.empty(b.shape)
+    for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, b)):
         for part, s in parts if live[g] else ():
             part[g].take(row, out=term, mode="clip")
             term *= u
             s += term
-    out = np.abs(series, out=scratch("out", b))
+    out = np.abs(series)
     out *= out
     return out
 

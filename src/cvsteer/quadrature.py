@@ -8,7 +8,6 @@ exact finite ladder-operator sums (see ``fock``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,8 +51,10 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value plus error estimate; ``converged=False`` means the tolerance was not met
-    within _MAX_DEPTH bisections (the value is still the best available estimate)."""
+    """Value plus error estimate; ``converged=False`` means that some panel stopped
+    short of its share of the tolerance and the error estimate misses the tolerance
+    too, or that a panel's sum was not finite. The value is still the best available
+    estimate (NaN in the second case)."""
 
     value: float
     error: float
@@ -83,19 +84,13 @@ _G7_WEIGHTS = np.array([
 
 # Most points of one call of the integrand, and of one sweep of _adaptive_many: a sweep
 # holds at most _BLOCK_POINTS // 15 panels (4,095 points), unless a single task holds
-# more, which is then swept alone in blocks of _BLOCK_POINTS. A point-sized array freed
-# at the top of the heap can push the free top past glibc's trim threshold; glibc then
-# hands the memory back to the kernel, and the next sweep faults it in again. So each
-# thread holds for its lifetime one grow-only _Workspace per nesting depth of
-# _adaptive_many (points, task ids and values, 24 bytes per point; pending panels, 24
-# bytes each) and the _scratch buffers of the integrand's blocks. A sweep still
-# allocates its panel arrays (8 bytes per panel, at most 2.2 KB) and, inside numpy, the
-# iterator buffers of the broadcasting fills of points and task ids (64 KB and 32 KB);
-# glibc recycles both inside the heap.
+# more, which is then swept alone in blocks of _BLOCK_POINTS. So a sweep's arrays
+# (points, task ids and values, 24 bytes per point) and an integrand's block temporaries
+# stay a few tens of KB, which glibc serves from its free lists without faulting pages in.
 _BLOCK_POINTS = 4_096
 
 # Bisections of a panel before its task is given up as unconverged: what stops an
-# integrand that never meets its tolerance (a NaN one, say)
+# integrand that never meets its tolerance
 _MAX_DEPTH = 40
 
 # Roundoff floor of a panel sum, per unit of its absolute Kronrod sum
@@ -120,72 +115,45 @@ def _segments(lo: float, hi: float,
     return row, edges[row, pos], edges[row, pos + 1]
 
 
-class _Workspace:
-    """Grow-only buffers that the sweeps of one nesting depth share: integrand points,
-    task ids and values, and the ``pending`` panels (task, left, right), a stack that
-    ends at the buffers' end and whose top is the front of the worklist."""
-
-    def __init__(self):
-        self.x = self.fv = np.empty(0)
-        self.tid = np.empty(0, dtype=np.intp)
-        self.pending = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
-
-    def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of ``size`` entries of the point, task-id and value buffers; buffers too
-        small for them are replaced by ones of ``size`` entries."""
-        if size > self.x.size:
-            self.x, self.fv = np.empty(size), np.empty(size)
-            self.tid = np.empty(size, dtype=np.intp)
-        return self.x[:size], self.tid[:size], self.fv[:size]
-
-    def reserve(self, top: int, size: int) -> int:
-        """Room for ``size`` more panels on the stack topped at ``top``; returns the new
-        top. A full stack moves to the end of buffers twice as large."""
-        if size > top:
-            rest = self.pending[0].size - top
-            grown = max(rest + size, 2 * self.pending[0].size)
-            old = self.pending
-            self.pending = tuple(np.empty(grown, p.dtype) for p in old)
-            for buf, kept in zip(self.pending, old):
-                buf[grown - rest:] = kept[top:]
-            top = grown - rest
-        return top - size
-
-    def push_halves(self, top: int, task: np.ndarray, left: np.ndarray, mid: np.ndarray,
-                    right: np.ndarray) -> int:
-        """Push the halves [left, mid] and [mid, right] of the panels of ``task``, in
-        order, on the stack topped at ``top``; returns the new top. The arguments must
-        not be views of the stack."""
-        top = self.reserve(top, 2 * task.size)
-        end = top + 2 * task.size
-        for buf, first, second in zip(self.pending, (task, left, mid), (task, mid, right)):
-            buf[top:end:2] = first
-            buf[top + 1:end:2] = second
-        return top
+def _push_halves(stack: tuple, top: int, task: np.ndarray, left: np.ndarray,
+                 mid: np.ndarray, right: np.ndarray) -> tuple[tuple, int]:
+    """Push the halves [left, mid] and [mid, right] of the panels of ``task``, in order,
+    onto ``stack``, the pending panels (task, left, right) from ``top`` to the arrays'
+    end; returns the stack and its new top. A full stack moves to the end of arrays
+    twice as large. The arguments must not be views of the stack."""
+    size = 2 * task.size
+    if size > top:
+        rest = stack[0].size - top
+        grown = max(rest + size, 2 * stack[0].size)
+        old, stack = stack, tuple(np.empty(grown, p.dtype) for p in stack)
+        for buf, kept in zip(stack, old):
+            buf[grown - rest:] = kept[top:]
+        top = grown - rest
+    top -= size
+    for buf, first, second in zip(stack, (task, left, mid), (task, mid, right)):
+        buf[top:top + size:2] = first
+        buf[top + 1:top + size:2] = second
+    return stack, top
 
 
-class _ThreadWorkspaces(threading.local):
-    """This thread's workspaces, one per nesting depth of _adaptive_many: depth 0 serves
-    the outer, Reid and 1-D integrals, depth 1 the inner batches of a 2-D integral.
-    Every sweep writes the entries it reads, so no value passes from one integral to
-    the next; only the pages stay mapped. ``scratch`` holds _scratch's buffers."""
-
-    def __init__(self):
-        self.depth = 0
-        self.works: list[_Workspace] = []
-        self.scratch: dict = {}
-
-
-_HELD = _ThreadWorkspaces()
-
-
-def _scratch(name: str, like: np.ndarray, dtype=float) -> np.ndarray:
-    """This thread's held buffer ``name`` of ``dtype``, shaped like ``like``, for the
-    temporaries of one integrand block; valid until its next request."""
-    buf = _HELD.scratch.get((name, dtype))
-    if buf is None or buf.size < like.size:
-        buf = _HELD.scratch[name, dtype] = np.empty(like.size, dtype)
-    return buf[:like.size].reshape(like.shape)
+def _gk_sums(f, t, half, mid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod sum, error estimate |Kronrod - Gauss| and roundoff floor of each panel of
+    half-width ``half`` about ``mid`` of the tasks ``t``, calling f on blocks of at most
+    _BLOCK_POINTS points. The points, task ids and values are freed on return, before
+    the caller grows its worklist: a stack allocated above them would leave them, once
+    freed, in a top of the heap large enough for glibc to hand back to the kernel."""
+    nodes = _GK_NODES.size
+    pts = np.multiply.outer(half, _GK_NODES)
+    pts += mid[:, None]
+    pts, tids, fv = pts.ravel(), np.repeat(t, nodes), np.empty(pts.size)
+    for k in range(0, fv.size, _BLOCK_POINTS):
+        block = slice(k, k + _BLOCK_POINTS)
+        fv[block] = f(tids[block], pts[block])
+    fv = fv.reshape(-1, nodes)
+    ik = (fv @ _GK_WEIGHTS) * half
+    ig = (fv @ _G7_WEIGHTS) * half
+    noise = _NOISE * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
+    return ik, np.abs(ik - ig), noise
 
 
 def _adaptive_many(f, lo, hi, cuts, tol):
@@ -195,86 +163,65 @@ def _adaptive_many(f, lo, hi, cuts, tol):
     Task r's initial panels are [lo, hi] pre-split at the entries of ``cuts[r]`` (see
     _segments), and every panel [a, b] must meet its share tol (b - a) / (hi - lo).
     ``f(task_ids, x)`` evaluates, elementwise, the integrand of task ``task_ids[i]`` at
-    ``x[i]``; both are views of the engine's buffers, valid only during the call, and
-    the array f returns is only read. Each sweep evaluates the pending panels of the
-    longest prefix of whole tasks that fits one call of f, at most _BLOCK_POINTS
+    ``x[i]``; the array f returns is only read. Each sweep evaluates the pending panels
+    of the longest prefix of whole tasks that fits one call of f, at most _BLOCK_POINTS
     points, or else of the first task alone, calling f on consecutive blocks of at most
     _BLOCK_POINTS of them; the children of its split panels go back to the front of the
-    worklist, which keeps each task's panels contiguous and the tasks ascending. A
-    task's pending panels are thus of one generation, so depth is kept per task, and
-    they are evaluated, summed and split together: the size of a sweep changes only the
-    grouping of tasks into sweeps, never a value, error or flag. The sweeps fill the
-    calling thread's _Workspace for the current nesting depth (one more than the call
-    that f runs in, if any), the worklist included, which the thread keeps for the next
-    call at that depth. Returns the values, error estimates and convergence flags of
-    the tasks. Deterministic: panel ordering, splitting and accumulation are data-driven.
+    worklist, a stack local to the call, which keeps each task's panels contiguous and
+    the tasks ascending. A task's pending panels are thus of one generation, so depth is
+    kept per task, and they are evaluated, summed and split together: the size of a sweep
+    changes only the grouping of tasks into sweeps, never a value, error or flag. A panel
+    whose sums are not finite (a NaN integrand, say) stops at once, and its task's value
+    is NaN. Every array is the call's own; nothing is kept for the next call.
+
+    Returns the values, error estimates and convergence flags of the tasks: a task
+    converges when every panel met its share, or when its summed error estimates meet
+    ``tol`` all the same. Deterministic: panel ordering, splitting and accumulation are
+    data-driven.
     """
     n_tasks = cuts.shape[0]
     depth = np.zeros(n_tasks, dtype=np.intp)
     values = np.zeros(n_tasks)
     errors = np.zeros(n_tasks)
     failed = np.zeros(n_tasks, dtype=bool)
-    nodes = _GK_NODES.size
-    cap = _BLOCK_POINTS // nodes
+    cap = _BLOCK_POINTS // _GK_NODES.size
     span = hi - lo
 
-    held = _HELD
-    if held.depth == len(held.works):
-        held.works.append(_Workspace())
-    work = held.works[held.depth]
-    held.depth += 1
-    try:
-        row, seg_lo, seg_hi = _segments(lo, hi, cuts)
-        top = work.reserve(work.pending[0].size, row.size)
-        for buf, new in zip(work.pending, (row, seg_lo, seg_hi)):
-            buf[top:] = new
-        task, left, right = work.pending
-        while top < task.size:
-            # Sweep the tasks before the one holding panel number ``cap``, or the first
-            # task alone when it holds more than ``cap`` panels
-            end = task.size
-            if end - top > cap:
-                first = task[top:top + cap + 1]
-                end = top + (int(first.searchsorted(first[cap])) or int(
-                    task[top:].searchsorted(first[0], side="right")))
-            t, a, b = task[top:end], left[top:end], right[top:end]
-            n, top = end - top, end
-            width = b - a
-            half = 0.5 * width
-            mid = a + half
-            m = n * nodes
-            pts, tids, fv = work.take(m)
-            grid = pts.reshape(n, nodes)
-            np.multiply(half[:, None], _GK_NODES, out=grid)
-            grid += mid[:, None]
-            tids.reshape(n, nodes)[:] = t[:, None]
-            for k in range(0, m, _BLOCK_POINTS):
-                block = slice(k, k + _BLOCK_POINTS)
-                fv[block] = f(tids[block], pts[block])
-            fv = fv.reshape(n, nodes)
-            ik = (fv @ _GK_WEIGHTS) * half
-            ig = (fv @ _G7_WEIGHTS) * half
-            perr = np.abs(ik - ig)
-            ok = perr <= tol * width / span
-            # Roundoff floor of the panel sum: refining below it cannot reduce the error
-            # estimate, so a tolerance under the floor would otherwise split forever.
-            noise = _NOISE * (np.abs(fv, out=fv) @ _GK_WEIGHTS) * half
-            stop = ok | (perr <= noise) | (depth[t] >= _MAX_DEPTH)
-            t0, t1 = int(t[0]), int(t[-1]) + 1
-            done = t[stop] - t0
-            values[t0:t1] += np.bincount(done, weights=ik[stop], minlength=t1 - t0)
-            errors[t0:t1] += np.bincount(done, weights=perr[stop], minlength=t1 - t0)
-            failed[t[stop & ~ok]] = True
-            depth[t0:t1] += 1
-            keep = ~stop
-            if keep.any():
-                # Masking copies the split panels out of the stack their halves may
-                # overwrite
-                top = work.push_halves(top, t[keep], a[keep], mid[keep], b[keep])
-                task, left, right = work.pending
-    finally:
-        held.depth -= 1
-    return values, errors, ~failed
+    stack, top = _segments(lo, hi, cuts), 0
+    while top < stack[0].size:
+        task, left, right = stack
+        # Sweep the tasks before the one holding panel number ``cap``, or the first task
+        # alone when it holds more than ``cap`` panels
+        end = task.size
+        if end - top > cap:
+            first = task[top:top + cap + 1]
+            end = top + (int(first.searchsorted(first[cap])) or int(
+                task[top:].searchsorted(first[0], side="right")))
+        t, a, b = task[top:end], left[top:end], right[top:end]
+        top = end
+        width = b - a
+        half = 0.5 * width
+        mid = a + half
+        ik, perr, noise = _gk_sums(f, t, half, mid)
+        ok = perr <= tol * width / span
+        # A sum that is not finite stops its panel, NaN: the halves of a panel where the
+        # integrand is NaN are NaN too, so splitting would double it every generation.
+        bad = ~np.isfinite(perr)
+        ik[bad] = np.nan
+        # Refining below the roundoff floor cannot reduce the error estimate, so a
+        # tolerance under the floor would otherwise split forever.
+        stop = ok | bad | (perr <= noise) | (depth[t] >= _MAX_DEPTH)
+        t0, t1 = int(t[0]), int(t[-1]) + 1
+        done = t[stop] - t0
+        values[t0:t1] += np.bincount(done, weights=ik[stop], minlength=t1 - t0)
+        errors[t0:t1] += np.bincount(done, weights=perr[stop], minlength=t1 - t0)
+        failed[t[stop & ~ok]] = True
+        depth[t0:t1] += 1
+        keep = ~stop
+        if keep.any():
+            # Masking copies the split panels out of the stack their halves may overwrite
+            stack, top = _push_halves(stack, top, t[keep], a[keep], mid[keep], b[keep])
+    return values, errors, ~failed | (errors <= tol)
 
 
 def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
@@ -282,8 +229,8 @@ def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     """Adaptively integrate a vectorized integrand over [lo, hi] to absolute ``tol``.
 
     One task of ``_adaptive_many``, its panels pre-split at ``breakpoints``. ``f`` is
-    called on blocks of at most _BLOCK_POINTS points; its argument is valid only during
-    the call, and the array it returns is only read.
+    called on blocks of at most _BLOCK_POINTS points, and the array it returns is only
+    read.
     ``fold=True`` declares f symmetric about the midpoint c: only [c, hi] is integrated,
     at tol/2, and the value and error are doubled. With c among the breakpoints the
     folded panels mirror the dropped ones, so each keeps its share of ``tol``.
@@ -298,15 +245,14 @@ def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def _neg_plogp(v: np.ndarray) -> np.ndarray:
-    """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR.
+    """Entropy integrand -v ln v with the 0*ln0 = 0 convention below ENTROPY_FLOOR, as a
+    new array.
 
     Never returns NaN or -inf: values at or below the floor (including any negative
-    rounding noise of a nonnegative density) contribute exactly 0. The result is the
-    thread's _scratch buffer "plogp".
+    rounding noise of a nonnegative density) contribute exactly 0.
     """
-    out = _scratch("plogp", v)
-    out.fill(0.0)  # for the entries at or below the floor
-    np.log(v, out=out, where=np.greater(v, ENTROPY_FLOOR, out=_scratch("mask", v, bool)))
+    out = np.zeros(v.shape)  # for the entries at or below the floor
+    np.log(v, out=out, where=v > ENTROPY_FLOOR)
     out *= v
     return np.negative(out, out=out)
 
@@ -336,14 +282,10 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     ``_adaptive_many``, one task per abscissa at the absolute tolerance
     panel_tol / (8L), refined in vectorized sweeps over consecutive abscissae, each one
     call of g of at most _BLOCK_POINTS points unless one abscissa's integral outgrows
-    it. The batches of this and of every later 2-D integral on the thread fill the
-    thread's depth-1 _Workspace, so they never overwrite the outer abscissae, which lie
-    in its depth-0 one. Each sweep calls ``g(a, row, b)`` on blocks of at most
-    _BLOCK_POINTS points, with ``a`` all the batch's outer abscissae,
-    the same array object for every block of one batch: it returns the density at
-    (a[row[i]], b[i]), so what depends on a alone can be computed once per batch.
-    ``a``, ``row`` and ``b`` are valid only during the call, and the array g returns is
-    only read. ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array
+    it. Each sweep calls ``g(a, row, b)`` on blocks of at most _BLOCK_POINTS points,
+    with ``a`` all the batch's outer abscissae, the same array object for every block of
+    one batch: it returns the density at (a[row[i]], b[i]), so what depends on a alone
+    can be computed once per batch. The array g returns is only read. ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array
     whose row i holds known zeros of b -> g(a_values[i], b), or None; it is the batch's
     ``cuts``. The error adds 2L times the largest inner estimate to the outer one.
     ``fold=True`` declares g(-a, -b) = g(a, b): the inner integral is then even in a,

@@ -232,6 +232,20 @@ class TestEntropic:
         assert not res.converged
         assert math.isfinite(res.value)
 
+    def test_bisection_cap_within_tolerance_converged(self):
+        # A random complex state on levels <= 2 per mode. An outer panel of its position
+        # joint integral stops at the bisection cap, but the outer integral's summed error
+        # estimate, 1.1e-11 (3.6e-11 with the inner ones), meets panel_tol = 1e-10. Before
+        # a task's flag read its summed estimate, the capped panel alone flagged it.
+        rng = np.random.default_rng(20261022)
+        for _ in range(99):
+            z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        z /= np.linalg.norm(z)
+        state = FockState.from_terms([(n1, n2, z[n1, n2]) for n1 in range(3) for n2 in range(3)])
+        res = entropic_value(state)
+        assert res.value.hex() == "-0x1.39c2a450da546p-1"
+        assert res.converged
+
 
 class TestCorrelationMatrix:
     def test_bell_point(self):
@@ -705,32 +719,27 @@ class TestSweepCap:
         # Task 1 needs over a thousand pending panels of one generation, so it is swept
         # alone past the cap, in blocks, and its children outgrow the worklist stack,
         # between two smooth tasks. Values and errors as float.hex, recorded before the
-        # pending panels moved from per-sweep arrays to the workspace's stack.
+        # pending panels moved from per-sweep arrays to a stack.
         calls = []
 
         def f(tid, x):
             calls.append((int(tid[0]), int(tid[-1]), x.size))
             return np.where(tid == 1, np.cos(300.0 * x), np.exp(-x * x) * (1.0 + tid))
 
-        def run():
-            cuts = np.array([[math.nan], [0.5], [-1.0]])
-            vals, errs, ok = quadrature_mod._adaptive_many(f, -8.0, 8.0, cuts, 1e-12)
-            return ([v.hex() for v in vals], [e.hex() for e in errs], ok.tolist(),
-                    quadrature_mod._HELD.works[0].x.size)
-
-        with ThreadPoolExecutor(max_workers=1) as pool:  # a thread with no workspace yet
-            values, errors, ok, points = pool.submit(run).result(timeout=300)
-        assert values == ["0x1.c5bf891b4ef52p+0", "-0x1.3359f7b1fed01p-10",
-                          "0x1.544fa6d47b37fp+2"]
-        assert errors == ["0x1.37e331a2bac4ap-43", "0x1.1ab4688000000p-43",
-                          "0x1.d24fe70a70253p-44"]
-        assert ok == [True, True, True]
+        cuts = np.array([[math.nan], [0.5], [-1.0]])
+        vals, errs, ok = quadrature_mod._adaptive_many(f, -8.0, 8.0, cuts, 1e-12)
+        assert [v.hex() for v in vals] == ["0x1.c5bf891b4ef52p+0", "-0x1.3359f7b1fed01p-10",
+                                           "0x1.544fa6d47b37fp+2"]
+        assert [e.hex() for e in errs] == ["0x1.37e331a2bac4ap-43", "0x1.1ab4688000000p-43",
+                                           "0x1.d24fe70a70253p-44"]
+        assert ok.tolist() == [True, True, True]
         block = quadrature_mod._BLOCK_POINTS
-        assert points > block
         assert all(size <= block for _first, _last, size in calls)
-        # Full blocks come only from task 1's sweeps past the cap, which hold it alone
-        full = [(first, last) for first, last, size in calls if size == block]
-        assert len(full) > 1 and all(first == last == 1 for first, last in full)
+        # Full blocks come only from task 1's sweeps past the cap, which hold it alone,
+        # and some follow one another: a sweep of task 1 alone spans consecutive blocks
+        full = [i for i, (_first, _last, size) in enumerate(calls) if size == block]
+        assert len(full) > 1 and all(calls[i][:2] == (1, 1) for i in full)
+        assert any(j == i + 1 for i, j in zip(full, full[1:]))
 
     def test_sweeps_and_allocations_bounded_at_n12(self, monkeypatch):
         # With every batched sweep capped at one block, one conditional entropy of a
@@ -831,7 +840,8 @@ class TestMatrixContract:
 
 
 class TestHeldWorkspaces:
-    """Each thread keeps its engine workspaces from one integral to the next."""
+    """The engine holds no workspace: every array of an evaluation is its own, so
+    threads share none, no result is overwritten and nothing is retained."""
 
     def test_two_threads_match_serial(self):
         # The psi and complex states of TestEngineBitIdentity, evaluated by two threads
@@ -859,8 +869,8 @@ class TestHeldWorkspaces:
         assert got == [serial, serial[::-1]]
 
     def test_public_densities_not_overwritten(self):
-        # The engine's blocks take their temporaries from the thread's held scratch; the
-        # public functions return arrays of their own, which no later evaluation touches
+        # The public functions return arrays of their own, which no later evaluation
+        # touches
         state = FockState.from_terms([(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993),
                                       (4, 1, -0.6357547514092701)])
         a, b = np.linspace(-3.0, 3.0, 64), np.linspace(2.0, -2.0, 64)
@@ -868,41 +878,43 @@ class TestHeldWorkspaces:
         kept = [x.copy() for x in got]
         entropic_value(state)
         assert all(np.array_equal(x, k) for x, k in zip(got, kept))
-        assert not any(np.shares_memory(x, buf) for x in got
-                       for buf in quadrature_mod._HELD.scratch.values())
 
     def test_template_states_hold_at_most_600_kb(self):
-        # A fresh thread's workspaces and block scratch after Reid, entropic and CHSH of
-        # every general-states template: 477 KB (573 KB with a separate density buffer
-        # and a complex series term).
-        # With sweeps of 16,384 points, and task ids copied from int32 into a scratch
-        # buffer for every block, they held 907 KB.
+        # The numpy array data that a fresh thread still holds, under tracemalloc, after
+        # Reid, entropic and CHSH of every general-states template: none. With one
+        # workspace per nesting depth and block scratch held per thread, 488,031 bytes.
+        # (Not counted: the Python objects that free lists keep, 20 to 50 KB.)
         def run():
-            for terms, m_omegas in TEMPLATE_STATES:
-                state = FockState.from_terms(terms)
-                for m_omega in m_omegas:
-                    units = UnitSystem(m_omega)
-                    reid_value(state, units=units)
-                    entropic_value(state, units=units)
-                    chsh_max(state)
-            held = quadrature_mod._HELD
-            buffers = [buf for work in held.works
-                       for buf in (work.x, work.tid, work.fv, *work.pending)]
-            return sum(buf.nbytes for buf in buffers + list(held.scratch.values()))
+            tracemalloc.start()
+            try:
+                for terms, m_omegas in TEMPLATE_STATES:
+                    state = FockState.from_terms(terms)
+                    for m_omega in m_omegas:
+                        units = UnitSystem(m_omega)
+                        reid_value(state, units=units)
+                        entropic_value(state, units=units)
+                        chsh_max(state)
+                arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+                return sum(trace.size for trace in
+                           tracemalloc.take_snapshot().filter_traces([arrays]).traces)
+            finally:
+                tracemalloc.stop()
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             held_bytes = pool.submit(run).result(timeout=300)
-        assert held_bytes <= 600 * 1024
+        assert held_bytes < 4 * 1024
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
     def test_repeated_evaluation_faults_in_no_buffers(self):
         # In a fresh worker thread, the second evaluation of the mixed-parity state of
-        # TestWorkCounters reuses the pages of the first one's sweep buffers and block
-        # scratch. The thread's malloc arena starts empty, so no page freed by the
-        # imports is reused and the counts do not hang on the heap's layout: the first
-        # evaluation faults about 380 pages, the later ones none; with the block scratch
-        # taken afresh, 582 and 587. (Counted in the main thread, one workspace per
-        # integral of 16,384-point sweeps faulted 168 pages back in, 290 on later calls.)
+        # TestWorkCounters reuses the heap pages of the first one's sweeps and blocks.
+        # The thread's malloc arena starts empty, so no page freed by the imports is
+        # reused: the first evaluation faults about 300 pages, the later ones none. When
+        # a sweep's points and values were still allocated as its worklist grew, later
+        # evaluations faulted up to 74 pages back in; with 16,384-point sweeps and held
+        # workspaces but block temporaries taken afresh, 582 and 587. (Counted in the main
+        # thread, one workspace per integral of 16,384-point sweeps faulted 168 pages
+        # back in, 290 on later calls.)
         code = (
             "import json, resource\n"
             "from concurrent.futures import ThreadPoolExecutor\n"
@@ -953,11 +965,13 @@ TEMPLATE_STATES = [
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
 class TestHeapLayout:
-    """The 2-D entropy's inner blocks allocate nothing, so page faults do not hang on
-    where earlier allocations left the heap. When they allocated their temporaries
+    """Page faults do not hang on where earlier allocations left the heap. When the 2-D
+    entropy's sweeps held 16,384 points and their blocks allocated their temporaries
     afresh, the states after the first took 2,979 to 25,338 faults by the process's
     layout once np.unique, which imports numpy.ma (1.3 MB of modules), was gone, and
-    135 with numpy.ma imported first; held, they take 110 to 140 either way."""
+    135 with numpy.ma imported first. With blocks held per thread, they took 110 to 140
+    either way; with the 4,096-point sweeps' arrays and block temporaries (32 KB each)
+    taken afresh, which glibc serves from its free lists, 3 either way."""
 
     CODE = (
         "import json, resource, sys\n"

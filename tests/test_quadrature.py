@@ -14,6 +14,7 @@ from cvsteer.quadrature import (
     integrate_entropy_1d,
     integrate_entropy_2d,
 )
+from cvsteer.fock import _density_rows
 from cvsteer.quadrature import ENTROPY_FLOOR, _neg_plogp, _segments
 
 quadrature_mod = importlib.import_module("cvsteer.quadrature")
@@ -68,6 +69,56 @@ class TestAdaptivePanels:
         res = adaptive_panels(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-15)
         assert not res.converged
         assert res.value == pytest.approx(SQPI, rel=1e-10)
+
+    def test_capped_task_within_tolerance_converged(self, monkeypatch):
+        # Cut before any bisection, x^16 on [0, 1] split at 0.5: the right panel misses
+        # its share, half the tolerance, but the task's summed error estimate meets it
+        monkeypatch.setattr(quadrature_mod, "_MAX_DEPTH", 0)
+        f = lambda x: x ** 16
+        left = adaptive_panels(f, 0.0, 0.5, 1.0).error
+        right = adaptive_panels(f, 0.5, 1.0, 1.0).error
+        assert 0.0 < left < 0.5 * right
+        res = adaptive_panels(f, 0.0, 1.0, 1.5 * right, breakpoints=(0.5,))
+        assert res.error == pytest.approx(left + right, rel=1e-4)  # BLAS rounding
+        assert res.converged
+        assert res.value == pytest.approx(1.0 / 17.0, rel=1e-6)
+        # Summed errors over the tolerance stay flagged
+        assert not adaptive_panels(f, 0.0, 1.0, 0.9 * (left + right), breakpoints=(0.5,)).converged
+
+    @pytest.mark.parametrize("breakpoints", [(), (0.3,)])
+    def test_nan_integrand_stops_at_once(self, breakpoints):
+        # A panel whose sums are NaN stops, unconverged, instead of splitting: its halves
+        # would be NaN too, and the panels doubled every generation up to _MAX_DEPTH
+        # (2,805 points at depth 8, 43,185 at 12). The integrand refuses to run away.
+        seen = 0
+
+        def f(x):
+            nonlocal seen
+            seen += x.size
+            if seen > 10_000:
+                raise AssertionError("the panels of a NaN integrand kept splitting")
+            return np.where(x > 0.3, np.nan, 1.0)
+
+        res = adaptive_panels(f, -1.0, 1.0, 1e-10, breakpoints=breakpoints)
+        assert math.isnan(res.value)
+        assert not res.converged
+        assert seen <= 2 * 15
+
+    def test_nan_task_flagged_alone(self):
+        # In a batch, only the task whose integrand is NaN is NaN and flagged
+        seen = 0
+
+        def f(tid, x):
+            nonlocal seen
+            seen += x.size
+            if seen > 10_000:
+                raise AssertionError("the panels of a NaN integrand kept splitting")
+            return np.where(tid == 1, np.nan, np.exp(-x * x))
+
+        vals, _errs, ok = quadrature_mod._adaptive_many(f, -8.0, 8.0, np.empty((3, 0)), 1e-12)
+        assert ok.tolist() == [True, False, True]
+        assert math.isnan(vals[1])
+        assert vals[[0, 2]] == pytest.approx(SQPI, rel=1e-12)
 
 
 class TestSegments:
@@ -258,6 +309,27 @@ def test_neg_plogp_matches_masked_formula():
     assert np.array_equal(v, v_before)
 
 
+def test_engine_results_do_not_alias():
+    # Each call returns an array of its own, which no later call touches: two branch
+    # densities, or their entropy integrands, can be held and summed
+    rng = np.random.default_rng(11)
+    v, w = rng.uniform(0.0, 2.0, (2, 300))
+    first = _neg_plogp(v)
+    kept = first.copy()
+    second = _neg_plogp(w)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, _neg_plogp(w.copy()))
+    a, b = rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 300)
+    row = rng.integers(0, a.size, b.size)
+    live = [True] * 4
+    dens = [_density_rows(rng.standard_normal((4, a.size)), live, row, b) for _ in range(2)]
+    kept = dens[0].copy()
+    dens.append(_density_rows(rng.standard_normal((4, a.size)) + 1j, live, row, b))
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(dens) for y in dens[i + 1:])
+    assert np.array_equal(dens[0], kept)
+
+
 def record_integrand_calls(monkeypatch) -> list:
     """Wrap quadrature._adaptive_many; each integrand call appends (its nesting level, 1
     for an outermost integral and 2 for the inner batches of a 2-D one, its first task
@@ -284,9 +356,9 @@ def record_integrand_calls(monkeypatch) -> list:
 
 
 class TestSweepWorkspace:
-    """Each thread fills one grow-only workspace per nesting depth of the engine and
-    keeps it from one integral to the next; the integrand is called on blocks of at
-    most quadrature._BLOCK_POINTS points."""
+    """The engine's sweeps fill arrays local to each call, so nothing passes from one
+    integral to the next; the integrand is called on blocks of at most
+    quadrature._BLOCK_POINTS points."""
 
     def test_blocks_at_most_4096_points(self, monkeypatch):
         calls = record_integrand_calls(monkeypatch)
@@ -306,7 +378,7 @@ class TestSweepWorkspace:
         sizes = [x.size for level, _tid, x in calls if level == 2]
         assert 4000 < max(sizes) <= 4095 and len(sizes) > 100
 
-    def test_inner_batches_share_one_points_buffer(self, monkeypatch):
+    def test_several_inner_batches_start_at_task_0(self, monkeypatch):
         calls = record_integrand_calls(monkeypatch)
         # 79 outer panels: the first inner sweep already fills the sweep cap
         c, s = math.cos(1.1), math.sin(1.1)
@@ -315,14 +387,10 @@ class TestSweepWorkspace:
         integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), spec,
                              inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s),
                              outer_breakpoints=cuts)
-        inner = [(tid, x) for level, tid, x in calls if level == 2]
-        assert len({id(x.base) for _tid, x in inner}) == 1
-        # A batch's first call starts at its task 0 and at the start of the buffer
-        starts = [x for tid, x in inner if tid == 0]
-        assert len(starts) > 1
-        assert all(np.shares_memory(starts[0], x) for x in starts[1:])
+        inner = [tid for level, tid, _x in calls if level == 2]
+        assert inner.count(0) > 1
 
-    def test_held_from_one_integral_to_the_next(self, monkeypatch):
+    def test_outer_abscissae_unchanged_and_reruns_equal(self, monkeypatch):
         calls = record_integrand_calls(monkeypatch)
         c, s = math.cos(1.1), math.sin(1.1)
         density = TestEntropy2d._bracket_density(c, s)
@@ -340,44 +408,49 @@ class TestSweepWorkspace:
         first = run()
         n_first = len(calls)
         assert run() == first
-        # The second integral fills the buffers the first one left at each level
-        last = {level: x.base for level, _tid, x in calls[:n_first]}
-        assert set(last) == {1, 2} and not np.shares_memory(last[1], last[2])
+        assert {level for level, _tid, _x in calls} == {1, 2}
         assert len(calls) == 2 * n_first
-        assert all(x.base is last[level] for level, _tid, x in calls[n_first:])
 
-    def test_worklist_held_across_sweeps_and_integrals(self, monkeypatch):
-        # The pending panels are a stack in the depth's workspace: every sweep of a
-        # repeated integral pops and pushes the same three buffers, and no sweep
-        # concatenates the remaining worklist
+    def test_worklist_never_concatenated(self, monkeypatch):
+        # The pending panels are a stack: a sweep pops its panels and pushes their
+        # children, and no sweep concatenates the remaining worklist
         def refuse(*args, **kwargs):
             raise AssertionError("np.concatenate called")
 
         monkeypatch.setattr(np, "concatenate", refuse)
-        stacks = []
+        sweeps = []
 
         def f(x):
-            stacks.append(quadrature_mod._HELD.works[0].pending)
+            sweeps.append(x.size)
             return np.cos(300.0 * x)
 
         run = lambda: adaptive_panels(f, -8.0, 8.0, 1e-12)
         first = run()
-        n_first = len(stacks)
+        n_first = len(sweeps)
         assert run() == first
-        assert len(stacks) == 2 * n_first > 20
-        last = stacks[n_first - 1]
-        assert all(all(x is y for x, y in zip(bufs, last)) for bufs in stacks[n_first:])
+        assert len(sweeps) == 2 * n_first > 20
         c, s = math.cos(1.1), math.sin(1.1)
         integrate_entropy_2d(TestEntropy2d._bracket_density(c, s), DEFAULT_SPEC,
                              inner_breakpoints=TestEntropy2d._bracket_zero_hints(c, s))
 
-    def test_depth_restored_when_the_integrand_raises(self):
+    def test_integral_after_a_raise_unchanged(self):
+        c, s = math.cos(1.1), math.sin(1.1)
+        density = TestEntropy2d._bracket_density(c, s)
+        hints = TestEntropy2d._bracket_zero_hints(c, s)
+        before = integrate_entropy_2d(density, DEFAULT_SPEC, inner_breakpoints=hints)
+        blocks = 0
+
         def g(a, row, b):
-            raise FloatingPointError
+            # Raises in the middle of an inner batch, its worklist half refined
+            nonlocal blocks
+            blocks += 1
+            if blocks == 5:
+                raise FloatingPointError
+            return density(a, row, b)
 
         with pytest.raises(FloatingPointError):
-            integrate_entropy_2d(g, DEFAULT_SPEC)
-        assert quadrature_mod._HELD.depth == 0
+            integrate_entropy_2d(g, DEFAULT_SPEC, inner_breakpoints=hints)
+        assert integrate_entropy_2d(density, DEFAULT_SPEC, inner_breakpoints=hints) == before
 
     def test_returned_arrays_only_read(self):
         stored = np.full(4096, -0.25)
