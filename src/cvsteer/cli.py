@@ -110,9 +110,9 @@ def _read_config_file(path: str, command: str) -> dict[str, object]:
     options = {flag.lstrip("-"): opt for opt in _options_of(command) for flag in opt.flags[1:]}
     options.update((opt.key, opt) for opt in _options_of(command))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -224,7 +224,7 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     else:
         rows = zip(result.thetas, *columns.values())
         text = _csv(["theta", *columns], ([_fmt(x) for x in row] for row in rows))
-    unmet = ", ".join(dict.fromkeys(c for c, _ in result.flagged))
+    unmet = ", ".join(result.flagged)
     return _finish(config, text, config.output_path, f"the sweep of {unmet}" if unmet else "")
 
 

@@ -30,17 +30,13 @@ from .fock import (
     UnitSystem,
     _amplitudes,
     _b_zero_hints,
-    _coefficients,
-    _density_rows,
     _is_uncorrelated,
-    _ladder_position,
-    _ladder_position_sq,
+    _joint,
     _marginal,
     _marginal_zero_hints,
-    _mode2_moment,
+    _mode2_moments,
     _moments,
     _parities,
-    _real_up_to_phase,
 )
 from .quadrature import (
     DEFAULT_SPEC,
@@ -109,9 +105,8 @@ def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
     points with M at or below the density floor contribute zero. A factorized state's
     conditional variance is its marginal one.
     """
-    second = _mode2_moment(c, _ladder_position_sq)
+    mean, second = _mode2_moments(c)
     if _is_uncorrelated(c):
-        mean = _mode2_moment(c, _ladder_position)
         return second - mean * mean, True
 
     def ratio(a: np.ndarray) -> np.ndarray:
@@ -127,9 +122,9 @@ def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
-    fold = _parities(state)[0] is not None  # central parity: the integrals fold
-    (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(_amplitudes(state, dom), spec, fold)
-                                for dom in Domain)
+    cs = [_amplitudes(state, dom) for dom in Domain]
+    fold = _parities(cs[0])[0] is not None  # central parity: the integrals fold
+    (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(c, spec, fold) for c in cs)
     s = units.m_omega
     return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p)
 
@@ -155,21 +150,8 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
         return _entropy_uncorrelated(c, spec, fold)
     width = _effective_width(spec, c)
     espec = replace(spec, half_width=width)
-    real = _real_up_to_phase(c)
-    series = c if real is None else real
-    live = c.any(axis=0).tolist()
-    held = [None, None]
-
-    def density(a, row, b):
-        # Every block of one outer batch passes the same array a: its mode-2
-        # coefficients are built once per batch. Holding a keeps its id from reuse.
-        if held[0] is not a:
-            held[:] = a, _coefficients(series, 1, a)
-        return _density_rows(held[1], live, row, b)
-
-    # The density has zero curves only when c is real up to a phase
-    hints = None if real is None else lambda av: _b_zero_hints(real, av, width)
-    joint_res = integrate_entropy_2d(density, espec, inner_breakpoints=hints,
+    joint_res = integrate_entropy_2d(_joint(c), espec,
+                                     inner_breakpoints=lambda a: _b_zero_hints(c, a, width),
                                      outer_breakpoints=(0.0,), fold=fold)
     marg_res = integrate_entropy_1d(lambda a: _marginal(c, 1, a), espec,
                                     breakpoints=(0.0,), fold=fold)
@@ -179,9 +161,9 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
-    fold = _parities(state)[0] is not None  # central parity: the integrals fold
-    (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(_amplitudes(state, dom), spec, fold)
-                                for dom in Domain)
+    cs = [_amplitudes(state, dom) for dom in Domain]
+    fold = _parities(cs[0])[0] is not None  # central parity: the integrals fold
+    (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(c, spec, fold) for c in cs)
     shift = 0.5 * math.log(units.m_omega)
     return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift), ok_x and ok_p)
 

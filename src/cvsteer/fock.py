@@ -205,15 +205,13 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
 
 
 def _density_rows(coeff: np.ndarray, live: list[bool], row, b) -> np.ndarray:
-    """|Psi(a[row[i]], b[i])|^2 for every i, as a new array, from coeff =
-    _coefficients(c, 1, a), with c the amplitude matrix or, cheaper and the same
-    density, _real_up_to_phase of it; the caller keeps coeff for as many calls as share
-    the abscissae a. ``row`` holds valid column indices of coeff, as np.intp (any other
-    integer type is converted on every take). The series sum_g coeff[g, row[i]] u_g(b[i])
-    consumes the rows of _osc_rows as they come, so no (degree + 1) x len(b) table is
-    built. It skips the levels g without a term (live[g] is c[:, g].any()), whose rows
-    are zero (adding a zero is exact up to its sign, which |.| drops), and sums a complex
-    series as its real and imaginary parts, with a float term."""
+    """|Psi(a[row[i]], b[i])|^2 for every i, as a new array, from coeff = _coefficients(c,
+    1, a) as _joint keeps it. ``row`` holds valid column indices of coeff, as np.intp
+    (any other integer type is converted on every take). The series sum_g coeff[g,
+    row[i]] u_g(b[i]) consumes the rows of _osc_rows as they come, so no (degree + 1) x
+    len(b) table is built. It skips the levels g without a term (live[g] is
+    c[:, g].any()), whose rows are zero (adding a zero is exact up to its sign, which |.|
+    drops), and sums a complex series as its real and imaginary parts, with a float term."""
     series = np.zeros(b.shape, coeff.dtype)
     parts = [(coeff, series)] if coeff.dtype == float else [
         (coeff.real, series.real), (coeff.imag, series.imag)]
@@ -233,11 +231,25 @@ def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
     s = _scale(units, dom)
     a, b = np.broadcast_arrays(*(math.sqrt(s) * np.asarray(x, dtype=float) for x in (a, b)))
-    c = _amplitudes(state, dom)
-    real = _real_up_to_phase(c)
-    coeff = _coefficients(c if real is None else real, 1, a.ravel())
-    out = _density_rows(coeff, c.any(axis=0).tolist(), np.arange(a.size), b.ravel())
+    out = _joint(_amplitudes(state, dom))(a.ravel(), np.arange(a.size), b.ravel())
     return _maybe_scalar(s * out.reshape(a.shape), a.ndim == 0)
+
+
+def _joint(c: np.ndarray):
+    """The batched integrand g(a, row, b) = |Psi(a[row[i]], b[i])|^2 of _density_rows, in
+    real arithmetic when c is real up to a phase. The mode-2 coefficients are built once
+    per array object a, which is held so that no later array takes its id."""
+    real = _real_up_to_phase(c)
+    series = c if real is None else real
+    live = c.any(axis=0).tolist()
+    held = [None, None]
+
+    def density(a, row, b):
+        if held[0] is not a:
+            held[:] = a, _coefficients(series, 1, a)
+        return _density_rows(held[1], live, row, b)
+
+    return density
 
 
 def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
@@ -289,12 +301,12 @@ def _moments(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, n
 
 
-def _mode2_moment(c: np.ndarray, ladder) -> float:
-    """<y^k> = Re sum conj(C) (C Y), exact, with Y = ladder(max n2) mode 2's matrix of
-    y^k: <y> from _ladder_position, <y^2> from _ladder_position_sq. The BLAS dot of
-    vdot keeps psi and psi-prime on their pinned bits; an elementwise sum moves about
-    one value in seven by an ulp."""
-    return float(np.real(np.vdot(c, c @ ladder(c.shape[1] - 1))))
+def _mode2_moments(c: np.ndarray) -> tuple[float, float]:
+    """(<y>, <y^2>) of mode 2, exact: Re sum conj(C) (C Y), Y its ladder matrix of y or y^2.
+    The BLAS dot of vdot keeps psi and psi-prime on their pinned bits; an elementwise sum
+    moves about one value in seven by an ulp."""
+    return tuple(float(np.real(np.vdot(c, c @ ladder(c.shape[1] - 1))))
+                 for ladder in (_ladder_position, _ladder_position_sq))
 
 
 def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
@@ -344,14 +356,17 @@ def _real_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return np.sort(np.where(real, roots.real, np.nan), axis=-1)
 
 
-def _b_zero_hints(real: np.ndarray, a: np.ndarray, limit: float) -> np.ndarray:
+def _b_zero_hints(c: np.ndarray, a: np.ndarray, limit: float) -> np.ndarray | None:
     """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
 
-    Zero *curves* of the density exist only when the amplitudes are real up to a
-    global phase: ``real`` is the amplitude matrix made real (_real_up_to_phase), b ->
-    psi(a, b) its series from _coefficients, and the real roots of the series'
-    polynomial part inside (-limit, limit) are returned, NaN-padded to (len(a), max n2).
+    Zero *curves* of the density exist only when c is real up to a global phase, else
+    None is returned. Otherwise b -> psi(a, b) is the series from _coefficients of c made
+    real (_real_up_to_phase), and the real roots of the series' polynomial part inside
+    (-limit, limit) are returned, NaN-padded to (len(a), max n2).
     """
+    real = _real_up_to_phase(c)
+    if real is None:
+        return None
     out = _oscillator_roots(_coefficients(real, 1, np.asarray(a, dtype=float),
                                           include_gaussian=False))
     out[np.abs(out) >= limit] = np.nan
@@ -369,9 +384,9 @@ def _marginal_zero_hints(c: np.ndarray, limit: float) -> tuple[float, ...]:
     return tuple(zeros[np.abs(zeros) < limit].tolist())
 
 
-def _parities(state: FockState) -> tuple[int | None, int | None, int | None]:
-    """The parity that every term shares in n1 + n2, in n1 and in n2; None where the
-    terms mix parities. Two symmetries follow from the term list alone:
+def _parities(c: np.ndarray) -> tuple[int | None, int | None, int | None]:
+    """The parity that every nonzero entry c[n1, n2], a term, shares in n1 + n2, in n1 and
+    in n2; None where the terms mix parities. Two symmetries follow from these alone:
 
     * central parity (first entry set): Psi(-a, -b) = +-Psi(a, b) in both domains and
       for any amplitudes, since (-i)^(n1 + n2) keeps the parity. The joint density and
@@ -382,8 +397,9 @@ def _parities(state: FockState) -> tuple[int | None, int | None, int | None]:
       cos(pi - t) A + sin(pi - t) B is a local unitary times cos(t) A + sin(t) B and
       every criterion takes the same value at t and pi - t.
     """
-    parity = np.array([(n1 + n2, n1, n2) for n1, n2, _ in state.terms]) % 2
-    return tuple(int(col[0]) if np.all(col == col[0]) else None for col in parity.T)
+    n1, n2 = np.nonzero(c)
+    parity = np.array([n1 + n2, n1, n2]) % 2
+    return tuple(int(col[0]) if np.all(col == col[0]) else None for col in parity)
 
 
 def _is_uncorrelated(c: np.ndarray) -> bool:

@@ -169,10 +169,11 @@ def _adaptive_many(f, lo, hi, cuts, tol):
     _BLOCK_POINTS of them; the children of its split panels go back to the front of the
     worklist, a stack local to the call, which keeps each task's panels contiguous and
     the tasks ascending. A task's pending panels are thus of one generation, so depth is
-    kept per task, and they are evaluated, summed and split together: the size of a sweep
-    changes only the grouping of tasks into sweeps, never a value, error or flag. A panel
-    whose sums are not finite (a NaN integrand, say) stops at once, and its task's value
-    is NaN. Every array is the call's own; nothing is kept for the next call.
+    kept per task, and they are evaluated, summed and split together. A sweep's size only
+    decides which panels share one BLAS product in _gk_sums; a panel's sum there can move
+    by an ulp with the row count (x^16 on [0.5, 1]), and so can a tolerance-edge flag. A
+    panel whose sums are not finite (a NaN integrand, say) stops at once, and its task's
+    value is NaN. Every array is the call's own; nothing is kept for the next call.
 
     Returns the values, error estimates and convergence flags of the tasks: a task
     converges when every panel met its share, or when its summed error estimates meet
@@ -263,7 +264,7 @@ def integrate_entropy_1d(g: Callable[[np.ndarray], np.ndarray], spec: Quadrature
 
     ``g`` must be vectorized and nonnegative with tail mass beyond +-L below 1e-12.
     Known zero locations of g should be passed as ``breakpoints``: panels are pre-split
-    there, which restores fast convergence around the integrable log singularities.
+    there, which costs points but buys accuracy (measured in the README's Numerics).
     ``fold=True`` declares g even: [0, L] is integrated at half the tolerance and
     doubled (0 should be a breakpoint, see ``adaptive_panels``).
     """

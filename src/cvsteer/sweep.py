@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .criteria import CRITERIA
-from .fock import FockState, _parities, _real_eigenvalues, make_psi, make_psi_prime
+from .fock import (Domain, FockState, _amplitudes, _parities, _real_eigenvalues, make_psi,
+                   make_psi_prime)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
@@ -86,7 +87,7 @@ class SweepResult:
     state_id: str
     thetas: tuple[float, ...]
     values: Mapping[str, tuple[float, ...]]
-    flagged: tuple[tuple[str, float], ...] = ()  # each grid angle of a flagged search
+    flagged: tuple[str, ...] = ()  # the criteria whose search missed a tolerance
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def _family(state_id: str) -> str:
 def _mirrored(a: FockState, b: FockState) -> bool:
     """Whether cos(theta) a + sin(theta) b meets every criterion at pi - theta as at
     theta: the terms of a share one parity in a mode and those of b the other."""
-    return any(pa is not None and pb is not None and pa != pb
-               for pa, pb in zip(_parities(a)[1:], _parities(b)[1:]))
+    pa, pb = (_parities(_amplitudes(state, Domain.POSITION))[1:] for state in (a, b))
+    return any({p, q} == {0, 1} for p, q in zip(pa, pb))
 
 
 def _criteria(names: Iterable[str]) -> list[str]:
@@ -142,8 +143,8 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
           theta_max: float = math.pi) -> SweepResult:
     """The requested criteria on a uniform grid in [0, pi], in grid order, interpolated from
     the final Lobatto samples of their searches at _ROOT_TOL (a sample keeps its value). On
-    a mirrored family an angle below pi/2 is read at pi - theta. ``flagged`` holds every
-    grid angle of a criterion whose search missed a tolerance."""
+    a mirrored family an angle below pi/2 is read at pi - theta. ``flagged`` names the
+    criteria whose search missed a tolerance, in CRITERIA order."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     if not 0.0 <= theta_min < theta_max <= math.pi:  # NaN fails too
@@ -160,7 +161,7 @@ def sweep(state_id: str, criteria_set: Iterable[str], n_points: int,
             inside = (lo <= x) & (x <= hi)
             column[inside] = _barycentric(x[inside], points, gaps) + CRITERIA[c].bound
         values[c] = tuple(column.tolist())
-        flagged += [] if search.converged else [(c, theta) for theta in grid.tolist()]
+        flagged += [] if search.converged else [c]
     return SweepResult(family, tuple(grid.tolist()), values, tuple(flagged))
 
 

@@ -249,6 +249,22 @@ class TestConfigFile:
         assert run_cli(capsys, "eval", "--state", "PSI_PRIME", "--criteria", "chsh",
                        "--theta", "0.7854", "--format", "json") == (EXIT_OK, out, "")
 
+    def test_leading_bom_accepted(self, capsys, tmp_path):
+        # Editors that save UTF-8 with a byte-order mark put EF BB BF before the first key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfstate = psi-prime\r\ncriteria = chsh\r\ntheta = 0.7854\r\n")
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert (code, err) == (EXIT_OK, "")
+        assert run_cli(capsys, "eval", "--state", "psi-prime", "--criteria", "chsh",
+                       "--theta", "0.7854") == (EXIT_OK, out, "")
+
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("state = psi\ncriteria = chsh\n# pr\xe9cision\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg), "--theta", "0.5")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: config: cannot read")
+
     def test_unknown_state_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("state = phi\ntheta = 0.5\n")

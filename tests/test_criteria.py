@@ -186,7 +186,8 @@ class TestConditionalEntropy:
         # those tables this evaluation peaked at 17.4 MB, with uncapped sweeps 3.1 MB.
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
-        c, fold = _amplitudes(state, Domain.POSITION), _parities(state)[0] is not None
+        c = _amplitudes(state, Domain.POSITION)
+        fold = _parities(c)[0] is not None
         tracemalloc.start()
         try:
             criteria_mod._conditional_entropy(c, DEFAULT_SPEC, fold)
@@ -456,14 +457,11 @@ class TestRankOnePath:
     # (|0> + |1>) x (|0> + |1>) / 2: every term has its own n1, yet C has rank 1
     PRODUCT = [(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)]
 
-    def test_entropic_skips_the_2d_engine(self, monkeypatch):
+    @staticmethod
+    def product_oracle() -> float:
+        """The entropic value of PRODUCT by scipy's quad."""
         from scipy.integrate import quad
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("integrate_entropy_2d called on a product state")
-
-        monkeypatch.setattr(criteria_mod, "integrate_entropy_2d", refuse)
-        res = entropic_value(FockState.from_terms(self.PRODUCT))
         # Mode 2 is (|0> + |1>) / sqrt(2): its position density is (u0 + u1)^2 / 2, zero
         # at y = -1/sqrt(2); in momentum the (-i)^n phase makes it (u0^2 + u1^2) / 2
         u0 = lambda y: math.pi ** -0.25 * math.exp(-0.5 * y * y)
@@ -473,8 +471,25 @@ class TestRankOnePath:
         entropies = [quad(lambda y: -rho(y) * math.log(rho(y)) if rho(y) > 0.0 else 0.0,
                           -12.0, 12.0, points=[-math.sqrt(0.5), 0.0], epsabs=1e-13,
                           epsrel=1e-13, limit=200)[0] for rho in densities]
+        return LN_PI_E - sum(entropies)
+
+    def test_entropic_skips_the_2d_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_entropy_2d called on a product state")
+
+        monkeypatch.setattr(criteria_mod, "integrate_entropy_2d", refuse)
+        res = entropic_value(FockState.from_terms(self.PRODUCT))
         assert res.converged
-        assert res.value == pytest.approx(LN_PI_E - sum(entropies), abs=1e-12)
+        assert res.value == pytest.approx(self.product_oracle(), abs=1e-12)
+
+    def test_marginal_zero_splits_keep_a_loose_spec_accurate(self):
+        # The position marginal's zero at y = -1/sqrt(2) pre-splits the 1-D panels. With
+        # the split, the value at a loose spec lands 1.4e-13 from scipy's; without it,
+        # 5.0e-10 away, though converged
+        spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
+        res = entropic_value(FockState.from_terms(self.PRODUCT), spec=spec)
+        assert res.converged
+        assert res.value == pytest.approx(self.product_oracle(), abs=1e-11)
 
     def test_reid_exact(self):
         # Var(x2) = 1/2 and Var(p2) = 1, so Reid = 1/4 - 1/2
@@ -549,7 +564,7 @@ def unfolded(f, *args):
     """f(*args) with the central-parity fold switched off: every integral over a runs
     over [-L, L] at the full tolerance."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria_mod, "_parities", lambda state: (None, None, None))
+        mp.setattr(criteria_mod, "_parities", lambda c: (None, None, None))
         return f(*args)
 
 
@@ -562,7 +577,7 @@ class TestParityFold:
            st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=8, deadline=None)
     def test_entropy(self, state, m_omega):
-        assert _parities(state)[0] is not None
+        assert _parities(_amplitudes(state, Domain.POSITION))[0] is not None
         units = UnitSystem(m_omega)
         folded = entropic_value(state, units=units).components
         full = unfolded(entropic_value, state, DEFAULT_SPEC, units).components
@@ -684,8 +699,9 @@ def batched_sweep_points(monkeypatch) -> dict:
 class TestSweepCap:
     """quadrature._BLOCK_POINTS caps the points of one batched inner sweep, which is one
     integrand call, except that a task over the cap is swept alone, in blocks. The cap
-    changes only how whole inner integrals are grouped into sweeps and calls, so
-    values, components and flags are bit-identical under any cap."""
+    changes only how whole inner integrals are grouped into sweeps and calls. That can
+    move one panel's BLAS Gauss-Kronrod sum by an ulp, so bit identity under any cap is
+    not guaranteed in general; these states keep every value, component and flag."""
 
     @pytest.mark.parametrize("terms,cap", [
         ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], 8 * 15),
@@ -748,7 +764,8 @@ class TestSweepCap:
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 12, s), (12, 0, -s)])
         largest = batched_sweep_points(monkeypatch)
-        c, fold = _amplitudes(state, Domain.POSITION), _parities(state)[0] is not None
+        c = _amplitudes(state, Domain.POSITION)
+        fold = _parities(c)[0] is not None
         tracemalloc.start()
         try:
             criteria_mod._conditional_entropy(c, DEFAULT_SPEC, fold)
@@ -828,7 +845,7 @@ class TestMatrixContract:
     def test_transposed_matrix_is_the_swapped_state(self, terms):
         state = FockState.from_terms(terms)
         swapped = FockState.from_terms([(n2, n1, amp) for n1, n2, amp in terms])
-        fold = _parities(state)[0] is not None
+        fold = _parities(_amplitudes(state, Domain.POSITION))[0] is not None
         for kernel, evaluate in ((criteria_mod._conditional_variance, reid_value),
                                  (criteria_mod._conditional_entropy, entropic_value)):
             got = [kernel(np.ascontiguousarray(_amplitudes(state, dom).T), DEFAULT_SPEC, fold)

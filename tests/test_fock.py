@@ -21,14 +21,11 @@ from cvsteer.fock import (
 )
 from cvsteer.fock import (
     _amplitudes,
-    _coefficients,
-    _density_rows,
-    _ladder_position_sq,
-    _mode2_moment,
+    _joint,
+    _mode2_moments,
     _osc_rows,
     _oscillator_roots,
     _parities,
-    _real_up_to_phase,
 )
 
 SQPI = math.sqrt(math.pi)
@@ -405,10 +402,7 @@ class TestStreamedAmplitude:
             b = rng.uniform(-4.0, 4.0, 60)
             psi, mag = hermval_amplitude(state.terms, a[row] / math.sqrt(s), b / math.sqrt(s),
                                          dom, m_omega)
-            c = _amplitudes(state, dom)
-            real = _real_up_to_phase(c)
-            coeff = _coefficients(c if real is None else real, 1, a)
-            got = s * _density_rows(coeff, c.any(axis=0).tolist(), row, b)
+            got = s * _joint(_amplitudes(state, dom))(a, row, b)
             assert np.all(np.abs(got - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
 
 
@@ -429,11 +423,19 @@ def central_parity_states(draw, parity):
 
 class TestParities:
     def test_reads_term_list(self):
-        assert _parities(make_psi(0.7)) == (0, None, None)
-        assert _parities(make_psi_prime(0.7)) == (1, None, None)
-        assert _parities(make_psi(0.0)) == (0, 0, 0)
-        assert _parities(FockState.from_terms([(1, 2, 0.6), (3, 4, 0.8)])) == (1, 1, 0)
-        assert _parities(FockState.from_terms([(0, 0, 0.6), (2, 3, 0.8)])) == (None, 0, None)
+        # The terms are the nonzero entries of C, in either domain
+        def parities(state):
+            got = [_parities(_amplitudes(state, dom)) for dom in Domain]
+            assert got[0] == got[1]
+            return got[0]
+
+        assert parities(make_psi(0.7)) == (0, None, None)
+        assert parities(make_psi_prime(0.7)) == (1, None, None)
+        assert parities(make_psi(0.0)) == (0, 0, 0)
+        assert parities(FockState.from_terms([(1, 2, 0.6), (3, 4, 0.8)])) == (1, 1, 0)
+        assert parities(FockState.from_terms([(0, 0, 0.6), (2, 3, 0.8)])) == (None, 0, None)
+        # An explicit zero amplitude, which only the constructor keeps, is no term
+        assert parities(FockState(terms=((0, 0, 0.6), (0, 1, 0j), (1, 1, 0.8)))) == (0, None, None)
 
     @given(st.integers(0, 1).flatmap(central_parity_states),
            st.sampled_from(list(Domain)), st.sampled_from([0.5, 1.0, 2.0]),
@@ -442,7 +444,7 @@ class TestParities:
     def test_central_parity(self, state, dom, m_omega, a, b):
         # One parity of n1 + n2: the joint density and both marginals are even and the
         # conditional mean is odd, in both domains and for complex amplitudes
-        assert _parities(state)[0] is not None
+        assert _parities(_amplitudes(state, dom))[0] is not None
         units = UnitSystem(m_omega)
         rel = 1e-14
 
@@ -589,7 +591,7 @@ class TestExactMoments:
         p2 = self._density(b[:, None], b[None, :], dom, scale)
         expected_b2 = float(w @ p2 @ (w * b * b))
         # The ladder sum is <y^2> in oscillator units y = sqrt(s) b
-        got_b2 = _mode2_moment(_amplitudes(self.STATE, dom), _ladder_position_sq) / scale
+        got_b2 = _mode2_moments(_amplitudes(self.STATE, dom))[1] / scale
         assert got_b2 == pytest.approx(expected_b2, rel=1e-12, abs=0.0)
 
 
