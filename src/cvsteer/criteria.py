@@ -73,8 +73,10 @@ class CriterionResult:
     """One criterion evaluation: value, named intermediates, and the violation verdict.
 
     ``violated`` is strict, value > bound with the bound from ``CRITERIA`` (0, or 2 for
-    CHSH): boundary values are not violations. ``converged=False`` marks a quadrature
-    tolerance that was not met (the value is still the best estimate).
+    CHSH): boundary values are not violations. ``converged`` means that each integral
+    behind the value met its tolerance (``IntegralResult``), not that the value did:
+    Reid multiplies two components, so its value can be off by about
+    (Delta2_x + Delta2_p) * panel_tol. Unconverged values are still the best estimate.
     """
 
     criterion: str
@@ -138,7 +140,7 @@ def _entropy_uncorrelated(c: np.ndarray, spec: QuadratureSpec,
         return (0.5 * math.log(math.pi * math.e) if levels[0] == 0 else _H_LEVEL1), True
     width = _effective_width(spec, c)
     res = integrate_entropy_1d(lambda b: _marginal(c, 2, b), replace(spec, half_width=width),
-                               breakpoints=_marginal_zero_hints(c, width) + (0.0,), fold=fold)
+                               breakpoints=_marginal_zero_hints(c) + (0.0,), fold=fold)
     return res.value, res.converged
 
 
@@ -151,7 +153,7 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
     width = _effective_width(spec, c)
     espec = replace(spec, half_width=width)
     joint_res = integrate_entropy_2d(_joint(c), espec,
-                                     inner_breakpoints=lambda a: _b_zero_hints(c, a, width),
+                                     inner_breakpoints=lambda a: _b_zero_hints(c, a),
                                      outer_breakpoints=(0.0,), fold=fold)
     marg_res = integrate_entropy_1d(lambda a: _marginal(c, 1, a), espec,
                                     breakpoints=(0.0,), fold=fold)

@@ -356,32 +356,30 @@ def _real_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return np.sort(np.where(real, roots.real, np.nan), axis=-1)
 
 
-def _b_zero_hints(c: np.ndarray, a: np.ndarray, limit: float) -> np.ndarray | None:
+def _b_zero_hints(c: np.ndarray, a: np.ndarray) -> np.ndarray | None:
     """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
 
     Zero *curves* of the density exist only when c is real up to a global phase, else
     None is returned. Otherwise b -> psi(a, b) is the series from _coefficients of c made
-    real (_real_up_to_phase), and the real roots of the series' polynomial part inside
-    (-limit, limit) are returned, NaN-padded to (len(a), max n2).
+    real (_real_up_to_phase), and the real roots of the series' polynomial part are
+    returned, NaN-padded to (len(a), max n2); the integrator drops those outside its
+    window.
     """
     real = _real_up_to_phase(c)
     if real is None:
         return None
-    out = _oscillator_roots(_coefficients(real, 1, np.asarray(a, dtype=float),
-                                          include_gaussian=False))
-    out[np.abs(out) >= limit] = np.nan
-    return out
+    return _oscillator_roots(_coefficients(real, 1, np.asarray(a, dtype=float),
+                                           include_gaussian=False))
 
 
-def _marginal_zero_hints(c: np.ndarray, limit: float) -> tuple[float, ...]:
-    """Real zeros of mode 2's marginal inside (-limit, limit) for a rank-1 ``c``: its
-    marginal is |series|^2 x Gaussian, the series of c's largest row, and has real zeros
-    only when that row is real up to a phase."""
+def _marginal_zero_hints(c: np.ndarray) -> tuple[float, ...]:
+    """Real zeros of mode 2's marginal for a rank-1 ``c``, NaN-padded: its marginal is
+    |series|^2 x Gaussian, the series of c's largest row, and has real zeros only when
+    that row is real up to a phase."""
     row = _real_up_to_phase(c[np.argmax(np.sum(np.abs(c) ** 2, axis=1))])
     if row is None:
         return ()
-    zeros = _oscillator_roots(row[:, None])[0]
-    return tuple(zeros[np.abs(zeros) < limit].tolist())
+    return tuple(_oscillator_roots(row[:, None])[0].tolist())
 
 
 def _parities(c: np.ndarray) -> tuple[int | None, int | None, int | None]:

@@ -51,10 +51,10 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value plus error estimate; ``converged=False`` means that some panel stopped
-    short of its share of the tolerance and the error estimate misses the tolerance
-    too, or that a panel's sum was not finite. The value is still the best available
-    estimate (NaN in the second case)."""
+    """Value plus error estimate. ``converged`` is True exactly when the error estimate
+    is at most the tolerance (a NaN estimate never is), whatever stopped the panels;
+    ``integrate_entropy_2d`` applies this to its outer and inner estimates apiece. The
+    value is still the best available estimate (NaN when a panel's sum was not finite)."""
 
     value: float
     error: float
@@ -176,15 +176,14 @@ def _adaptive_many(f, lo, hi, cuts, tol):
     value is NaN. Every array is the call's own; nothing is kept for the next call.
 
     Returns the values, error estimates and convergence flags of the tasks: a task
-    converges when every panel met its share, or when its summed error estimates meet
-    ``tol`` all the same. Deterministic: panel ordering, splitting and accumulation are
-    data-driven.
+    converges exactly when its summed error estimate is at most ``tol``, never when it
+    is NaN, however its panels stopped (panels that all met their shares sum to at most
+    ``tol``). Deterministic: panel ordering, splitting and accumulation are data-driven.
     """
     n_tasks = cuts.shape[0]
     depth = np.zeros(n_tasks, dtype=np.intp)
     values = np.zeros(n_tasks)
     errors = np.zeros(n_tasks)
-    failed = np.zeros(n_tasks, dtype=bool)
     cap = _BLOCK_POINTS // _GK_NODES.size
     span = hi - lo
 
@@ -216,13 +215,12 @@ def _adaptive_many(f, lo, hi, cuts, tol):
         done = t[stop] - t0
         values[t0:t1] += np.bincount(done, weights=ik[stop], minlength=t1 - t0)
         errors[t0:t1] += np.bincount(done, weights=perr[stop], minlength=t1 - t0)
-        failed[t[stop & ~ok]] = True
         depth[t0:t1] += 1
         keep = ~stop
         if keep.any():
             # Masking copies the split panels out of the stack their halves may overwrite
             stack, top = _push_halves(stack, top, t[keep], a[keep], mid[keep], b[keep])
-    return values, errors, ~failed | (errors <= tol)
+    return values, errors, errors <= tol
 
 
 def adaptive_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
@@ -286,25 +284,26 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     it. Each sweep calls ``g(a, row, b)`` on blocks of at most _BLOCK_POINTS points,
     with ``a`` all the batch's outer abscissae, the same array object for every block of
     one batch: it returns the density at (a[row[i]], b[i]), so what depends on a alone
-    can be computed once per batch. The array g returns is only read. ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array
-    whose row i holds known zeros of b -> g(a_values[i], b), or None; it is the batch's
-    ``cuts``. The error adds 2L times the largest inner estimate to the outer one.
+    can be computed once per batch. The array g returns is only read.
+    ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array whose row i
+    holds known zeros of b -> g(a_values[i], b), or None; it is the batch's ``cuts``.
+    The error adds 2L times the largest inner estimate to the outer one. The result is
+    converged exactly when the outer estimate is at most panel_tol and the largest inner
+    one at most the inner tolerance: a NaN inner value makes the outer sum NaN.
     ``fold=True`` declares g(-a, -b) = g(a, b): the inner integral is then even in a,
     and the outer one runs over [0, L] at half the tolerance and is doubled, value and
     error (0 should be an outer breakpoint); the inner b-range stays [-L, L].
     """
     L = spec.half_width
     inner_tol = spec.panel_tol / (8.0 * L)
-    inner_ok = True
     inner_err = 0.0
 
     def outer_f(avals: np.ndarray) -> np.ndarray:
-        nonlocal inner_ok, inner_err
+        nonlocal inner_err
         hints = inner_breakpoints(avals) if inner_breakpoints is not None else None
         cuts = np.empty((avals.size, 0)) if hints is None else np.reshape(hints, (avals.size, -1))
-        vals, errs, ok = _adaptive_many(lambda tid, b: _neg_plogp(g(avals, tid, b)), -L, L,
-                                        cuts, inner_tol)
-        inner_ok = inner_ok and bool(ok.all())
+        vals, errs, _ = _adaptive_many(lambda tid, b: _neg_plogp(g(avals, tid, b)), -L, L,
+                                       cuts, inner_tol)
         inner_err = max(inner_err, float(errs.max()))
         return vals
 
@@ -312,5 +311,5 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     return IntegralResult(
         value=outer.value,
         error=outer.error + 2.0 * L * inner_err,
-        converged=outer.converged and inner_ok,
+        converged=outer.converged and inner_err <= inner_tol,
     )

@@ -345,9 +345,8 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
         error = tol * (t1 - t0) / max(abs(f1 - f0), 1e-300)
         width = min(max(0.25 * root_tol, min(error, 0.5 * root_tol)),
                     0.5 * (r - t0), 0.5 * (t1 - r))
-        for theta in (r - width, r + width):
-            if 0.0 < theta < math.pi:
-                sample(theta)
+        sample(r - width)
+        sample(r + width)
     grid = sorted(points.items())
 
     found = [_illinois(gap, t0, t1, f0, f1, root_tol) + ("crossing",)

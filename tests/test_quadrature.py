@@ -121,14 +121,43 @@ class TestAdaptivePanels:
         assert vals[[0, 2]] == pytest.approx(SQPI, rel=1e-12)
 
 
+# One even integrand per way a panel stops, for adaptive_panels (integrand, half-width,
+# tolerance, flag) and then integrate_entropy_1d (density, panel_tol, flag): every panel
+# meets its share of the tolerance; panels reach the roundoff floor of their sums; panels
+# at the kinks +-1/3, which no bisection lands on, reach _MAX_DEPTH; a panel's sum is NaN.
+# The capped panels of the entropy leave its summed error estimate within the tolerance.
+_GAUSS = lambda x: np.exp(-x * x) / SQPI
+_KINKS = lambda x: np.abs(np.abs(x) - 1.0 / 3.0)
+_HALF_NAN = lambda x: np.where(np.abs(x) > 0.5, np.nan, 1.0)
+STOPS = {
+    "share": ((_GAUSS, 8.0, 1e-12, True), (_GAUSS, 1e-10, True)),
+    "roundoff_floor": ((_GAUSS, 8.0, 1e-22, False), (_GAUSS, 1e-22, False)),
+    "depth_cap": ((_KINKS, 1.0, 1e-15, False),
+                  (lambda x: _KINKS(x) * _GAUSS(x), 1e-13, True)),
+    "nan": ((_HALF_NAN, 1.0, 1e-10, False), (lambda x: _HALF_NAN(x) * _GAUSS(x), 1e-10, False)),
+}
+
+
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_converged_exactly_when_error_within_tol(stop, fold):
+    (f, half_width, tol, flag), (g, panel_tol, entropy_flag) = STOPS[stop]
+    res = adaptive_panels(f, -half_width, half_width, tol, breakpoints=(0.0,), fold=fold)
+    assert res.converged == (res.error <= tol) == flag
+    res = integrate_entropy_1d(g, QuadratureSpec(panel_tol=panel_tol), breakpoints=(0.0,),
+                               fold=fold)
+    assert res.converged == (res.error <= panel_tol) == entropy_flag
+    assert math.isnan(res.error) == (stop == "nan")
+
+
 class TestSegments:
     def test_rows_in_order_with_padding_duplicates_and_outside_cuts(self):
         nan = math.nan
         cuts = np.array([
-            [0.5, nan, -0.25],          # unsorted, NaN-padded
-            [nan, nan, nan],            # no cut
-            [2.0, 0.0, 0.0],            # outside (lo, hi), exact duplicate
-            [-1.0, 0.3, 0.3 + 1e-16],   # at lo, a duplicate within 1e-14 (hi - lo)
+            [0.5, nan, -0.25, nan],         # unsorted, NaN-padded
+            [nan, nan, nan, nan],           # no cut
+            [2.0, 0.0, 0.0, 1.0],           # outside (lo, hi), exact duplicate, at hi
+            [-1.0, 0.3, 0.3 + 1e-16, nan],  # at lo, a duplicate within 1e-14 (hi - lo)
         ])
         row, seg_lo, seg_hi = _segments(-1.0, 1.0, cuts)
         assert row.tolist() == [0, 0, 0, 1, 2, 2, 3, 3]
@@ -250,6 +279,17 @@ class TestEntropy2d:
         full = integrate_entropy_2d(g, DEFAULT_SPEC)
         assert full.converged
         assert abs(full.value - exact) <= full.error <= 1e-9
+
+    def test_nan_inner_value_flags_the_result(self):
+        # The inner flags are not read: an inner integral that is NaN makes its outer
+        # panel's sum NaN, and that flags the result
+        def g(a, row, b):
+            dens = np.exp(-a[row] ** 2 - b * b) / math.pi
+            return np.where((a[row] > 1.0) & (b > 0.5), np.nan, dens)
+
+        res = integrate_entropy_2d(g, DEFAULT_SPEC)
+        assert math.isnan(res.value) and math.isnan(res.error)
+        assert not res.converged
 
     def test_folded_error_and_flag(self, monkeypatch):
         # The same even integrand, g(-a, -b) = g(a, b), folded onto a >= 0 and cut at
