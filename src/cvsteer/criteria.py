@@ -29,7 +29,6 @@ from .fock import (
     NATURAL_UNITS,
     UnitSystem,
     _amplitudes,
-    _b_zero_hints,
     _is_uncorrelated,
     _joint,
     _marginal,
@@ -152,8 +151,8 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
         return _entropy_uncorrelated(c, spec, fold)
     width = _effective_width(spec, c)
     espec = replace(spec, half_width=width)
-    joint_res = integrate_entropy_2d(_joint(c), espec,
-                                     inner_breakpoints=lambda a: _b_zero_hints(c, a),
+    density, zeros = _joint(c)
+    joint_res = integrate_entropy_2d(density, espec, inner_breakpoints=zeros,
                                      outer_breakpoints=(0.0,), fold=fold)
     marg_res = integrate_entropy_1d(lambda a: _marginal(c, 1, a), espec,
                                     breakpoints=(0.0,), fold=fold)

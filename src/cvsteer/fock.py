@@ -146,19 +146,16 @@ def _maybe_scalar(arr, scalar_in: bool):
     return arr.item() if scalar_in else arr
 
 
-def _osc_rows(n_max: int, y: np.ndarray, include_gaussian: bool = True):
+def _osc_rows(n_max: int, y: np.ndarray):
     """Yield the normalized oscillator functions u_0(y), ..., u_{n_max}(y) in turn,
-    co-evaluated with the Gaussian so the recurrence never overflows at large n.
-
-    u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2); with include_gaussian=False
-    the exp factor is dropped (polynomial part only, used where only zeros matter).
-    Only the last two rows are kept: a yielded row is overwritten two steps later.
+    u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2), co-evaluated with the Gaussian
+    so the recurrence never overflows at large n. Only the last two rows are kept: a
+    yielded row is overwritten two steps later.
     """
     y = np.asarray(y, dtype=float)
     prev, cur, step = np.zeros_like(y), np.full_like(y, _PI_QUARTER), np.empty_like(y)
-    if include_gaussian:
-        np.multiply(np.multiply(y, -0.5, out=step), y, out=step)  # -0.5 * y * y
-        cur *= np.exp(step, out=step)
+    np.multiply(np.multiply(y, -0.5, out=step), y, out=step)  # -0.5 * y * y
+    cur *= np.exp(step, out=step)
     yield cur
     for n in range(1, n_max + 1):
         np.multiply(math.sqrt(2.0 / n), y, out=step)
@@ -190,32 +187,34 @@ def _amplitudes(state: FockState, dom: Domain) -> np.ndarray:
     return c
 
 
-def _coefficients(c: np.ndarray, mode: int, y: np.ndarray,
-                  include_gaussian: bool = True) -> np.ndarray:
+def _coefficients(c: np.ndarray, mode: int, y: np.ndarray) -> np.ndarray:
     """c_g(y) = sum_n c[n, g] u_n(y) for mode 1 (sum_n c[g, n] u_n(y) for mode 2), shape
-    (levels of the other mode,) + y.shape: the amplitude is sum_g c_g(y) u_g(y2), and the
-    marginal of ``mode`` is sum_g |c_g(y)|^2. Only nonzero entries are added, term by
+    (levels of the other mode,) + y.shape: the amplitude is sum_g c_g(y) u_g(y2), the
+    marginal of ``mode`` is sum_g |c_g(y)|^2, and the zeros in y2 at fixed y are those of
+    the series in column y (_oscillator_roots). Only nonzero entries are added, term by
     term in (n1, n2) order."""
     m = c if mode == 1 else c.T
     coeff = np.zeros((m.shape[1],) + y.shape, dtype=c.dtype)
-    for row, u in zip(m, _osc_rows(m.shape[0] - 1, y, include_gaussian)):
+    for row, u in zip(m, _osc_rows(m.shape[0] - 1, y)):
         for g in np.flatnonzero(row).tolist():
             coeff[g] += row[g] * u
     return coeff
 
 
-def _density_rows(coeff: np.ndarray, live: list[bool], row, b) -> np.ndarray:
+def _density_rows(coeff: np.ndarray, row, b) -> np.ndarray:
     """|Psi(a[row[i]], b[i])|^2 for every i, as a new array, from coeff = _coefficients(c,
-    1, a) as _joint keeps it. ``row`` holds valid column indices of coeff, as np.intp
+    1, a), the table _joint keeps. ``row`` holds valid column indices of coeff, as np.intp
     (any other integer type is converted on every take). The series sum_g coeff[g,
     row[i]] u_g(b[i]) consumes the rows of _osc_rows as they come, so no (degree + 1) x
-    len(b) table is built. It skips the levels g without a term (live[g] is
-    c[:, g].any()), whose rows are zero (adding a zero is exact up to its sign, which |.|
-    drops), and sums a complex series as its real and imaginary parts, with a float term."""
+    len(b) table is built. It skips the levels g whose coefficients are zero over all of
+    a (every level without a term, and those whose terms underflow there): adding a zero
+    is exact up to its sign, which |.| drops. A complex series is summed as its real and
+    imaginary parts, with a float term."""
     series = np.zeros(b.shape, coeff.dtype)
     parts = [(coeff, series)] if coeff.dtype == float else [
         (coeff.real, series.real), (coeff.imag, series.imag)]
     term = np.empty(b.shape)
+    live = coeff.any(axis=1).tolist()
     for g, u in enumerate(_osc_rows(coeff.shape[0] - 1, b)):
         for part, s in parts if live[g] else ():
             part[g].take(row, out=term, mode="clip")
@@ -231,25 +230,38 @@ def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
     """|Psi(a, b)|^2 in the requested domain; nonnegative."""
     s = _scale(units, dom)
     a, b = np.broadcast_arrays(*(math.sqrt(s) * np.asarray(x, dtype=float) for x in (a, b)))
-    out = _joint(_amplitudes(state, dom))(a.ravel(), np.arange(a.size), b.ravel())
+    out = _joint(_amplitudes(state, dom))[0](a.ravel(), np.arange(a.size), b.ravel())
     return _maybe_scalar(s * out.reshape(a.shape), a.ndim == 0)
 
 
 def _joint(c: np.ndarray):
-    """The batched integrand g(a, row, b) = |Psi(a[row[i]], b[i])|^2 of _density_rows, in
-    real arithmetic when c is real up to a phase. The mode-2 coefficients are built once
-    per array object a, which is held so that no later array takes its id."""
+    """(density, zeros) over one coefficient table per batch of outer abscissae a: the
+    mode-2 series coefficients _coefficients(C, 1, a), in real arithmetic when C is real
+    up to a phase. The table is built by whichever function first sees the array object
+    a, which is held so that no later array takes its id.
+
+    density(a, row, b) is |Psi(a[row[i]], b[i])|^2 of _density_rows. zeros(a) is, when C
+    is real up to a phase, the real zeros in b of the amplitude at each a[i], NaN-padded
+    to (len(a), max n2): _oscillator_roots of the table, whose Gaussian factor scales a
+    whole column and so moves a root only by rounding. Else it is None: a genuinely
+    complex density has no zero curves.
+    """
     real = _real_up_to_phase(c)
     series = c if real is None else real
-    live = c.any(axis=0).tolist()
     held = [None, None]
 
-    def density(a, row, b):
+    def table(a):
         if held[0] is not a:
             held[:] = a, _coefficients(series, 1, a)
-        return _density_rows(held[1], live, row, b)
+        return held[1]
 
-    return density
+    def density(a, row, b):
+        return _density_rows(table(a), row, b)
+
+    def zeros(a):
+        return None if real is None else _oscillator_roots(table(a))
+
+    return density, zeros
 
 
 def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
@@ -354,22 +366,6 @@ def _real_eigenvalues(mats: np.ndarray) -> np.ndarray:
     roots = mats[..., 0] if mats.shape[-1] == 1 else np.linalg.eigvals(mats)
     real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
     return np.sort(np.where(real, roots.real, np.nan), axis=-1)
-
-
-def _b_zero_hints(c: np.ndarray, a: np.ndarray) -> np.ndarray | None:
-    """Zeros in b of the amplitude at fixed first coordinates, for panel pre-splits.
-
-    Zero *curves* of the density exist only when c is real up to a global phase, else
-    None is returned. Otherwise b -> psi(a, b) is the series from _coefficients of c made
-    real (_real_up_to_phase), and the real roots of the series' polynomial part are
-    returned, NaN-padded to (len(a), max n2); the integrator drops those outside its
-    window.
-    """
-    real = _real_up_to_phase(c)
-    if real is None:
-        return None
-    return _oscillator_roots(_coefficients(real, 1, np.asarray(a, dtype=float),
-                                           include_gaussian=False))
 
 
 def _marginal_zero_hints(c: np.ndarray) -> tuple[float, ...]:

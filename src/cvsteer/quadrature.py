@@ -285,8 +285,10 @@ def integrate_entropy_2d(g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.nd
     with ``a`` all the batch's outer abscissae, the same array object for every block of
     one batch: it returns the density at (a[row[i]], b[i]), so what depends on a alone
     can be computed once per batch. The array g returns is only read.
-    ``inner_breakpoints(a_values)`` may return an (n, r) NaN-padded array whose row i
-    holds known zeros of b -> g(a_values[i], b), or None; it is the batch's ``cuts``.
+    ``inner_breakpoints(a)``, called once per batch on that same array before g, may
+    return an (n, r) NaN-padded array whose row i holds known zeros of b -> g(a[i], b),
+    or None; it is the batch's ``cuts``. So the two callbacks can share what they build
+    per batch (fock._joint's coefficient table).
     The error adds 2L times the largest inner estimate to the outer one. The result is
     converged exactly when the outer estimate is at most panel_tol and the largest inner
     one at most the inner tolerance: a NaN inner value makes the outer sum NaN.

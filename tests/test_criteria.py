@@ -630,6 +630,24 @@ class TestWorkCounters:
         assert counter["points"] == points
 
 
+def test_one_coefficient_table_per_abscissa_batch(monkeypatch):
+    # The 2-D entropy's density and its zero cuts read one table per batch of outer
+    # abscissae: no array of abscissae reaches fock._coefficients twice. Every argument
+    # is kept alive, so no later array can take the id of an earlier one.
+    fock_mod = importlib.import_module("cvsteer.fock")
+    coefficients = fock_mod._coefficients
+    seen = []
+
+    def recorded(c, mode, y):
+        seen.append(y)
+        return coefficients(c, mode, y)
+
+    monkeypatch.setattr(fock_mod, "_coefficients", recorded)
+    entropic_value(make_psi_prime(0.7))
+    assert len(seen) > 1
+    assert len({id(y) for y in seen}) == len(seen)
+
+
 class TestOscillatorUnits:
     """Every kernel and criterion integral runs in oscillator units, and m_omega enters
     only as the change of variables of the components. So the criterion values and the
@@ -781,12 +799,15 @@ class TestEngineBitIdentity:
     sweeps shared one workspace and called the integrand in blocks; the Reid and 1-D
     marginal-entropy pins before the engine took one row of cuts per task and the
     entropy integrand -g ln g became an ordinary integrand. Regrouping the engine's
-    work into buffers, blocks, batches or integrands must not move a bit."""
+    work into buffers, blocks, batches or integrands must not move a bit. The n = 6 pin
+    moved by 8.9e-16 when the inner cuts came to be read from the density's own
+    coefficient table, Gaussian factor included: the cuts moved by rounding, and so did
+    the panels that start at them."""
 
     @pytest.mark.parametrize("terms,value", [
         ([(0, 0, math.cos(0.7)), (1, 1, math.sin(0.7))], "0x1.f40aedbc5e0e0p-4"),
         # The nodal n = 6 state of TestWorkCounters
-        ([(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)], "-0x1.6844590589418p-1"),
+        ([(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)], "-0x1.6844590589410p-1"),
         # The genuinely complex state of TestSweepCap
         ([(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64 * complex(math.cos(0.3), math.sin(0.3)))],
          "-0x1.47ddabc9f6dd8p-2"),

@@ -69,17 +69,18 @@ def adaptive_simpson(f, a, b, tol=1e-12, depth=30):
     return recurse(a, b, whole, depth)
 
 
-def osc_rows(n_max: int, y, include_gaussian: bool = True) -> np.ndarray:
+def osc_rows(n_max: int, y) -> np.ndarray:
     """The rows u_0(y), ..., u_{n_max}(y) of the engine's recurrence _osc_rows, each
     copied as it comes (the generator overwrites a row two steps later)."""
-    rows = _osc_rows(n_max, np.asarray(y, dtype=float), include_gaussian)
+    rows = _osc_rows(n_max, np.asarray(y, dtype=float))
     return np.array([row.copy() for row in rows])
 
 
 def hermite_from_rows(n: int, y):
-    """Physicists' H_n(y) recovered from the normalized oscillator rows of _osc_rows."""
+    """Physicists' H_n(y) recovered from the normalized oscillator rows of _osc_rows,
+    divided by their Gaussian factor exp(-y^2/2)."""
     norm = math.pi ** 0.25 * math.sqrt(2.0 ** n * math.factorial(n))
-    return float(osc_rows(n, y, include_gaussian=False)[n]) * norm
+    return float(osc_rows(n, y)[n]) / math.exp(-0.5 * y * y) * norm
 
 
 def hermval_oscillator(n: int, y):
@@ -402,7 +403,7 @@ class TestStreamedAmplitude:
             b = rng.uniform(-4.0, 4.0, 60)
             psi, mag = hermval_amplitude(state.terms, a[row] / math.sqrt(s), b / math.sqrt(s),
                                          dom, m_omega)
-            got = s * _joint(_amplitudes(state, dom))(a, row, b)
+            got = s * _joint(_amplitudes(state, dom))[0](a, row, b)
             assert np.all(np.abs(got - np.abs(psi) ** 2) <= 1e-13 * mag ** 2)
 
 
@@ -628,3 +629,34 @@ class TestOscillatorRoots:
         assert expected.size and np.all(np.isnan(got[-2, expected.size:]))
         np.testing.assert_allclose(got[-2, :expected.size], expected, rtol=1e-9, atol=1e-9)
         assert np.all(np.isnan(got[-1]))
+
+    @pytest.mark.parametrize("terms", [
+        [(0, 6, -0.6398923008816697), (6, 0, 0.7684646011836607)],
+        [(0, 12, 1.0 / math.sqrt(2.0)), (12, 0, -1.0 / math.sqrt(2.0))],
+        [(0, 0, 0.622912191748868), (2, 3, -0.4558467916209993),
+         (4, 1, -0.6357547514092701)],
+    ])
+    def test_joint_zeros_against_hermroots(self, terms):
+        # The zeros in b of the amplitude at fixed a, read from the density's own table,
+        # against hermroots of sum_g c_g(a) u_g(b), rewritten in the physicists' basis as
+        # sum_g c_g(a) (2^g g!)^(-1/2) H_g(b) (the factor pi^(-1/4) e^(-b^2/2) has no
+        # zeros), with c_g(a) = sum_n C[n, g] u_n(a) evaluated by hermval
+        state = FockState.from_terms(terms)
+        a = np.linspace(-6.0, 6.0, 64)
+        got = _joint(_amplitudes(state, Domain.POSITION))[1](a)
+        levels = max(n2 for _, n2, _ in terms) + 1
+        assert got.shape == (a.size, levels - 1) and not np.all(np.isnan(got))
+        for ai, row in zip(a, got):
+            h = np.zeros(levels)
+            for n1, n2, amp in terms:
+                h[n2] += amp.real * hermval_oscillator(n1, ai)
+            h /= [math.sqrt(2.0 ** g * math.factorial(g)) for g in range(levels)]
+            roots = hermroots(np.trim_zeros(h, "b"))
+            expected = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
+            assert np.all(np.isnan(row[expected.size:]))
+            assert np.all(np.abs(row[:expected.size] - expected) <= 1e-9 * (1.0 + np.abs(expected)))
+
+    def test_joint_zeros_none_when_complex(self):
+        # A genuinely complex density has no zero curves to split at
+        state = FockState.from_terms([(0, 0, 0.6), (1, 2, 0.48j), (3, 1, 0.64)])
+        assert _joint(_amplitudes(state, Domain.POSITION))[1](np.linspace(-6.0, 6.0, 64)) is None

@@ -362,10 +362,9 @@ def test_engine_results_do_not_alias():
     assert np.array_equal(second, _neg_plogp(w.copy()))
     a, b = rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 300)
     row = rng.integers(0, a.size, b.size)
-    live = [True] * 4
-    dens = [_density_rows(rng.standard_normal((4, a.size)), live, row, b) for _ in range(2)]
+    dens = [_density_rows(rng.standard_normal((4, a.size)), row, b) for _ in range(2)]
     kept = dens[0].copy()
-    dens.append(_density_rows(rng.standard_normal((4, a.size)) + 1j, live, row, b))
+    dens.append(_density_rows(rng.standard_normal((4, a.size)) + 1j, row, b))
     assert not any(np.shares_memory(x, y) for i, x in enumerate(dens) for y in dens[i + 1:])
     assert np.array_equal(dens[0], kept)
 
