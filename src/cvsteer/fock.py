@@ -191,8 +191,8 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray) -> np.ndarray:
     """c_g(y) = sum_n c[n, g] u_n(y) for mode 1 (sum_n c[g, n] u_n(y) for mode 2), shape
     (levels of the other mode,) + y.shape: the amplitude is sum_g c_g(y) u_g(y2), the
     marginal of ``mode`` is sum_g |c_g(y)|^2, and the zeros in y2 at fixed y are those of
-    the series in column y (_oscillator_roots). Only nonzero entries are added, term by
-    term in (n1, n2) order."""
+    the series in column y (_series_roots over _ladder_position). Only nonzero entries
+    are added, term by term in (n1, n2) order."""
     m = c if mode == 1 else c.T
     coeff = np.zeros((m.shape[1],) + y.shape, dtype=c.dtype)
     for row, u in zip(m, _osc_rows(m.shape[0] - 1, y)):
@@ -242,12 +242,13 @@ def _joint(c: np.ndarray):
 
     density(a, row, b) is |Psi(a[row[i]], b[i])|^2 of _density_rows. zeros(a) is, when C
     is real up to a phase, the real zeros in b of the amplitude at each a[i], NaN-padded
-    to (len(a), max n2): _oscillator_roots of the table, whose Gaussian factor scales a
-    whole column and so moves a root only by rounding. Else it is None: a genuinely
-    complex density has no zero curves.
+    to (len(a), max n2): _series_roots of the table in the oscillator basis, whose
+    Gaussian factor scales a whole column and so moves a root only by rounding. Else it
+    is None: a genuinely complex density has no zero curves.
     """
     real = _real_up_to_phase(c)
     series = c if real is None else real
+    jacobi = _ladder_position(c.shape[1] - 1)
     held = [None, None]
 
     def table(a):
@@ -259,7 +260,7 @@ def _joint(c: np.ndarray):
         return _density_rows(table(a), row, b)
 
     def zeros(a):
-        return None if real is None else _oscillator_roots(table(a))
+        return None if real is None else _series_roots(table(a), jacobi)
 
     return density, zeros
 
@@ -337,15 +338,17 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     return float(n[0] / m[0] / root)
 
 
-def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
-    """Real roots of sum_j coeff[j, i] u_j(y) e^(y^2/2) for every column i at once.
+def _series_roots(coeff: np.ndarray, jacobi: np.ndarray) -> np.ndarray:
+    """Real roots of the series sum_j coeff[j, i] p_j(y) for every column i at once, where
+    y p_j = sum_k jacobi[j, k] p_k is the three-term recurrence of the basis p_j.
 
-    Returns shape (columns, rows - 1), each row sorted ascending and NaN-padded. The
-    roots are the eigenvalues of the Jacobi matrix of y (_ladder_position), its last row
-    closed by -sqrt(d/2) c[:d] / c[d] (numpy's hermcompanion in the oscillator basis;
-    Golub & Welsch 1969, Barnett 1975). A column's degree d is the index of its last
-    coefficient above 1e-14 of its largest, so columns whose leading coefficients vanish
-    are solved at their lower degree.
+    Returns shape (columns, rows - 1), each row sorted ascending and NaN-padded. A
+    column's degree d is the index of its last coefficient above 1e-14 of its largest,
+    so columns whose leading coefficients vanish are solved at their lower degree. The
+    roots are the eigenvalues of jacobi[:d, :d], its last row closed by
+    -jacobi[d-1, d] c[:d] / c[d] (Good 1961, Barnett 1975; numpy's chebcompanion and
+    hermcompanion), that are real within 1e-9 (1 + |z|); a 1x1 matrix is its own.
+    ``coeff`` has at least one row.
     """
     mag = np.abs(coeff)
     big = mag > 1e-14 * mag.max(axis=0)
@@ -354,18 +357,12 @@ def _oscillator_roots(coeff: np.ndarray) -> np.ndarray:
     for d in sorted(set(degree[degree > 0].tolist())):  # np.unique imports numpy.ma
         cols = np.flatnonzero(degree == d)
         c = coeff[:d + 1, cols].T
-        mats = np.broadcast_to(_ladder_position(d - 1), (cols.size, d, d)).copy()
-        mats[:, -1, :] -= math.sqrt(d / 2.0) * c[:, :d] / c[:, d:]
-        out[cols, :d] = _real_eigenvalues(mats)
+        mats = np.broadcast_to(jacobi[:d, :d], (cols.size, d, d)).copy()
+        mats[:, -1, :] -= jacobi[d - 1, d] * c[:, :d] / c[:, d:]
+        roots = mats[..., 0] if d == 1 else np.linalg.eigvals(mats)
+        real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
+        out[cols, :d] = np.sort(np.where(real, roots.real, np.nan), axis=-1)
     return out
-
-
-def _real_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """The eigenvalues of each matrix of the stack ``mats`` (..., d, d) that are real
-    within 1e-9 (1 + |z|), ascending, the others NaN and last; a 1x1 matrix is its own."""
-    roots = mats[..., 0] if mats.shape[-1] == 1 else np.linalg.eigvals(mats)
-    real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
-    return np.sort(np.where(real, roots.real, np.nan), axis=-1)
 
 
 def _marginal_zero_hints(c: np.ndarray) -> tuple[float, ...]:
@@ -375,7 +372,7 @@ def _marginal_zero_hints(c: np.ndarray) -> tuple[float, ...]:
     row = _real_up_to_phase(c[np.argmax(np.sum(np.abs(c) ** 2, axis=1))])
     if row is None:
         return ()
-    return tuple(_oscillator_roots(row[:, None])[0].tolist())
+    return tuple(_series_roots(row[:, None], _ladder_position(row.size - 1))[0].tolist())
 
 
 def _parities(c: np.ndarray) -> tuple[int | None, int | None, int | None]:

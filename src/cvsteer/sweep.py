@@ -6,12 +6,13 @@ Critical angles come from a Chebyshev proxy of value - bound on each half of [0,
 Approximation Practice, ch. 18). A half is sampled at nested Chebyshev-Lobatto points
 whose degree doubles from 16 until the trailing coefficients fall below 10 * panel_tol,
 the accuracy the quadrature itself is asked for. The real roots of the chopped
-interpolants are probed on the true criterion; each sign change between neighbouring
-evaluations is polished by Illinois steps (kind ``crossing``). Samples where the value
-equals the bound exactly with no sign change are touch-points (kind ``touch``,
-zero-width bracket). The bound is met exactly only where the evaluators are exact, at
-product states; for every family cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2
-and pi, the ends of the two halves.
+interpolants, eigenvalues of the colleague matrix that ``fock._series_roots`` builds
+from the Chebyshev recurrence (``_chebyshev_position``), are probed on the true
+criterion; each sign change between neighbouring evaluations is polished by Illinois
+steps (kind ``crossing``). Samples where the value equals the bound exactly with no
+sign change are touch-points (kind ``touch``, zero-width bracket). The bound is met
+exactly only where the evaluators are exact, at product states; for every family
+cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2 and pi, the ends of the two halves.
 
 When a local mode parity separates A and B (``fock._parities``), every criterion takes
 the same value at theta and pi - theta. Only [pi/2, pi] is then sampled, probed and
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .criteria import CRITERIA
-from .fock import (Domain, FockState, _amplitudes, _parities, _real_eigenvalues, make_psi,
+from .fock import (Domain, FockState, _amplitudes, _parities, _series_roots, make_psi,
                    make_psi_prime)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
@@ -195,21 +196,12 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return (2.0 / n) * halved * (cosines @ (halved * values))
 
 
-def _chebyshev_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots in (-1, 1) of sum_k c_k T_k(x), ascending.
-
-    They are the real eigenvalues (``fock._real_eigenvalues``) of the colleague matrix
-    of the recurrence x T_0 = T_1, x T_k = (T_(k-1) + T_(k+1)) / 2, its last row closed
-    by -c[:m] / (2 c[m]) (Good 1961; numpy's chebcompanion).
-    """
-    m = coeffs.size - 1
-    if m < 1:
-        return np.empty(0)
-    mat = np.diag(np.full(m - 1, 0.5), 1) + np.diag(np.full(m - 1, 0.5), -1)
-    mat[0, 1:2] = 1.0
-    mat[-1] -= (0.5 if m > 1 else 1.0) * coeffs[:m] / coeffs[m]
-    roots = _real_eigenvalues(mat)
-    return roots[np.abs(roots) < 1.0]  # NaN fails too
+def _chebyshev_position(n: int) -> np.ndarray:
+    """The (n + 1) x (n + 1) Jacobi matrix of x in the Chebyshev basis, from the
+    recurrence x T_0 = T_1, x T_k = (T_(k-1) + T_(k+1)) / 2."""
+    jacobi = np.diag(np.full(n, 0.5), 1) + np.diag(np.full(n, 0.5), -1)
+    jacobi[0, 1:2] = 1.0
+    return jacobi
 
 
 def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
@@ -217,7 +209,9 @@ def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
     """Interpolate sample on [lo, hi] at nested Chebyshev-Lobatto points of degree 16,
     32, ..., each level reusing the last, until the trailing max(5, n/8) coefficients are
     below tol (Chebfun's classic chop test). lo and hi are sampled exactly. Returns the
-    real roots of the interpolant chopped after its last coefficient >= tol, whether the
+    real roots in (lo, hi) of the interpolant chopped after its last coefficient >= tol
+    (fock._series_roots over _chebyshev_position, which also drops a leading coefficient
+    below 1e-14 of the largest; an empty or constant interpolant has none), whether the
     tail fell below tol by degree _DEGREE_MAX, and (lo, hi, final points, their values).
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -235,8 +229,9 @@ def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
         thetas = np.insert(thetas, np.arange(1, n + 1), odd)
         n *= 2
     big = np.flatnonzero(np.abs(coeffs) >= tol)
-    kept = coeffs[:big[-1] + 1] if big.size else coeffs[:0]
-    return (mid + half * _chebyshev_roots(kept), chopped,
+    kept = coeffs[:big[-1] + 1 if big.size else 1]  # a constant has no roots
+    roots = _series_roots(kept[:, None], _chebyshev_position(kept.size - 1))[0]
+    return (mid + half * roots[np.abs(roots) < 1.0], chopped,  # NaN fails too
             (lo, hi, tuple(thetas.tolist()), tuple(values.tolist())))
 
 

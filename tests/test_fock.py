@@ -22,10 +22,11 @@ from cvsteer.fock import (
 from cvsteer.fock import (
     _amplitudes,
     _joint,
+    _ladder_position,
     _mode2_moments,
     _osc_rows,
-    _oscillator_roots,
     _parities,
+    _series_roots,
 )
 
 SQPI = math.sqrt(math.pi)
@@ -597,8 +598,9 @@ class TestExactMoments:
 
 
 class TestOscillatorRoots:
-    """Real roots of oscillator-basis series against numpy's hermroots on the same
-    series rewritten in the physicists' Hermite basis."""
+    """Real roots of oscillator-basis series (_series_roots over the oscillator Jacobi
+    matrix) against numpy's hermroots on the same series rewritten in the physicists'
+    Hermite basis."""
 
     @staticmethod
     def _oracle(c):
@@ -619,7 +621,7 @@ class TestOscillatorRoots:
         lowered = rng.normal(size=13)
         lowered[12] = 1e-20  # negligible leading coefficient: solved at degree 11
         columns += [lowered, np.eye(13)[0]]  # and a constant series, which has no roots
-        got = _oscillator_roots(np.array(columns).T)
+        got = _series_roots(np.array(columns).T, _ladder_position(12))
         assert got.shape == (len(columns), 12)
         for c, row in zip(columns[:-2], got):
             expected = self._oracle(np.trim_zeros(c, "b"))

@@ -16,7 +16,7 @@ from cvsteer.criteria import (
     entropic_value,
     reid_value,
 )
-from cvsteer.fock import FockState
+from cvsteer.fock import FockState, _series_roots
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec
 from cvsteer.sweep import (
     NoRootInRange,
@@ -284,18 +284,33 @@ class TestSweep:
 class TestChebyshevProxy:
     """The proxy's DCT-I and colleague-matrix roots against numpy.polynomial.chebyshev."""
 
-    @pytest.mark.parametrize("degree", [1, 2, 5, 16, 64])
-    def test_coefficients_and_roots_match_numpy(self, degree):
+    @pytest.mark.parametrize("degree,lowered", [(1, False), (2, False), (5, False),
+                                                (16, False), (64, False), (16, True)],
+                             ids=["1", "2", "5", "16", "64", "16-lowered"])
+    def test_coefficients_and_roots_match_numpy(self, degree, lowered):
         rng = np.random.default_rng(degree)
         coeffs = rng.standard_normal(degree + 1)
+        if lowered:  # a leading coefficient below 1e-14 of the largest: solved at degree - 1
+            coeffs[-1] = 1e-16 * np.max(np.abs(coeffs))
         x = np.cos(np.pi * np.arange(degree + 1) / degree)
         got = sweep_mod._chebyshev_coefficients(C.chebval(x, coeffs))
         assert np.max(np.abs(got - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
-        want = C.chebroots(coeffs)
-        want = np.sort(want[(np.abs(want.imag) < 1e-9) & (np.abs(want.real) < 1.0)].real)
-        roots = sweep_mod._chebyshev_roots(coeffs)
+        every = C.chebroots(coeffs[:-1] if lowered else coeffs)
+        want = np.sort(every[(np.abs(every.imag) < 1e-9) & (np.abs(every.real) < 1.0)].real)
+        solved = _series_roots(coeffs[:, None], sweep_mod._chebyshev_position(degree))[0]
+        roots = solved[np.abs(solved) < 1.0]
         assert roots.shape == want.shape
         assert np.max(np.abs(roots - want), initial=0.0) <= 1e-9
+        if lowered:  # at the full degree a real root near -c[-2] / (2 c[-1]) ~ 1e16 joins
+            real = np.abs(every.imag) <= 1e-9 * (1.0 + np.abs(every))
+            assert np.count_nonzero(~np.isnan(solved)) == np.count_nonzero(real)
+
+    @pytest.mark.parametrize("value", [0.0, 0.75], ids=["empty", "constant"])
+    def test_empty_or_constant_interpolant_has_no_roots(self, value):
+        # No coefficient reaches tol (empty), or only the constant one does: either way
+        # the chopped interpolant has no roots, and no zero-row series is solved
+        roots, chopped, _ = sweep_mod._chebyshev_half(lambda theta: value, 0.0, 1.0, 1e-9)
+        assert chopped and roots.shape == (0,)
 
 
 class TestFindCriticalAngles:
