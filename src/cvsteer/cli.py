@@ -13,7 +13,6 @@ tolerance was not met and --allow-flagged was absent; 4 unwritable output path;
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -202,7 +201,7 @@ def cmd_eval(config: argparse.Namespace) -> int:
     results = [CRITERIA[c].evaluate(state, config.spec) for c in config.criteria]
     if config.format == "json":
         text = _json({"state": config.state, "results": [
-            dict(dataclasses.asdict(r), theta=config.theta) for r in results]})
+            dict(r._asdict(), theta=config.theta) for r in results]})
     else:
         rows = ([r.criterion, _fmt(config.theta), _fmt(r.value), str(r.violated).lower(),
                  str(r.converged).lower()]
@@ -262,7 +261,7 @@ def cmd_critical(config: argparse.Namespace) -> int:
 
 def cmd_report(config: argparse.Namespace) -> int:
     report = hierarchy_report(config.state, config.spec)
-    payload = dataclasses.asdict(report)
+    payload = report._asdict()
     payload["state"] = payload.pop("state_id")
     del payload["flagged"]  # the warning on stderr and the exit code carry it
     what = f"the critical-angle searches for {', '.join(report.flagged)}" if report.flagged else ""

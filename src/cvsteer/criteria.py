@@ -16,7 +16,7 @@ reads one domain's amplitude matrix c (fock._amplitudes), never the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -67,8 +67,7 @@ CHSH_CLASSICAL_BOUND = 2.0
 _H_LEVEL1 = float(np.euler_gamma) + math.log(2.0) + 0.5 * math.log(math.pi) - 0.5
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     """One criterion evaluation: value, named intermediates, and the violation verdict.
 
     ``violated`` is strict, value > bound with the bound from ``CRITERIA`` (0, or 2 for

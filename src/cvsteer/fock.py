@@ -106,13 +106,20 @@ class FockState:
     @classmethod
     def from_terms(cls, terms) -> "FockState":
         """Terms (n1, n2, amplitude) in any order. Indices must be nonnegative integers
-        (2.0 counts as 2) and amplitudes finite, else ValueError; terms whose amplitude
-        is below _AMP_DROP in modulus are then dropped."""
+        (2.0 counts as 2) and amplitudes finite numbers, not strings, else ValueError
+        naming the term; terms whose amplitude is below _AMP_DROP in modulus are then
+        dropped."""
         kept = []
         for n1, n2, amp in terms:
-            n1, n2, amp = _fock_index(n1), _fock_index(n2), complex(amp)
+            term, n1, n2 = (n1, n2, amp), _fock_index(n1), _fock_index(n2)
+            try:
+                amp = cmath.nan if isinstance(amp, (str, bytes)) else complex(amp)
+            except TypeError:  # None
+                amp = cmath.nan
+            if n1 is None or n2 is None:
+                raise ValueError(f"Fock indices must be nonnegative integers, got {term!r}")
             if not cmath.isfinite(amp):
-                raise ValueError(f"amplitude of ({n1}, {n2}) is not finite: {amp!r}")
+                raise ValueError(f"amplitude of {term!r} is not finite or not a number")
             if abs(amp) >= _AMP_DROP:
                 kept.append((n1, n2, amp))
         kept.sort(key=lambda t: (t[0], t[1]))
@@ -122,14 +129,12 @@ class FockState:
         return float(sum(abs(a) ** 2 for _, _, a in self.terms))
 
 
-def _fock_index(n) -> int:
+def _fock_index(n) -> int | None:
     try:
         k = int(n)
-    except (OverflowError, ValueError):  # inf, NaN
-        k = -1
-    if k < 0 or k != n:
-        raise ValueError(f"Fock indices must be nonnegative integers, got {n!r}")
-    return k
+    except (OverflowError, TypeError, ValueError):  # inf, NaN, None, a list
+        return None
+    return k if k >= 0 and k == n else None
 
 
 def make_psi(theta: float) -> FockState:

@@ -9,7 +9,7 @@ exact finite ladder-operator sums (see ``fock``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Value plus error estimate. ``converged`` is True exactly when the error estimate
     is at most the tolerance (a NaN estimate never is), whatever stopped the panels;
     ``integrate_entropy_2d`` applies this to its outer and inner estimates apiece. The

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -73,8 +72,7 @@ class NoRootInRange(LookupError):
         self.converged = converged
 
 
-@dataclass(frozen=True)
-class CriticalAngle:
+class CriticalAngle(NamedTuple):
     criterion: str
     angle: float
     bracket: tuple[float, float]
@@ -83,16 +81,14 @@ class CriticalAngle:
     converged: bool = True  # False when an evaluation of its search missed its tolerance
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     state_id: str
     thetas: tuple[float, ...]
     values: Mapping[str, tuple[float, ...]]
     flagged: tuple[str, ...] = ()  # the criteria whose search missed a tolerance
 
 
-@dataclass(frozen=True)
-class HierarchyReport:
+class HierarchyReport(NamedTuple):
     """Where each detector fires, as unions of open intervals (lo, hi).
 
     Spans never merge across a bound-touching angle, so an isolated excluded point

@@ -1132,3 +1132,54 @@ class TestCrossCriterion:
         assert reid.converged and entropic.converged
         slack = 10.0 * DEFAULT_SPEC.panel_tol
         assert entropic.value >= -0.5 * math.log(1.0 - 4.0 * reid.value) - slack
+
+
+def quantum_fisher_quarters(state: FockState) -> tuple[float, float]:
+    """F_Q[rho_B, y]/4 and F_Q[rho_B, p]/4 in oscillator units, from the terms: Bob's
+    rho_B = C^T conj(C), padded by one level because y and p raise a level by one, and
+    F_Q[rho, A] = 2 sum_{l_i + l_j > 0} (l_i - l_j)^2 / (l_i + l_j) |<i|A|j>|^2 over the
+    eigenpairs (l_i, |i>) of rho."""
+    n1, n2, amps = zip(*state.terms)
+    c = np.zeros((max(n1) + 1, max(n2) + 2), dtype=complex)
+    c[n1, n2] = amps
+    lam, vec = np.linalg.eigh(c.T @ c.conj())
+    lower = np.diag(np.sqrt(np.arange(1.0, c.shape[1])), 1)  # a|n> = sqrt(n)|n-1>
+    total = np.add.outer(lam, lam)
+    weight = np.divide(np.subtract.outer(lam, lam) ** 2, total, out=np.zeros_like(total),
+                       where=total > 1e-14)  # rounding leaves pairs of zeros near +-1e-17
+    quarters = []
+    for op in ((lower + lower.T) / math.sqrt(2.0), 1j * (lower.T - lower) / math.sqrt(2.0)):
+        elements = np.abs(vec.conj().T @ op @ vec) ** 2
+        quarters.append(0.5 * float((weight * elements).sum()))
+    return quarters[0], quarters[1]
+
+
+class TestQuantumFisherBound:
+    """Homodyne is one of Alice's measurements, and for a pure state the least inferred
+    variance over all of them is F_Q[rho_B, A]/4 (Toth and Petz, PRA 87 (2013) 032324).
+    So each Reid component, at m*omega = 1, is at least F_Q/4 of its quadrature; the
+    bound is met at product states, so the margin is rounding there."""
+
+    THETAS = np.linspace(0.0, math.pi, 13)
+    STATES = {
+        **{f"psi-{t:.2f}": make_psi(t) for t in THETAS},
+        **{f"psi-prime-{t:.2f}": make_psi_prime(t) for t in THETAS},
+        **{f"random-{seed}": random_state(np.random.default_rng(seed), seed % 2 == 1)
+           for seed in range(36)},
+    }
+
+    @pytest.mark.parametrize("state", STATES.values(), ids=STATES.keys())
+    def test_components_at_least_a_quarter_of_the_fisher_information(self, state):
+        f_x, f_p = quantum_fisher_quarters(state)
+        reid = reid_value(state)
+        assert reid.converged
+        assert reid.components["delta2_min_x2"] >= f_x - 1e-9
+        assert reid.components["delta2_min_p2"] >= f_p - 1e-9
+
+    @pytest.mark.parametrize("builder, weight", [(make_psi, math.sin),
+                                                 (make_psi_prime, math.cos)])
+    def test_families_in_closed_form(self, builder, weight):
+        # F/4 = (cos^2 2t + 2 w(t)^2) / 2 in both quadratures: the oracle of the sum above
+        for t in self.THETAS:
+            want = 0.5 * (math.cos(2.0 * t) ** 2 + 2.0 * weight(t) ** 2)
+            assert quantum_fisher_quarters(builder(t)) == pytest.approx((want, want), abs=1e-14)

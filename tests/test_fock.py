@@ -242,6 +242,20 @@ class TestStateConstructors:
         with pytest.raises(ValueError, match="not finite"):
             FockState.from_terms([(0, 0, amp), (1, 1, 1.0)])
 
+    @pytest.mark.parametrize("term, message", [
+        ((None, 0, 1.0), "^Fock indices"),
+        ((0, [1], 1.0), "^Fock indices"),
+        ((0, "1", 1.0), "^Fock indices"),
+        ((0, 0, None), "not finite"),
+        ((0, 0, "1"), "not finite"),
+        ((0, 0, b"1"), "not finite"),
+    ])
+    def test_non_numeric_term_rejected_by_name(self, term, message):
+        # None and a list once raised TypeError, and the amplitude "1" built |0,0>
+        with pytest.raises(ValueError, match=message) as caught:
+            FockState.from_terms([term])
+        assert repr(term) in str(caught.value)
+
     def test_integral_indices_become_int(self):
         state = FockState.from_terms([(np.int64(1), 2.0, 0.6), (0, np.float64(0.0), 0.8)])
         assert state.terms == ((0, 0, 0.8 + 0j), (1, 2, 0.6 + 0j))
