@@ -21,7 +21,6 @@ from typing import Callable, Iterable, NamedTuple
 from .criteria import CRITERIA
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .sweep import (
-    NoRootInRange,
     STATE_BUILDERS,
     _ROOT_TOL,
     _criteria,
@@ -183,7 +182,8 @@ def _finish(config: argparse.Namespace, text: str, path: str | None, unmet: str 
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        print(f"output error: cannot write {path!r}: {exc}", file=sys.stderr)
+        where = "standard output" if path is None else repr(path)
+        print(f"output error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_IO
     if unmet:
         print(f"warning: {unmet} did not meet the quadrature tolerance", file=sys.stderr)
@@ -201,14 +201,14 @@ def cmd_eval(config: argparse.Namespace) -> int:
     results = [CRITERIA[c].evaluate(state, config.spec) for c in config.criteria]
     if config.format == "json":
         text = _json({"state": config.state, "results": [
-            dict(r._asdict(), theta=config.theta) for r in results]})
+            dict(res._asdict(), theta=config.theta) for res in results]})
     else:
-        rows = ([r.criterion, _fmt(config.theta), _fmt(r.value), str(r.violated).lower(),
-                 str(r.converged).lower()]
-                + [_fmt(r.components[col]) if col in r.components else ""
-                   for col in _EVAL_COLUMNS[5:]] for r in results)
+        rows = ([res.criterion, _fmt(config.theta), _fmt(res.value),
+                 str(res.violated).lower(), str(res.converged).lower()]
+                + [_fmt(res.components[col]) if col in res.components else ""
+                   for col in _EVAL_COLUMNS[5:]] for res in results)
         text = _csv(_EVAL_COLUMNS, rows)
-    unmet = [r.criterion for r in results if not r.converged]
+    unmet = [res.criterion for res in results if not res.converged]
     return _finish(config, text, config.output_path,
                    f"the evaluation of {', '.join(unmet)}" if unmet else "")
 
@@ -228,20 +228,12 @@ def cmd_sweep(config: argparse.Namespace) -> int:
 
 
 def cmd_critical(config: argparse.Namespace) -> int:
-    records = []
-    rootless = []
-    unmet = []
-    for criterion in config.criteria:
-        try:
-            roots = find_critical_angles(config.state, criterion, config.spec, config.root_tol)
-            converged = all(r.converged for r in roots)
-        except NoRootInRange as exc:
-            roots, converged = (), exc.converged
-            rootless.append(criterion)
-        if not converged:
-            unmet.append(criterion)
-        records.extend(roots)
-    records.sort(key=lambda r: (r.angle, r.criterion))
+    searches = {c: find_critical_angles(config.state, c, config.spec, config.root_tol)
+                for c in config.criteria}
+    records = sorted((r for search in searches.values() for r in search.roots),
+                     key=lambda r: (r.angle, r.criterion))
+    unmet = [c for c, search in searches.items() if not search.converged]
+    rootless = tuple(c for c, search in searches.items() if not search.roots)
 
     for r in records:
         print(f"{r.criterion} {r.kind} {r.angle:.4f} (residual {r.residual:.2e})")
@@ -256,7 +248,7 @@ def cmd_critical(config: argparse.Namespace) -> int:
                     ([r.criterion, r.kind, *map(repr, (r.angle, *r.bracket, r.residual))]
                      for r in records))
     what = f"the critical-angle searches for {', '.join(unmet)}" if unmet else ""
-    return _finish(config, text, path, what, tuple(rootless))
+    return _finish(config, text, path, what, rootless)
 
 
 def cmd_report(config: argparse.Namespace) -> int:

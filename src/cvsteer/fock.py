@@ -87,13 +87,7 @@ class FockState:
 
     def __post_init__(self):
         last = None
-        for n1, n2, _amp in self.terms:
-            try:
-                valid = operator.index(n1) >= 0 and operator.index(n2) >= 0
-            except TypeError:  # 2.0 included: from_terms converts it, the engine cannot
-                valid = False
-            if not valid:
-                raise ValueError("Fock indices must be nonnegative integers")
+        for n1, n2, _amp in _read_terms(self.terms, converting=False):
             if last is not None and (n1, n2) <= last:
                 raise ValueError(f"duplicate Fock pair ({n1}, {n2})" if (n1, n2) == last
                                  else "terms must be sorted by (n1, n2)")
@@ -109,29 +103,49 @@ class FockState:
         (2.0 counts as 2) and amplitudes finite numbers, not strings, else ValueError
         naming the term; terms whose amplitude is below _AMP_DROP in modulus are then
         dropped."""
-        kept = []
-        for n1, n2, amp in terms:
-            term, n1, n2 = (n1, n2, amp), _fock_index(n1), _fock_index(n2)
-            try:
-                amp = cmath.nan if isinstance(amp, (str, bytes)) else complex(amp)
-            except TypeError:  # None
-                amp = cmath.nan
-            if n1 is None or n2 is None:
-                raise ValueError(f"Fock indices must be nonnegative integers, got {term!r}")
-            if not cmath.isfinite(amp):
-                raise ValueError(f"amplitude of {term!r} is not finite or not a number")
-            if abs(amp) >= _AMP_DROP:
-                kept.append((n1, n2, amp))
-        kept.sort(key=lambda t: (t[0], t[1]))
-        return cls(terms=tuple(kept))
+        kept = [t for t in _read_terms(terms, converting=True) if abs(t[2]) >= _AMP_DROP]
+        return cls(terms=tuple(sorted(kept, key=lambda t: t[:2])))
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for _, _, a in self.terms))
 
 
-def _fock_index(n) -> int | None:
+def _read_terms(terms, converting: bool) -> list[tuple[int, int, complex]]:
+    """Each term as (n1, n2, complex amplitude). A term has three parts, nonnegative
+    integer indices and a numeric amplitude that is no string, else a ValueError names it
+    (or names terms that cannot be iterated). ``converting`` is from_terms' reading: 2.0
+    is the index 2, and the amplitude must be finite, as a NaN would pass the drop
+    threshold. A state built directly needs integer indices, which the engine indexes
+    with, and its norm rejects a NaN."""
     try:
-        k = int(n)
+        terms = list(terms)
+    except TypeError:  # None, a number
+        raise ValueError(f"terms must be an iterable of (n1, n2, amplitude), "
+                         f"got {terms!r}") from None
+    out = []
+    for term in terms:
+        try:
+            n1, n2, amp = term
+        except (TypeError, ValueError):  # not iterable, or not three parts
+            raise ValueError(f"a term must be (n1, n2, amplitude), got {term!r}") from None
+        n1, n2 = _fock_index(n1, converting), _fock_index(n2, converting)
+        try:
+            amp = None if isinstance(amp, (str, bytes)) else complex(amp)
+        except TypeError:  # None, a list
+            amp = None
+        if n1 is None or n2 is None:
+            raise ValueError(f"Fock indices must be nonnegative integers, got {term!r}")
+        if amp is None or converting and not cmath.isfinite(amp):
+            raise ValueError(f"amplitude of {term!r} is not finite or not a number")
+        out.append((n1, n2, amp))
+    return out
+
+
+def _fock_index(n, converting: bool) -> int | None:
+    """n as a nonnegative int, else None. Only ``converting`` takes a number that is no
+    integer but has an integral value, such as 2.0."""
+    try:
+        k = int(n) if converting else operator.index(n)
     except (OverflowError, TypeError, ValueError):  # inf, NaN, None, a list
         return None
     return k if k >= 0 and k == n else None

@@ -45,9 +45,9 @@ __all__ = [
     "CRITERIA",
     "STATE_BUILDERS",
     "CriticalAngle",
+    "CriticalSearch",
     "SweepResult",
     "HierarchyReport",
-    "NoRootInRange",
     "sweep",
     "find_critical_angles",
     "hierarchy_report",
@@ -63,22 +63,12 @@ _DEGREE_MAX = 256  # a half whose coefficients have not decayed by this degree i
 _ROOT_TOL = 1e-6  # default polish width; hierarchy_report reads its searches at it
 
 
-class NoRootInRange(LookupError):
-    """No sign change and no touch-point of the criterion over [0, pi]. ``converged`` is
-    False when an evaluation of the search that found none missed its tolerance."""
-
-    def __init__(self, message: str, converged: bool = True):
-        super().__init__(message)
-        self.converged = converged
-
-
 class CriticalAngle(NamedTuple):
     criterion: str
     angle: float
     bracket: tuple[float, float]
     residual: float
     kind: str  # "crossing" | "touch"
-    converged: bool = True  # False when an evaluation of its search missed its tolerance
 
 
 class SweepResult(NamedTuple):
@@ -231,7 +221,12 @@ def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
             (lo, hi, tuple(thetas.tolist()), tuple(values.tolist())))
 
 
-class _Search(NamedTuple):
+class CriticalSearch(NamedTuple):
+    """One critical-angle search: its bound-meeting angles, ascending and empty when the
+    criterion never meets its bound, and what located them. ``converged`` is False when
+    an evaluation missed its quadrature tolerance or a half was not resolved by degree
+    _DEGREE_MAX; ``sweep`` and ``hierarchy_report`` flag the criterion then."""
+
     roots: tuple[CriticalAngle, ...]
     points: tuple[tuple[float, float], ...]  # samples and probes (reflected), ascending
     converged: bool
@@ -271,7 +266,7 @@ def _illinois(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_
 
 def find_critical_angles(state_id: str, criterion: str,
                          spec: QuadratureSpec = DEFAULT_SPEC,
-                         root_tol: float = _ROOT_TOL) -> tuple[CriticalAngle, ...]:
+                         root_tol: float = _ROOT_TOL) -> CriticalSearch:
     """Locate every angle in [0, pi] where the criterion meets its classical bound.
 
     value - bound is sampled on [pi/2, pi] and, unless the family is mirrored (see the
@@ -286,24 +281,21 @@ def find_critical_angles(state_id: str, criterion: str,
     dropped. Samples where the value equals the bound exactly without a sign change are
     reported with kind="touch", a zero-width bracket and residual 0. On a mirrored
     family each angle above pi/2 also gives pi - angle, bracket reflected.
-    ``converged`` is False on every angle when any evaluation of the search missed its
-    quadrature tolerance or a half was not resolved by degree _DEGREE_MAX. Raises
-    NoRootInRange, with the same flag, when neither kind exists. The search is memoized
-    by (family, criterion, spec, root_tol); the report reads it back at the default
-    root_tol.
+
+    Returns the search: ``roots`` holds the angles, empty when neither kind exists, and
+    ``converged`` is False when any evaluation missed its quadrature tolerance or a half
+    was not resolved by degree _DEGREE_MAX. The search is memoized by (family, criterion,
+    spec, root_tol), and this is the object that ``sweep`` and ``hierarchy_report`` read
+    at the default root_tol.
     """
     if not root_tol > 0:  # NaN fails too
         raise ValueError("root_tol must be positive")
     _criteria((criterion,))
-    search = _search(_family(state_id), criterion, spec, root_tol)
-    if not search.roots:
-        raise NoRootInRange(f"{criterion} never meets its bound for state {state_id!r}",
-                            search.converged)
-    return search.roots
+    return _search(_family(state_id), criterion, spec, root_tol)
 
 
 @lru_cache(maxsize=128)
-def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) -> _Search:
+def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) -> CriticalSearch:
     """The sorted bound-meeting angles (possibly none) of one family and criterion, with
     the samples and probes that located them (see find_critical_angles)."""
     build = STATE_BUILDERS[family]
@@ -353,9 +345,8 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
         grid = sorted(dict(grid + [(math.pi - theta, value) for theta, value in grid]).items())
 
     converged = not missed and all(chopped for _, chopped, _ in halves)
-    roots = tuple(CriticalAngle(criterion, angle, bracket, residual, kind, converged)
-                  for angle, bracket, residual, kind in sorted(found))
-    return _Search(roots, tuple(grid), converged, tuple(h for _, _, h in halves))
+    roots = tuple(CriticalAngle(criterion, *root) for root in sorted(found))
+    return CriticalSearch(roots, tuple(grid), converged, tuple(h for _, _, h in halves))
 
 
 def _violation_spans(family: str, criterion: str,

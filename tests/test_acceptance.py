@@ -35,7 +35,7 @@ PROBE_THETAS = (0.2, 0.3, 0.6, 0.8667, 1.1, 1.52, 2.0, 2.4, 2.9)
 
 @lru_cache(maxsize=None)
 def crossings(state_id: str, criterion: str) -> tuple[float, ...]:
-    roots = find_critical_angles(state_id, criterion)
+    roots = find_critical_angles(state_id, criterion).roots
     return tuple(r.angle for r in roots if r.kind == "crossing")
 
 

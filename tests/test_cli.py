@@ -147,6 +147,18 @@ class TestSweepCommand:
         assert code == EXIT_IO
         assert "output error" in err
 
+    def test_failed_write_to_standard_output_names_it(self, capsys, monkeypatch):
+        # A full disk behind standard output is an output error naming it, not "None"
+        class Full:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(["eval", "--state", "psi", "--theta", "0.5", "--criteria", "chsh"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == "output error: cannot write standard output: [Errno 28] No space left on device\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--steps", "3", "--criteria", "chsh",
                                "--format", "json")

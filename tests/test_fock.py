@@ -256,6 +256,31 @@ class TestStateConstructors:
             FockState.from_terms([term])
         assert repr(term) in str(caught.value)
 
+    @pytest.mark.parametrize("terms, named", [
+        ([(0, 0)], (0, 0)),
+        ([(0, 0, 1.0, 2)], (0, 0, 1.0, 2)),
+        ([5], 5),
+        (None, None),
+    ], ids=["two-parts", "four-parts", "not-a-term", "none"])
+    def test_malformed_terms_rejected_by_name(self, terms, named):
+        # Each once raised an unpacking ValueError without the term, or a TypeError
+        with pytest.raises(ValueError) as caught:
+            FockState.from_terms(terms)
+        assert repr(named) in str(caught.value)
+
+    @pytest.mark.parametrize("terms, named, message", [
+        (((0, 0, "a"),), (0, 0, "a"), "not a number"),
+        (((0, 0, None),), (0, 0, None), "not a number"),
+        (((0, 0),), (0, 0), "n1, n2, amplitude"),
+        (None, None, "n1, n2, amplitude"),
+    ], ids=["string-amplitude", "none-amplitude", "two-parts", "none"])
+    def test_malformed_terms_rejected_by_name_when_built_directly(self, terms, named, message):
+        # The amplitudes once raised TypeError from norm_sq, and the others an unpacking
+        # ValueError without the term or a TypeError
+        with pytest.raises(ValueError, match=message) as caught:
+            FockState(terms=terms)
+        assert repr(named) in str(caught.value)
+
     def test_integral_indices_become_int(self):
         state = FockState.from_terms([(np.int64(1), 2.0, 0.6), (0, np.float64(0.0), 0.8)])
         assert state.terms == ((0, 0, 0.8 + 0j), (1, 2, 0.6 + 0j))

@@ -19,7 +19,7 @@ from cvsteer.criteria import (
 from cvsteer.fock import FockState, _series_roots
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec
 from cvsteer.sweep import (
-    NoRootInRange,
+    CriticalSearch,
     find_critical_angles,
     hierarchy_report,
     sweep,
@@ -316,7 +316,7 @@ class TestChebyshevProxy:
 class TestFindCriticalAngles:
     @pytest.mark.parametrize("state_id,criterion", list(CROSSINGS))
     def test_crossings_match_independent_roots(self, state_id, criterion):
-        roots = find_critical_angles(state_id, criterion)
+        roots = find_critical_angles(state_id, criterion).roots
         got = [r.angle for r in crossings_of(roots)]
         expected = CROSSINGS[(state_id, criterion)]
         assert len(got) == len(expected)
@@ -327,32 +327,34 @@ class TestFindCriticalAngles:
         # At root_tol = 10 the root_tol/4 probe floor is wider than the gaps between the
         # samples; a probe past them would bracket a spurious crossing. Psi's Reid value
         # crosses once in each half
-        crossings = crossings_of(find_critical_angles("psi", "reid", root_tol=10.0))
+        search = find_critical_angles("psi", "reid", root_tol=10.0)
+        crossings = crossings_of(search.roots)
         assert len(crossings) == 2
         for r, root in zip(crossings, CROSSINGS[("psi", "reid")]):
             assert r.bracket[0] <= root <= r.bracket[1]
-            assert r.converged
+        assert search.converged
 
     def test_angles_inside_brackets(self):
-        for r in find_critical_angles("psi", "reid"):
+        for r in find_critical_angles("psi", "reid").roots:
             assert r.bracket[0] <= r.angle <= r.bracket[1]
             if r.kind == "crossing":
                 assert r.bracket[1] - r.bracket[0] <= 1e-6
 
     def test_pairing_sums_to_pi(self):
         for key in CROSSINGS:
-            roots = crossings_of(find_critical_angles(*key))
+            roots = crossings_of(find_critical_angles(*key).roots)
             assert roots[0].angle + roots[-1].angle == pytest.approx(math.pi, abs=1e-3)
 
     def test_product_endpoint_touches_for_psi(self):
         for criterion in ("reid", "entropic"):
-            touch_angles = [r.angle for r in touches_of(find_critical_angles("psi", criterion))]
+            roots = find_critical_angles("psi", criterion).roots
+            touch_angles = [r.angle for r in touches_of(roots)]
             assert 0.0 in touch_angles
             assert math.pi in touch_angles
 
     def test_psi_prime_half_pi_touch(self):
         for criterion in ("reid", "entropic"):
-            roots = find_critical_angles("psi-prime", criterion)
+            roots = find_critical_angles("psi-prime", criterion).roots
             touch = touches_of(roots)
             assert any(r.angle == math.pi / 2 for r in touch), roots
             for r in touch:
@@ -360,7 +362,7 @@ class TestFindCriticalAngles:
                 assert r.residual == 0.0
 
     def test_chsh_touches_only(self):
-        roots = find_critical_angles("psi", "chsh")
+        roots = find_critical_angles("psi", "chsh").roots
         assert not crossings_of(roots)
         angles = [r.angle for r in touches_of(roots)]
         assert angles[0] == 0.0 and angles[-1] == math.pi
@@ -375,7 +377,7 @@ class TestFindCriticalAngles:
         # value there equal to the bound
         entry = CRITERIA[criterion]
         build = sweep_mod.STATE_BUILDERS[state_id]
-        touches = touches_of(find_critical_angles(state_id, criterion))
+        touches = touches_of(find_critical_angles(state_id, criterion).roots)
         assert touches
         for r in touches:
             assert r.angle in (0.0, math.pi / 2, math.pi), r
@@ -384,13 +386,13 @@ class TestFindCriticalAngles:
             assert value == entry.bound, (r, value)
 
     def test_monotone_refinement(self):
-        coarse = crossings_of(find_critical_angles("psi", "reid", root_tol=1e-4))
-        fine = crossings_of(find_critical_angles("psi", "reid", root_tol=5e-5))
+        coarse = crossings_of(find_critical_angles("psi", "reid", root_tol=1e-4).roots)
+        fine = crossings_of(find_critical_angles("psi", "reid", root_tol=5e-5).roots)
         for c, f in zip(coarse, fine):
             assert abs(c.angle - f.angle) <= 1e-4
 
     def test_residuals_small_at_crossings(self):
-        for r in crossings_of(find_critical_angles("psi", "reid")):
+        for r in crossings_of(find_critical_angles("psi", "reid").roots):
             assert r.residual < 1e-5
 
     def test_no_root_in_range(self, monkeypatch):
@@ -401,21 +403,20 @@ class TestFindCriticalAngles:
         stand_in(monkeypatch, constant)
         sweep_mod._search.cache_clear()
         try:
-            with pytest.raises(NoRootInRange):
-                find_critical_angles("psi", "reid")
+            assert find_critical_angles("psi", "reid").roots == ()
         finally:
             sweep_mod._search.cache_clear()
 
     def test_crossings_closer_than_sweep_grid_spacing(self, monkeypatch, fresh_searches):
         # The pair and its reflection about pi/2, each bracketed to root_tol
         stand_in(monkeypatch, close_pair_evaluate())
-        roots = find_critical_angles("psi", "reid")
-        assert [r.kind for r in roots] == ["crossing"] * 4
-        for r, root in zip(roots, with_reflections(CLOSE_PAIR)):
+        search = find_critical_angles("psi", "reid")
+        assert [r.kind for r in search.roots] == ["crossing"] * 4
+        for r, root in zip(search.roots, with_reflections(CLOSE_PAIR)):
             assert r.bracket[0] <= root <= r.bracket[1]
             assert r.bracket[0] <= r.angle <= r.bracket[1]
             assert r.bracket[1] - r.bracket[0] <= 1e-6
-            assert r.converged
+        assert search.converged
 
     def test_unmirrored_family_searches_both_halves(self, monkeypatch, fresh_searches):
         # |00> against |22> fails the mirror rule: [0, pi/2] is searched too, and a
@@ -423,7 +424,7 @@ class TestFindCriticalAngles:
         a, b = FockState.from_terms([(0, 0, 1.0)]), FockState.from_terms([(2, 2, 1.0)])
         monkeypatch.setitem(sweep_mod.STATE_BUILDERS, "psi", lambda t: family(a, b, t))
         stand_in(monkeypatch, close_pair_evaluate(at=lambda t: t))
-        roots = find_critical_angles("psi", "reid")
+        roots = find_critical_angles("psi", "reid").roots
         assert [r.kind for r in roots] == ["crossing", "crossing"]
         for r, root in zip(roots, CLOSE_PAIR):
             assert r.bracket[0] <= root <= r.bracket[1]
@@ -431,14 +432,14 @@ class TestFindCriticalAngles:
 
     def test_flag_of_rootless_search(self, capsys, tmp_path, monkeypatch, fresh_searches):
         # A search that finds nothing still reports that its evaluations missed their
-        # tolerance, on the exception and as the critical command's warning
+        # tolerance, on the search and as the critical command's warning
         def flagged_constant(criterion, state, spec, theta):
             return CriterionResult(criterion=criterion, value=1.0,
                                    components={}, violated=True, converged=False)
         stand_in(monkeypatch, flagged_constant)
-        with pytest.raises(NoRootInRange) as info:
-            find_critical_angles("psi", "reid")
-        assert info.value.converged is False
+        search = find_critical_angles("psi", "reid")
+        assert search.roots == ()
+        assert search.converged is False
         code = main(["critical", "--state", "psi", "--criteria", "reid",
                      "--output", str(tmp_path / "critical.csv")])
         err = capsys.readouterr().err
@@ -454,9 +455,10 @@ class TestFindCriticalAngles:
             return CriterionResult(criterion=criterion, value=gap,
                                    components={}, violated=gap > 0.0)
         stand_in(monkeypatch, kinked)
-        roots = find_critical_angles("psi", "reid")
-        assert [r.angle for r in roots] == pytest.approx(with_reflections([0.9, 1.1]), abs=1e-6)
-        assert not any(r.converged for r in roots)
+        search = find_critical_angles("psi", "reid")
+        assert [r.angle for r in search.roots] == pytest.approx(with_reflections([0.9, 1.1]),
+                                                                abs=1e-6)
+        assert search.converged is False
 
     def test_rejects_bad_inputs(self, monkeypatch):
         # An unknown criterion is rejected by name before any evaluation runs
@@ -646,7 +648,7 @@ class TestHierarchyReport:
     def test_criterion_that_never_meets_its_bound(self, monkeypatch, fresh_searches, gap,
                                                   detected):
         # Reid pinned strictly above (below) its bound has no angle: the whole range is
-        # one violated (unviolated) span, where NoRootInRange used to escape the report
+        # one violated (unviolated) span, and the search returns no angle
         def pinned_reid(criterion, state, spec, theta):
             return CriterionResult(criterion=criterion, value=gap,
                                    components={}, violated=gap > 0.0)
@@ -655,8 +657,8 @@ class TestHierarchyReport:
         rep = hierarchy_report("psi-prime", QuadratureSpec(panel_tol=1e-7, half_width=6))
         assert rep.reid_detected == detected
         assert rep.flagged == ()
-        with pytest.raises(NoRootInRange):
-            find_critical_angles("psi-prime", "reid", QuadratureSpec(panel_tol=1e-7, half_width=6))
+        spec = QuadratureSpec(panel_tol=1e-7, half_width=6)
+        assert find_critical_angles("psi-prime", "reid", spec).roots == ()
 
     def test_flags_reach_critical_and_report(self, capsys, tmp_path, monkeypatch,
                                              fresh_searches):
@@ -685,3 +687,40 @@ class TestHierarchyReport:
         assert len(rep.reid_detected) == 2
         assert rep.reid_detected[0][1] == math.pi / 2
         assert rep.reid_detected[1][0] == math.pi / 2
+
+
+class TestSearchRecord:
+    """Whether a critical-angle search met its tolerance is one fact of its record, and
+    find_critical_angles, sweep, hierarchy_report and the critical command read it there."""
+
+    @pytest.mark.parametrize("converged", [True, False])
+    @pytest.mark.parametrize("rootless", [False, True])
+    def test_every_reading_agrees(self, capsys, tmp_path, monkeypatch, fresh_searches,
+                                  converged, rootless):
+        # Reid alone may miss its tolerance and may stay above its bound; a missing
+        # angle (exit 5) takes precedence over a missed tolerance (exit 3)
+        close_pair = close_pair_evaluate()
+
+        def evaluate(criterion, state, spec, theta):
+            res = close_pair(criterion, state, spec, theta)
+            if criterion != "reid":
+                return res
+            return res._replace(value=1.0 if rootless else res.value, converged=converged)
+
+        stand_in(monkeypatch, evaluate)
+        search = find_critical_angles("psi", "reid")
+        assert type(search) is CriticalSearch
+        assert search is sweep_mod._search("psi", "reid", DEFAULT_SPEC, sweep_mod._ROOT_TOL)
+        assert search.converged is converged
+        assert (search.roots == ()) is rootless
+        flagged = () if converged else ("reid",)
+        assert sweep("psi", CRITERIA, 5).flagged == flagged
+        assert hierarchy_report("psi").flagged == flagged
+        output = ["--output", str(tmp_path / "critical.csv")]
+        code = main(["critical", "--state", "psi"] + output)
+        err = capsys.readouterr().err
+        assert code == (EXIT_NO_ROOT if rootless else EXIT_OK if converged else EXIT_TOLERANCE)
+        assert ("did not meet the quadrature tolerance" in err) is not converged
+        assert ("never meets its bound: reid" in err) is rootless
+        code = main(["critical", "--state", "psi", "--allow-flagged"] + output)
+        assert code == (EXIT_NO_ROOT if rootless else EXIT_OK)
