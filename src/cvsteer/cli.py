@@ -218,8 +218,7 @@ def cmd_sweep(config: argparse.Namespace) -> int:
                    config.theta_min, config.theta_max)
     columns = {CRITERIA[c].column: result.values[c] for c in config.criteria}
     if config.format == "json":
-        text = _json({"state": config.state, "theta": list(result.thetas),
-                      **{name: list(values) for name, values in columns.items()}})
+        text = _json({"state": config.state, "theta": result.thetas, **columns})
     else:
         rows = zip(result.thetas, *columns.values())
         text = _csv(["theta", *columns], ([_fmt(x) for x in row] for row in rows))
@@ -240,9 +239,8 @@ def cmd_critical(config: argparse.Namespace) -> int:
 
     path = config.output_path or f"critical-{config.state}.{config.format}"
     if config.format == "json":
-        text = _json({"state": config.state, "root_tol": config.root_tol, "criticals": [
-            {"criterion": r.criterion, "kind": r.kind, "angle": r.angle,
-             "bracket": list(r.bracket), "residual": r.residual} for r in records]})
+        text = _json({"state": config.state, "root_tol": config.root_tol,
+                      "criticals": [r._asdict() for r in records]})
     else:
         text = _csv(["criterion", "kind", "angle", "bracket_lo", "bracket_hi", "residual"],
                     ([r.criterion, r.kind, *map(repr, (r.angle, *r.bracket, r.residual))]

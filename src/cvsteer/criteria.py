@@ -135,7 +135,7 @@ def _entropy_uncorrelated(c: np.ndarray, spec: QuadratureSpec,
     otherwise the 1-d marginal entropy is integrated numerically."""
     levels = np.flatnonzero(c.any(axis=0))
     if levels.size == 1 and levels[0] <= 1:
-        return (0.5 * math.log(math.pi * math.e) if levels[0] == 0 else _H_LEVEL1), True
+        return (0.5 * LN_PI_E if levels[0] == 0 else _H_LEVEL1), True
     width = _effective_width(spec, c)
     res = integrate_entropy_1d(lambda b: _marginal(c, 2, b), replace(spec, half_width=width),
                                breakpoints=_marginal_zero_hints(c) + (0.0,), fold=fold)

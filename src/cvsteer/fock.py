@@ -86,6 +86,9 @@ class FockState:
     terms: tuple[tuple[int, int, complex], ...]
 
     def __post_init__(self):
+        if not isinstance(self.terms, tuple):  # a list would not hash, a generator is read once
+            raise ValueError(f"terms must be a tuple of (n1, n2, amplitude), "
+                             f"got {type(self.terms).__name__!r}")
         last = None
         for n1, n2, _amp in _read_terms(self.terms, converting=False):
             if last is not None and (n1, n2) <= last:
@@ -311,12 +314,10 @@ def _ladder_position(n_max: int) -> np.ndarray:
 
 
 def _ladder_position_sq(n_max: int) -> np.ndarray:
-    """Matrix elements <m| y^2 |n> in the oscillator basis."""
-    m = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        m[n, n] = (2 * n + 1) / 2.0
-        if n + 2 <= n_max:
-            m[n + 2, n] = m[n, n + 2] = math.sqrt((n + 1) * (n + 2)) / 2.0
+    """Matrix elements <m| y^2 |n> in the oscillator basis; n_max < 2 has no off-diagonal."""
+    m = np.diag(np.arange(n_max + 1) + 0.5)
+    n = np.arange(n_max - 1)
+    m[n, n + 2] = m[n + 2, n] = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0
     return m
 
 

@@ -3,16 +3,17 @@ criteria-coverage report.
 
 Critical angles come from a Chebyshev proxy of value - bound on each half of [0, pi]
 (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666; Trefethen, Approximation Theory and
-Approximation Practice, ch. 18). A half is sampled at nested Chebyshev-Lobatto points
-whose degree doubles from 16 until the trailing coefficients fall below 10 * panel_tol,
-the accuracy the quadrature itself is asked for. The real roots of the chopped
-interpolants, eigenvalues of the colleague matrix that ``fock._series_roots`` builds
-from the Chebyshev recurrence (``_chebyshev_position``), are probed on the true
-criterion; each sign change between neighbouring evaluations is polished by Illinois
-steps (kind ``crossing``). Samples where the value equals the bound exactly with no
-sign change are touch-points (kind ``touch``, zero-width bracket). The bound is met
-exactly only where the evaluators are exact, at product states; for every family
-cos(theta)|A> + sin(theta)|B> those sit at 0, pi/2 and pi, the ends of the two halves.
+Approximation Practice, ch. 18). A half is sampled, each point once through the
+search's memo, at nested Chebyshev-Lobatto points whose degree doubles from 16 until the
+trailing coefficients fall below 10 * panel_tol, the accuracy the quadrature itself is
+asked for. The real roots of the chopped interpolants, eigenvalues of the colleague
+matrix that ``fock._series_roots`` builds from the Chebyshev recurrence
+(``_chebyshev_position``), are probed on the true criterion; each sign change between
+neighbouring evaluations is polished by Illinois steps (kind ``crossing``). Samples
+where the value equals the bound exactly with no sign change are touch-points (kind
+``touch``, zero-width bracket). The bound is met exactly only where the evaluators are
+exact, at product states; for every family cos(theta)|A> + sin(theta)|B> those sit at
+0, pi/2 and pi, the ends of the two halves.
 
 When a local mode parity separates A and B (``fock._parities``), every criterion takes
 the same value at theta and pi - theta. Only [pi/2, pi] is then sampled, probed and
@@ -192,27 +193,25 @@ def _chebyshev_position(n: int) -> np.ndarray:
 
 def _chebyshev_half(sample: Callable[[float], float], lo: float, hi: float,
                     tol: float) -> tuple[np.ndarray, bool, tuple]:
-    """Interpolate sample on [lo, hi] at nested Chebyshev-Lobatto points of degree 16,
-    32, ..., each level reusing the last, until the trailing max(5, n/8) coefficients are
-    below tol (Chebfun's classic chop test). lo and hi are sampled exactly. Returns the
-    real roots in (lo, hi) of the interpolant chopped after its last coefficient >= tol
-    (fock._series_roots over _chebyshev_position, which also drops a leading coefficient
-    below 1e-14 of the largest; an empty or constant interpolant has none), whether the
-    tail fell below tol by degree _DEGREE_MAX, and (lo, hi, final points, their values).
+    """Interpolate sample on [lo, hi] at the Chebyshev-Lobatto points of degree 16, 32,
+    ..., until the trailing max(5, n/8) coefficients are below tol (Chebfun's classic
+    chop test). lo and hi are sampled exactly. Each degree samples the last one's points
+    again, bit for bit, so ``sample`` must memoize. Returns the real roots in (lo, hi) of
+    the interpolant chopped after its last coefficient >= tol (fock._series_roots over
+    _chebyshev_position, which also drops a leading coefficient below 1e-14 of the
+    largest; an empty or constant interpolant has none), whether the tail fell below tol
+    by degree _DEGREE_MAX, and (lo, hi, final points, their values).
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = _DEGREE_START
-    thetas = mid + half * np.cos(np.pi / n * np.arange(n + 1))
-    thetas[[0, n]] = hi, lo
-    values = np.array([sample(t) for t in thetas.tolist()])
     while True:
+        thetas = mid + half * np.cos(np.pi / n * np.arange(n + 1))
+        thetas[[0, n]] = hi, lo
+        values = np.array([sample(t) for t in thetas.tolist()])
         coeffs = _chebyshev_coefficients(values)
         chopped = bool(np.all(np.abs(coeffs[-max(5, n // 8):]) < tol))
         if chopped or n >= _DEGREE_MAX:
             break
-        odd = mid + half * np.cos(np.pi / (2 * n) * np.arange(1, 2 * n, 2))
-        values = np.insert(values, np.arange(1, n + 1), [sample(t) for t in odd.tolist()])
-        thetas = np.insert(thetas, np.arange(1, n + 1), odd)
         n *= 2
     big = np.flatnonzero(np.abs(coeffs) >= tol)
     kept = coeffs[:big[-1] + 1 if big.size else 1]  # a constant has no roots
@@ -311,7 +310,7 @@ def _search(family: str, criterion: str, spec: QuadratureSpec, root_tol: float) 
     points: dict[float, float] = {}  # samples and probes; the Illinois steps stay out
 
     def sample(theta: float) -> float:
-        if theta not in points:  # the halves share pi/2
+        if theta not in points:  # each degree holds the last; the halves share pi/2
             points[theta] = gap(theta)
         return points[theta]
 

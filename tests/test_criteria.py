@@ -219,8 +219,16 @@ class TestConditionalEntropy:
 
 
 class TestEntropic:
-    def test_product_point_zero(self):
-        res = entropic_value(make_psi(0.0))
+    @pytest.mark.parametrize("state", [
+        make_psi(0.0),
+        make_psi(math.pi),
+        FockState.from_terms([(2, 0, 1.0)]),
+        FockState.from_terms([(0, 0, math.sqrt(0.5)), (1, 0, math.sqrt(0.5) * np.exp(0.3j))]),
+    ], ids=["psi(0)", "psi(pi)", "|2,0>", "superposed-mode-1"])
+    def test_product_point_zero(self, state):
+        # Mode 2 in its ground level: h = ln(pi e)/2 in both domains, so the value
+        # cancels exactly
+        res = entropic_value(state)
         assert res.value == 0.0
         assert not res.violated
 

@@ -23,6 +23,7 @@ from cvsteer.fock import (
     _amplitudes,
     _joint,
     _ladder_position,
+    _ladder_position_sq,
     _mode2_moments,
     _osc_rows,
     _parities,
@@ -273,10 +274,13 @@ class TestStateConstructors:
         (((0, 0, None),), (0, 0, None), "not a number"),
         (((0, 0),), (0, 0), "n1, n2, amplitude"),
         (None, None, "n1, n2, amplitude"),
-    ], ids=["string-amplitude", "none-amplitude", "two-parts", "none"])
+        ([(0, 0, 1.0)], "list", "must be a tuple"),
+        ((term for term in [(0, 0, 1.0)]), "generator", "must be a tuple"),
+    ], ids=["string-amplitude", "none-amplitude", "two-parts", "none", "list", "generator"])
     def test_malformed_terms_rejected_by_name_when_built_directly(self, terms, named, message):
         # The amplitudes once raised TypeError from norm_sq, and the others an unpacking
-        # ValueError without the term or a TypeError
+        # ValueError without the term or a TypeError. A list once built a state that did
+        # not hash, and a generator was read up before the norm summed nothing
         with pytest.raises(ValueError, match=message) as caught:
             FockState(terms=terms)
         assert repr(named) in str(caught.value)
@@ -634,6 +638,15 @@ class TestExactMoments:
         # The ladder sum is <y^2> in oscillator units y = sqrt(s) b
         got_b2 = _mode2_moments(_amplitudes(self.STATE, dom))[1] / scale
         assert got_b2 == pytest.approx(expected_b2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 12])
+    def test_ladder_position_sq_is_the_square_of_y(self, n_max):
+        # <m| y^2 |n> = sum_k <m| y |k><k| y |n>, and k reaches n_max + 1; at n_max 0 and 1
+        # y^2 has no entry two off the diagonal
+        y = _ladder_position(n_max + 1)
+        got = _ladder_position_sq(n_max)
+        assert got.shape == (n_max + 1, n_max + 1)
+        np.testing.assert_allclose(got, (y @ y)[:n_max + 1, :n_max + 1], rtol=1e-15, atol=0.0)
 
 
 class TestOscillatorRoots:
