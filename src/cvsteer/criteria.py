@@ -84,25 +84,26 @@ class CriterionResult(NamedTuple):
     converged: bool = True
 
 
-def _effective_width(spec: QuadratureSpec, c: np.ndarray) -> float:
-    # Level n reaches its turning point sqrt(2n+1). The window reaches 4.2 past the
-    # turning point, which leaves two-sided tails of |u_n|^2 below 2e-13 for every
-    # n <= 40, and stops 28 past it: there every term's density underflows to 0.0, and a
-    # wider window would only put the first Gauss-Kronrod nodes where the density is not.
+def _window(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bool]:
+    # The half-width of every integral over c's domain, and whether they fold onto a >= 0:
+    # central parity, read from C's nonzero pattern, which both domains share. Level n
+    # reaches its turning point sqrt(2n+1). The window reaches 4.2 past the turning point,
+    # which leaves two-sided tails of |u_n|^2 below 2e-13 for every n <= 40, and stops 28
+    # past it: there every term's density underflows to 0.0, and a wider window would
+    # only put the first Gauss-Kronrod nodes where the density is not.
     turning = math.sqrt(2 * max(c.shape) - 1)
-    return min(max(spec.half_width, turning + 4.2), turning + 28.0)
+    return min(max(spec.half_width, turning + 4.2), turning + 28.0), _parities(c)[0] is not None
 
 
-def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
-                          fold: bool) -> tuple[float, bool]:
+def _conditional_variance(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bool]:
     """Minimal average conditional variance Delta2_min of mode 2 inferred from mode 1,
     in oscillator units, and whether the tolerance was met.
 
     Delta2_min = <b^2> - int N(a)^2 / M(a) da with N(a) = int b P(a,b) db and M the
     marginal: the cross term of the squared deviation from the conditional mean
     collapses onto the correction integral. <b^2>, N and M are exact ladder-operator
-    sums; only N^2 / M, rational in a, is integrated (over a >= 0 when ``fold``), and
-    points with M at or below the density floor contribute zero. A factorized state's
+    sums; only N^2 / M, rational in a, is integrated (over the ``_window``), and points
+    with M at or below the density floor contribute zero. A factorized state's
     conditional variance is its marginal one.
     """
     mean, second = _mode2_moments(c)
@@ -114,7 +115,7 @@ def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
         good = m > DENSITY_FLOOR
         return np.where(good, n * n / np.where(good, m, 1.0), 0.0)
 
-    width = _effective_width(spec, c)
+    width, fold = _window(c, spec)
     correction = adaptive_panels(ratio, -width, width, spec.panel_tol, (0.0,), fold=fold)
     return max(second - correction.value, 0.0), correction.converged
 
@@ -122,34 +123,26 @@ def _conditional_variance(c: np.ndarray, spec: QuadratureSpec,
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
-    cs = [_amplitudes(state, dom) for dom in Domain]
-    fold = _parities(cs[0])[0] is not None  # central parity: the integrals fold
-    (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(c, spec, fold) for c in cs)
+    (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(_amplitudes(state, dom), spec)
+                                for dom in Domain)
     s = units.m_omega
     return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p)
 
 
-def _entropy_uncorrelated(c: np.ndarray, spec: QuadratureSpec,
-                          fold: bool) -> tuple[float, bool]:
-    """Factorized state: h(B2|B1) = h(B2). Exact when mode 2 occupies one level n <= 1;
-    otherwise the 1-d marginal entropy is integrated numerically."""
-    levels = np.flatnonzero(c.any(axis=0))
-    if levels.size == 1 and levels[0] <= 1:
-        return (0.5 * LN_PI_E if levels[0] == 0 else _H_LEVEL1), True
-    width = _effective_width(spec, c)
-    res = integrate_entropy_1d(lambda b: _marginal(c, 2, b), replace(spec, half_width=width),
-                               breakpoints=_marginal_zero_hints(c) + (0.0,), fold=fold)
-    return res.value, res.converged
-
-
-def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
-                         fold: bool) -> tuple[float, bool]:
+def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bool]:
     """h(B2|B1) = H(B1,B2) - H(B1) in oscillator units, and whether both met the
-    tolerance; every integral over a runs over a >= 0 when ``fold``."""
-    if _is_uncorrelated(c):
-        return _entropy_uncorrelated(c, spec, fold)
-    width = _effective_width(spec, c)
+    tolerance. A factorized state has h(B2|B1) = h(B2), exact when mode 2 occupies one
+    level n <= 1; otherwise that 1-d marginal entropy is integrated numerically."""
+    factorized = _is_uncorrelated(c)
+    levels = np.flatnonzero(c.any(axis=0))
+    if factorized and levels.size == 1 and levels[0] <= 1:
+        return (0.5 * LN_PI_E if levels[0] == 0 else _H_LEVEL1), True
+    width, fold = _window(c, spec)
     espec = replace(spec, half_width=width)
+    if factorized:
+        res = integrate_entropy_1d(lambda b: _marginal(c, 2, b), espec,
+                                   breakpoints=_marginal_zero_hints(c) + (0.0,), fold=fold)
+        return res.value, res.converged
     density, zeros = _joint(c)
     joint_res = integrate_entropy_2d(density, espec, inner_breakpoints=zeros,
                                      outer_breakpoints=(0.0,), fold=fold)
@@ -161,9 +154,8 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec,
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
-    cs = [_amplitudes(state, dom) for dom in Domain]
-    fold = _parities(cs[0])[0] is not None  # central parity: the integrals fold
-    (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(c, spec, fold) for c in cs)
+    (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(_amplitudes(state, dom), spec)
+                                for dom in Domain)
     shift = 0.5 * math.log(units.m_omega)
     return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift), ok_x and ok_p)
 

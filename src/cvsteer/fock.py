@@ -347,14 +347,19 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     """E[b | a] = int b P(a, b) db / marginal(a): the estimator minimizing the
     conditional variance.
 
-    Raises DegenerateMarginal when the marginal at ``a`` is at or below the density
-    floor; callers forming weighted averages must treat such points as contributing
-    zero (their weight is the marginal itself).
+    Raises ValueError for a non-finite ``a``, before any evaluation, and
+    DegenerateMarginal when the marginal at ``a`` is at or below the density floor;
+    callers forming weighted averages must treat such points as contributing zero
+    (their weight is the marginal itself).
     """
+    a = float(a)
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
     root = math.sqrt(_scale(units, dom))
-    m, n = _moments(_amplitudes(state, dom), np.array([root * float(a)]))
-    if not root * m[0] > DENSITY_FLOOR:
-        raise DegenerateMarginal(f"marginal at {a!r} is {root * m[0]!r}")
+    m, n = _moments(_amplitudes(state, dom), np.array([root * a]))
+    marginal = float(root * m[0])
+    if not marginal > DENSITY_FLOOR:
+        raise DegenerateMarginal(f"marginal at {a!r} is {marginal!r}")
     return float(n[0] / m[0] / root)
 
 

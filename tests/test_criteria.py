@@ -17,7 +17,7 @@ from cvsteer.criteria import (
     CHSH_CLASSICAL_BOUND,
     CRITERIA,
     LN_PI_E,
-    _effective_width,
+    _window,
     chsh_max,
     correlation_matrix,
     entropic_value,
@@ -208,10 +208,9 @@ class TestConditionalEntropy:
         s = 1.0 / math.sqrt(2.0)
         state = FockState.from_terms([(0, 6, s), (6, 0, -s)])
         c = _amplitudes(state, Domain.POSITION)
-        fold = _parities(c)[0] is not None
         tracemalloc.start()
         try:
-            criteria_mod._conditional_entropy(c, DEFAULT_SPEC, fold)
+            criteria_mod._conditional_entropy(c, DEFAULT_SPEC)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -450,7 +449,7 @@ class TestTruncationWidth:
             # The window is in oscillator units y; in x (or p) units it ends at x0 =
             # y0 / sqrt(s), and the level's density there is sqrt(s) |u_n(sqrt(s) x)|^2
             c = _amplitudes(FockState.from_terms([(0, n, 1.0)]), dom)
-            y0 = _effective_width(DEFAULT_SPEC, c)
+            y0, _fold = _window(c, DEFAULT_SPEC)
             s = m_omega if dom is Domain.POSITION else 1.0 / m_omega
             x0 = y0 / math.sqrt(s)
             log_norm = n * math.log(2.0) + gammaln(n + 1) + 0.5 * math.log(math.pi)
@@ -621,6 +620,41 @@ class TestParityFold:
         full = unfolded(reid_value, state, DEFAULT_SPEC, units).components
         for name in folded:
             assert folded[name] == pytest.approx(full[name], abs=1e-12)
+
+
+@st.composite
+def small_states(draw):
+    """Two to four Fock terms with levels <= 6 and real or complex amplitudes; in half
+    the draws every term has one parity of n1 + n2."""
+    pair = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    if draw(st.booleans()):
+        parity = draw(st.integers(0, 1))
+        pair = pair.filter(lambda p: (p[0] + p[1]) % 2 == parity)
+    pairs = draw(st.lists(pair, min_size=2, max_size=4, unique=True))
+    k = len(pairs)
+    amps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        amps = amps * np.exp(1j * np.array(draw(st.lists(st.floats(0.0, 2 * math.pi),
+                                                         min_size=k, max_size=k))))
+    else:
+        amps *= draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))
+    amps /= np.linalg.norm(amps)
+    return FockState.from_terms([(n1, n2, c) for (n1, n2), c in zip(pairs, amps.tolist())])
+
+
+class TestWindow:
+    """Both domains' kernels of a state integrate over one window and fold alike: the
+    fold is central parity, read from the nonzero pattern that the momentum matrix
+    shares with the position one."""
+
+    @given(small_states(), st.sampled_from([6.0, 8.0, 16.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_domains_share_window_and_fold(self, state, half_width):
+        spec = QuadratureSpec(half_width=half_width)
+        position, momentum = (_window(_amplitudes(state, dom), spec) for dom in Domain)
+        assert position == momentum
+        # The oracle: every term shares the parity of n1 + n2
+        assert position[1] == (len({(n1 + n2) % 2 for n1, n2, _amp in state.terms}) == 1)
 
 
 def counted_points(monkeypatch) -> dict:
@@ -812,10 +846,9 @@ class TestSweepCap:
         state = FockState.from_terms([(0, 12, s), (12, 0, -s)])
         largest = batched_sweep_points(monkeypatch)
         c = _amplitudes(state, Domain.POSITION)
-        fold = _parities(c)[0] is not None
         tracemalloc.start()
         try:
-            criteria_mod._conditional_entropy(c, DEFAULT_SPEC, fold)
+            criteria_mod._conditional_entropy(c, DEFAULT_SPEC)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -895,10 +928,9 @@ class TestMatrixContract:
     def test_transposed_matrix_is_the_swapped_state(self, terms):
         state = FockState.from_terms(terms)
         swapped = FockState.from_terms([(n2, n1, amp) for n1, n2, amp in terms])
-        fold = _parities(_amplitudes(state, Domain.POSITION))[0] is not None
         for kernel, evaluate in ((criteria_mod._conditional_variance, reid_value),
                                  (criteria_mod._conditional_entropy, entropic_value)):
-            got = [kernel(np.ascontiguousarray(_amplitudes(state, dom).T), DEFAULT_SPEC, fold)
+            got = [kernel(np.ascontiguousarray(_amplitudes(state, dom).T), DEFAULT_SPEC)
                    for dom in Domain]
             want = evaluate(swapped)
             assert [value.hex() for value, _ok in got] == [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,22 @@ class TestConditionalMean:
     def test_degenerate_marginal_raises(self):
         with pytest.raises(DegenerateMarginal):
             conditional_mean(make_psi(0.9), 40.0)
+
+    @pytest.mark.parametrize("a", [0.0, np.float64(0.0)], ids=["float", "float64"])
+    def test_degenerate_marginal_message_prints_python_floats(self, a):
+        # |1, 0>'s marginal vanishes at a = 0; the message printed np.float64(0.0)
+        with pytest.raises(DegenerateMarginal, match=r"^marginal at 0\.0 is 0\.0$"):
+            conditional_mean(FockState.from_terms([(1, 0, 1.0)]), a)
+
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_abscissa_rejected_before_evaluation(self, a):
+        # A non-finite a went into the oscillator recurrence, which warned of an invalid
+        # multiply, and came out as a DegenerateMarginal with a NaN marginal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^a must be finite") as info:
+                conditional_mean(make_psi(0.9), a)
+        assert info.type is ValueError
 
 
 class TestInvariantsAndScaling:
