@@ -9,8 +9,10 @@ Three detectors over a two-mode Fock superposition:
 
 Position and momentum enter symmetrically, in oscillator units, where both share one
 basis: m*omega only shifts the components (Delta2 / s and h - (1/2) ln s, with s the
-domain's oscillator scale), never a value. Below the public evaluators every function
-reads one domain's amplitude matrix c (fock._amplitudes), never the state.
+domain's oscillator scale), never a value. Reid and entropic are one evaluator,
+_inferred, over a kernel per domain and a combining rule; the two rules are the one
+place where components take m*omega. Below the public evaluators every function reads
+one domain's amplitude matrix c (fock._amplitudes), never the state.
 """
 
 from __future__ import annotations
@@ -84,6 +86,27 @@ class CriterionResult(NamedTuple):
     converged: bool = True
 
 
+def _inferred(criterion: str, kernel, rule, state: FockState, spec: QuadratureSpec,
+              units: UnitSystem) -> CriterionResult:
+    """Mode 2's x and p inferred from mode 1: kernel(c, spec) gives (k, converged) for
+    each domain's amplitude matrix, and rule(k_x, k_p, m*omega) gives the value and the
+    components. The result is converged when both kernels were."""
+    (k_x, ok_x), (k_p, ok_p) = (kernel(_amplitudes(state, dom), spec) for dom in Domain)
+    value, components = rule(k_x, k_p, units.m_omega)
+    return _result(criterion, value, components, ok_x and ok_p)
+
+
+def _variance_rule(k_x: float, k_p: float, s: float) -> tuple[float, tuple[float, float]]:
+    """Reid's variance rule: 1/4 - k_x k_p; components k_x / s, k_p s."""
+    return REID_BOUND - k_x * k_p, (k_x / s, k_p * s)
+
+
+def _entropy_rule(k_x: float, k_p: float, s: float) -> tuple[float, tuple[float, float]]:
+    """The entropic rule: ln(pi e) - k_x - k_p; components k_x - ln(s) / 2, k_p + ln(s) / 2."""
+    shift = 0.5 * math.log(s)
+    return LN_PI_E - k_x - k_p, (k_x - shift, k_p + shift)
+
+
 def _window(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bool]:
     # The half-width of every integral over c's domain, and whether they fold onto a >= 0:
     # central parity, read from C's nonzero pattern, which both domains share. Level n
@@ -123,10 +146,7 @@ def _conditional_variance(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, b
 def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Inference-variance product criterion: 1/4 - Delta2_min(X2) * Delta2_min(P2)."""
-    (d2x, ok_x), (d2p, ok_p) = (_conditional_variance(_amplitudes(state, dom), spec)
-                                for dom in Domain)
-    s = units.m_omega
-    return _result("reid", REID_BOUND - d2x * d2p, (d2x / s, d2p * s), ok_x and ok_p)
+    return _inferred("reid", _conditional_variance, _variance_rule, state, spec, units)
 
 
 def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bool]:
@@ -154,10 +174,7 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bo
 def entropic_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NATURAL_UNITS) -> CriterionResult:
     """Conditional-entropy criterion: ln(pi e) - h(X2|X1) - h(P2|P1)."""
-    (h_x, ok_x), (h_p, ok_p) = (_conditional_entropy(_amplitudes(state, dom), spec)
-                                for dom in Domain)
-    shift = 0.5 * math.log(units.m_omega)
-    return _result("entropic", LN_PI_E - h_x - h_p, (h_x - shift, h_p + shift), ok_x and ok_p)
+    return _inferred("entropic", _conditional_entropy, _entropy_rule, state, spec, units)
 
 
 # sigma_x, sigma_y and sigma_z: the pseudo-Paulis act within each level pair (2k, 2k+1)

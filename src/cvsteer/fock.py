@@ -168,6 +168,15 @@ def _maybe_scalar(arr, scalar_in: bool):
     return arr.item() if scalar_in else arr
 
 
+def _finite(name: str, x) -> np.ndarray:
+    """x as a float array, else a ValueError naming ``name`` and its first non-finite value
+    (the oscillator recurrence would turn inf into NaN, and pass NaN on silently)."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    return arr
+
+
 def _osc_rows(n_max: int, y: np.ndarray):
     """Yield the normalized oscillator functions u_0(y), ..., u_{n_max}(y) in turn,
     u_n(y) = pi^(-1/4) (2^n n!)^(-1/2) H_n(y) exp(-y^2/2), co-evaluated with the Gaussian
@@ -249,9 +258,11 @@ def _density_rows(coeff: np.ndarray, row, b) -> np.ndarray:
 
 def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
                   units: UnitSystem = NATURAL_UNITS):
-    """|Psi(a, b)|^2 in the requested domain; nonnegative."""
+    """|Psi(a, b)|^2 in the requested domain; nonnegative. Raises ValueError, before any
+    evaluation, when an element of ``a`` or ``b`` is not finite."""
     s = _scale(units, dom)
-    a, b = np.broadcast_arrays(*(math.sqrt(s) * np.asarray(x, dtype=float) for x in (a, b)))
+    root = math.sqrt(s)
+    a, b = np.broadcast_arrays(root * _finite("a", a), root * _finite("b", b))
     out = _joint(_amplitudes(state, dom))[0](a.ravel(), np.arange(a.size), b.ravel())
     return _maybe_scalar(s * out.reshape(a.shape), a.ndim == 0)
 
@@ -293,11 +304,12 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
 
     Integrating out the other mode collapses its cross terms: the marginal is
     sum_g |sum_n c[n, g] phi(n, a)|^2, g the integrated-out index (mode 1 shown).
+    Raises ValueError, before any evaluation, when an element of ``a`` is not finite.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     root = math.sqrt(_scale(units, dom))
-    dens = _marginal(_amplitudes(state, dom), mode, root * np.asarray(a, dtype=float))
+    dens = _marginal(_amplitudes(state, dom), mode, root * _finite("a", a))
     return _maybe_scalar(root * dens, np.ndim(a) == 0)
 
 
@@ -352,9 +364,7 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     callers forming weighted averages must treat such points as contributing zero
     (their weight is the marginal itself).
     """
-    a = float(a)
-    if not math.isfinite(a):
-        raise ValueError(f"a must be finite, got {a!r}")
+    a = float(_finite("a", a))
     root = math.sqrt(_scale(units, dom))
     m, n = _moments(_amplitudes(state, dom), np.array([root * a]))
     marginal = float(root * m[0])

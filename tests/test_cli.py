@@ -93,9 +93,14 @@ class TestEval:
         assert code == EXIT_TOLERANCE
         assert "false" in out.splitlines()[1]  # converged column
 
-    def test_allow_flagged_suppresses_exit_3(self, capsys):
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_allow_flagged_suppresses_exit_3(self, capsys, tmp_path, via):
+        # In a config file the value is read as a boolean word: "yes" is true
+        cfg = tmp_path / "flagged.cfg"
+        cfg.write_text("allow_flagged = yes\n")
+        extra = ["--allow-flagged"] if via == "flag" else ["--config", str(cfg)]
         code, _, _ = run_cli(capsys, "eval", "--theta", "1.1", "--criteria", "entropic",
-                             "--panel-tol", "1e-15", "--allow-flagged")
+                             "--panel-tol", "1e-15", *extra)
         assert code == EXIT_OK
 
 
@@ -325,12 +330,18 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "eval", "--config", "/no/such/file", "--theta", "0.5")
         assert code == EXIT_CONFIG
 
-    def test_bad_value_names_field(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command, text, message", [
+        ("sweep", "steps = many\n", "steps"),
+        ("eval", "allow_flagged = maybe\n", "allow_flagged: not a boolean: 'maybe'"),
+        ("eval", "theta = 0.5\nstate psi\n", "config: line 2 is not 'key = value'"),
+    ], ids=["number", "boolean", "no-equals"])
+    def test_bad_value_names_field(self, capsys, tmp_path, command, text, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("steps = many\n")
-        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == EXIT_CONFIG
-        assert "steps" in err
+        assert out == ""
+        assert message in err
 
 
 class TestValidation:
@@ -342,6 +353,7 @@ class TestValidation:
         (["critical", "--root-tol", "0"], "root_tol"),
         (["sweep", "--theta-min", "1.0", "--theta-max", "0.5"], "theta_m"),
         (["eval", "--theta", "0.7", "--half-width", "inf"], "half_width"),
+        (["eval", "--theta", "0.7", "--format", "xml"], "format: 'xml' is not 'csv' or 'json'"),
     ])
     def test_field_named_in_error(self, capsys, argv, field):
         code, _, err = run_cli(capsys, *argv)

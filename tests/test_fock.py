@@ -214,6 +214,14 @@ class TestStateConstructors:
         with pytest.raises(ValueError, match="not normalized"):
             FockState.from_terms([(0, 0, 0.5)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: FockState(terms=()),
+        lambda: FockState.from_terms([(0, 0, 1e-16)]),  # its one amplitude is dropped
+    ], ids=["empty", "all-dropped"])
+    def test_state_without_terms_rejected(self, build):
+        with pytest.raises(ValueError, match="^state must have at least one term$"):
+            build()
+
     def test_nan_amplitude_rejected_when_built_directly(self):
         # abs(nan - 1) > tol is False: a plain comparison let this state through, and
         # chsh_max on it then failed inside the SVD
@@ -550,6 +558,32 @@ class TestConditionalMean:
             with pytest.raises(ValueError, match="^a must be finite") as info:
                 conditional_mean(make_psi(0.9), a)
         assert info.type is ValueError
+
+    @pytest.mark.parametrize("density, coordinates, name", [
+        (joint_density, (math.inf, 0.0), "a"),
+        (joint_density, (0.3, -math.inf), "b"),
+        (joint_density, (math.nan, 0.0), "a"),
+        (joint_density, (np.array([0.1, math.nan]), 0.0), "a"),
+        (joint_density, (0.0, np.array([[1.0], [math.inf]])), "b"),
+        (marginal_density, (-math.inf,), "a"),
+        (marginal_density, (math.nan,), "a"),
+        (marginal_density, (np.array([0.2, math.inf]),), "a"),
+        (marginal_density, ([math.nan, 0.0],), "a"),
+    ], ids=["joint-a-inf", "joint-b-minus-inf", "joint-a-nan", "joint-a-nan-element",
+            "joint-b-inf-element", "marginal-minus-inf", "marginal-nan",
+            "marginal-inf-element", "marginal-nan-element"])
+    def test_density_rejects_non_finite_coordinate(self, density, coordinates, name):
+        # inf went into the oscillator recurrence, which warned of an invalid multiply
+        # and returned nan; a NaN came back as nan without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite") as info:
+                density(make_psi(0.7), *coordinates)
+        assert info.type is ValueError
+
+    def test_marginal_density_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="^mode must be 1 or 2$"):
+            marginal_density(make_psi(0.7), 0.0, mode=3)
 
 
 class TestInvariantsAndScaling:

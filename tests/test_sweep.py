@@ -20,6 +20,7 @@ from cvsteer.fock import FockState, _series_roots
 from cvsteer.quadrature import DEFAULT_SPEC, QuadratureSpec
 from cvsteer.sweep import (
     CriticalSearch,
+    _illinois,
     find_critical_angles,
     hierarchy_report,
     sweep,
@@ -510,6 +511,30 @@ class TestFindCriticalAngles:
             assert r.bracket[1] - r.bracket[0] <= 1e-6
             assert r.angle == pytest.approx(ref, abs=5e-4)
         assert len(got) == 2
+
+
+class TestIllinois:
+    """The bracket solver's two early exits, which no built-in search reaches."""
+
+    def test_exact_zero_returns_a_point_bracket(self):
+        # The first secant step lands on the root
+        assert _illinois(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-6) == (0.5, (0.5, 0.5), 0.0)
+
+    def test_adjacent_floats_return_the_bracket(self):
+        # Wider than root_tol but one ulp wide: the secant point and then the midpoint
+        # round onto an end, so the loop stops without evaluating, and the final secant
+        # point is evaluated once
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0 - 2.0 ** -54
+
+        x, bracket, size = _illinois(f, lo, hi, -2.0 ** -54, 3 * 2.0 ** -54, 1e-20)
+        assert bracket == (lo, hi)
+        assert (x, size) == (lo, 2.0 ** -54)
+        assert calls == [lo]
 
 
 def family(a, b, theta):
