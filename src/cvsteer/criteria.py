@@ -160,13 +160,13 @@ def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bo
     width, fold = _window(c, spec)
     espec = replace(spec, half_width=width)
     if factorized:
-        res = integrate_entropy_1d(lambda b: _marginal(c, 2, b), espec,
+        res = integrate_entropy_1d(lambda b: _marginal(c.T, b), espec,
                                    breakpoints=_marginal_zero_hints(c) + (0.0,), fold=fold)
         return res.value, res.converged
     density, zeros = _joint(c)
     joint_res = integrate_entropy_2d(density, espec, inner_breakpoints=zeros,
                                      outer_breakpoints=(0.0,), fold=fold)
-    marg_res = integrate_entropy_1d(lambda a: _marginal(c, 1, a), espec,
+    marg_res = integrate_entropy_1d(lambda a: _marginal(c, a), espec,
                                     breakpoints=(0.0,), fold=fold)
     return joint_res.value - marg_res.value, joint_res.converged and marg_res.converged
 

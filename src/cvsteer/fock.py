@@ -36,6 +36,10 @@ __all__ = [
 # such points contribute zero to any weighted average (their weight is the marginal).
 DENSITY_FLOOR = 1e-300
 
+# Public coordinates enter oscillator units capped at this |y|: there every oscillator
+# function is exactly 0.0 (exp(-y^2/2) underflows), and y^2 is still finite.
+_Y_CAP = 1e150
+
 # Amplitudes below this are dropped by the constructors (exact product points survive
 # the rounding of cos/sin at multiples of pi/2).
 _AMP_DROP = 1e-15
@@ -58,7 +62,7 @@ class DegenerateMarginal(ValueError):
 class UnitSystem:
     """m_omega is the product m*omega; hbar is 1 (the criteria constants 1/4 and ln(pi e)
     presuppose it). It enters the public densities and the criteria's components, never
-    a criterion value: the code below them works in oscillator units (see _scale)."""
+    a criterion value: below them the code works in oscillator units (_oscillator_units)."""
 
     m_omega: float = 1.0
 
@@ -68,11 +72,6 @@ class UnitSystem:
 
 
 NATURAL_UNITS = UnitSystem()
-
-
-def _scale(units: UnitSystem, dom: Domain) -> float:
-    """The oscillator scale s of a domain: m*omega in position, 1/(m*omega) in momentum."""
-    return units.m_omega if dom is Domain.POSITION else 1.0 / units.m_omega
 
 
 @dataclass(frozen=True)
@@ -164,17 +163,19 @@ def make_psi_prime(theta: float) -> FockState:
     return FockState.from_terms([(0, 1, math.cos(theta)), (1, 0, math.sin(theta))])
 
 
-def _maybe_scalar(arr, scalar_in: bool):
-    return arr.item() if scalar_in else arr
-
-
-def _finite(name: str, x) -> np.ndarray:
-    """x as a float array, else a ValueError naming ``name`` and its first non-finite value
-    (the oscillator recurrence would turn inf into NaN, and pass NaN on silently)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
-    return arr
+def _oscillator_units(units: UnitSystem, dom: Domain, **coordinates):
+    """(s, y, ...): the oscillator scale s of the domain (m*omega in position, 1/(m*omega)
+    in momentum) and each coordinate x, in turn, as a new float array y = sqrt(s) x capped
+    at |y| <= _Y_CAP. A coordinate not finite is a ValueError naming it and its first such
+    value (the oscillator recurrence would turn inf into NaN, and pass NaN on silently)."""
+    s = units.m_omega if dom is Domain.POSITION else 1.0 / units.m_omega
+    ys = [np.array(x, dtype=float) for x in coordinates.values()]
+    for name, y in zip(coordinates, ys):
+        if not np.isfinite(y).all():
+            raise ValueError(f"{name} must be finite, got {float(y[~np.isfinite(y)][0])!r}")
+        with np.errstate(over="ignore"):
+            np.clip(y * math.sqrt(s), -_Y_CAP, _Y_CAP, out=y)
+    return s, *ys
 
 
 def _osc_rows(n_max: int, y: np.ndarray):
@@ -218,15 +219,13 @@ def _amplitudes(state: FockState, dom: Domain) -> np.ndarray:
     return c
 
 
-def _coefficients(c: np.ndarray, mode: int, y: np.ndarray) -> np.ndarray:
-    """c_g(y) = sum_n c[n, g] u_n(y) for mode 1 (sum_n c[g, n] u_n(y) for mode 2), shape
-    (levels of the other mode,) + y.shape: the amplitude is sum_g c_g(y) u_g(y2), the
-    marginal of ``mode`` is sum_g |c_g(y)|^2, and the zeros in y2 at fixed y are those of
-    the series in column y (_series_roots over _ladder_position). Only nonzero entries
-    are added, term by term in (n1, n2) order."""
-    m = c if mode == 1 else c.T
-    coeff = np.zeros((m.shape[1],) + y.shape, dtype=c.dtype)
-    for row, u in zip(m, _osc_rows(m.shape[0] - 1, y)):
+def _coefficients(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c_g(y) = sum_n c[n, g] u_n(y), shape (c.shape[1],) + y.shape: the amplitude is
+    sum_g c_g(y) u_g(y2), the marginal of mode 1 is sum_g |c_g(y)|^2 (of mode 2 on c.T),
+    and the zeros in y2 at fixed y are those of the series in column y (_series_roots
+    over _ladder_position). Only nonzero entries are added, term by term in row order."""
+    coeff = np.zeros((c.shape[1],) + y.shape, dtype=c.dtype)
+    for row, u in zip(c, _osc_rows(c.shape[0] - 1, y)):
         for g in np.flatnonzero(row).tolist():
             coeff[g] += row[g] * u
     return coeff
@@ -234,7 +233,7 @@ def _coefficients(c: np.ndarray, mode: int, y: np.ndarray) -> np.ndarray:
 
 def _density_rows(coeff: np.ndarray, row, b) -> np.ndarray:
     """|Psi(a[row[i]], b[i])|^2 for every i, as a new array, from coeff = _coefficients(c,
-    1, a), the table _joint keeps. ``row`` holds valid column indices of coeff, as np.intp
+    a), the table _joint keeps. ``row`` holds valid column indices of coeff, as np.intp
     (any other integer type is converted on every take). The series sum_g coeff[g,
     row[i]] u_g(b[i]) consumes the rows of _osc_rows as they come, so no (degree + 1) x
     len(b) table is built. It skips the levels g whose coefficients are zero over all of
@@ -260,16 +259,15 @@ def joint_density(state: FockState, a, b, dom: Domain = Domain.POSITION,
                   units: UnitSystem = NATURAL_UNITS):
     """|Psi(a, b)|^2 in the requested domain; nonnegative. Raises ValueError, before any
     evaluation, when an element of ``a`` or ``b`` is not finite."""
-    s = _scale(units, dom)
-    root = math.sqrt(s)
-    a, b = np.broadcast_arrays(root * _finite("a", a), root * _finite("b", b))
-    out = _joint(_amplitudes(state, dom))[0](a.ravel(), np.arange(a.size), b.ravel())
-    return _maybe_scalar(s * out.reshape(a.shape), a.ndim == 0)
+    s, a, b = _oscillator_units(units, dom, a=a, b=b)
+    a, b = np.broadcast_arrays(a, b)
+    out = s * _joint(_amplitudes(state, dom))[0](a.ravel(), np.arange(a.size), b.ravel())
+    return out.reshape(a.shape) if a.ndim else out.item()
 
 
 def _joint(c: np.ndarray):
     """(density, zeros) over one coefficient table per batch of outer abscissae a: the
-    mode-2 series coefficients _coefficients(C, 1, a), in real arithmetic when C is real
+    mode-2 series coefficients _coefficients(C, a), in real arithmetic when C is real
     up to a phase. The table is built by whichever function first sees the array object
     a, which is held so that no later array takes its id.
 
@@ -286,7 +284,7 @@ def _joint(c: np.ndarray):
 
     def table(a):
         if held[0] is not a:
-            held[:] = a, _coefficients(series, 1, a)
+            held[:] = a, _coefficients(series, a)
         return held[1]
 
     def density(a, row, b):
@@ -308,14 +306,15 @@ def marginal_density(state: FockState, a, dom: Domain = Domain.POSITION,
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    root = math.sqrt(_scale(units, dom))
-    dens = _marginal(_amplitudes(state, dom), mode, root * _finite("a", a))
-    return _maybe_scalar(root * dens, np.ndim(a) == 0)
+    s, y = _oscillator_units(units, dom, a=a)
+    c = _amplitudes(state, dom)
+    out = math.sqrt(s) * _marginal(c if mode == 1 else c.T, y)
+    return out if y.ndim else out.item()
 
 
-def _marginal(c: np.ndarray, mode: int, y: np.ndarray) -> np.ndarray:
-    """The marginal density of ``mode`` at oscillator coordinates y, sum_g |c_g(y)|^2."""
-    return np.sum(np.abs(_coefficients(c, mode, y)) ** 2, axis=0)
+def _marginal(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mode 1's marginal at oscillator coordinates y, sum_g |c_g(y)|^2 (mode 2's on c.T)."""
+    return np.sum(np.abs(_coefficients(c, y)) ** 2, axis=0)
 
 
 def _ladder_position(n_max: int) -> np.ndarray:
@@ -340,7 +339,7 @@ def _moments(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mode-2 matrix elements: M = sum_g |c_g|^2 is the mode-1 marginal, and
     N = sum_gh conj(c_g) c_h <g| y |h>.
     """
-    coeff = _coefficients(c, 1, np.asarray(a, dtype=float))
+    coeff = _coefficients(c, np.asarray(a, dtype=float))
     m = np.sum(np.abs(coeff) ** 2, axis=0)
     n = np.real(np.sum(coeff.conj() * (_ladder_position(len(coeff) - 1) @ coeff), axis=0))
     return m, n
@@ -364,12 +363,12 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     callers forming weighted averages must treat such points as contributing zero
     (their weight is the marginal itself).
     """
-    a = float(_finite("a", a))
-    root = math.sqrt(_scale(units, dom))
-    m, n = _moments(_amplitudes(state, dom), np.array([root * a]))
+    s, y = _oscillator_units(units, dom, a=a)
+    root = math.sqrt(s)
+    m, n = _moments(_amplitudes(state, dom), y.reshape(1))
     marginal = float(root * m[0])
     if not marginal > DENSITY_FLOOR:
-        raise DegenerateMarginal(f"marginal at {a!r} is {marginal!r}")
+        raise DegenerateMarginal(f"marginal at {float(a)!r} is {marginal!r}")
     return float(n[0] / m[0] / root)
 
 

@@ -300,10 +300,14 @@ class TestConfigFile:
 
     def test_comments_and_blank_lines(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# precision\n\npanel_tol = 1e-10\nL = 9.0\ncriteria = reid\ntheta = 0.3\n")
+        cfg.write_text("# precision\n\npanel_tol = 1e-10\nL = 9.0\ncriteria = reid\ntheta = 0.3\n"
+                       "allow_flagged = off\n")
         code, out, _ = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == EXIT_OK
         assert float(out.splitlines()[1].split(",")[2]) == pytest.approx(0.0494415570, abs=1e-8)
+        # "off" is a boolean word for false: a missed tolerance still exits 3
+        code, _, _ = run_cli(capsys, "eval", "--config", str(cfg), "--panel-tol", "1e-16")
+        assert code == EXIT_TOLERANCE
 
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

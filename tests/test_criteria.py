@@ -701,9 +701,9 @@ def test_one_coefficient_table_per_abscissa_batch(monkeypatch):
     coefficients = fock_mod._coefficients
     seen = []
 
-    def recorded(c, mode, y):
+    def recorded(c, y):
         seen.append(y)
-        return coefficients(c, mode, y)
+        return coefficients(c, y)
 
     monkeypatch.setattr(fock_mod, "_coefficients", recorded)
     entropic_value(make_psi_prime(0.7))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -580,6 +581,30 @@ class TestConditionalMean:
             with pytest.raises(ValueError, match=f"^{name} must be finite") as info:
                 density(make_psi(0.7), *coordinates)
         assert info.type is ValueError
+
+    @pytest.mark.parametrize("m_omega", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("x", [1e200, -1e200, 1e308, -1e308])
+    def test_huge_coordinate_has_zero_density(self, x, m_omega):
+        # The oscillator recurrence squared sqrt(s) x and warned of an overflow; where
+        # sqrt(s) x itself overflowed, the densities were nan and the marginal under
+        # conditional_mean too. Every oscillator function is exactly 0.0 there
+        state, units = make_psi(0.7), UnitSystem(m_omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dom in Domain:
+                near = (joint_density(state, 0.3, -0.2, dom, units),
+                        marginal_density(state, 0.3, dom, units))
+                for mode in (1, 2):
+                    assert marginal_density(state, x, dom, units, mode) == 0.0
+                assert joint_density(state, x, -0.2, dom, units) == 0.0
+                assert joint_density(state, 0.3, x, dom, units) == 0.0
+                got = (joint_density(state, [0.3, x, 0.3], [-0.2, -0.2, x], dom, units),
+                       marginal_density(state, np.array([x, 0.3]), dom, units))
+                assert got[0].tolist() == [near[0], 0.0, 0.0]
+                assert got[1].tolist() == [0.0, near[1]]
+                message = re.escape(f"marginal at {x!r} is 0.0")
+                with pytest.raises(DegenerateMarginal, match=f"^{message}$"):
+                    conditional_mean(state, x, dom, units)
 
     def test_marginal_density_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="^mode must be 1 or 2$"):
