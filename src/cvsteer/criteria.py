@@ -64,10 +64,6 @@ LN_PI_E = 1.0 + math.log(math.pi)
 REID_BOUND = 0.25
 CHSH_CLASSICAL_BOUND = 2.0
 
-# Differential entropy of the n=1 oscillator level's 1-d density at unit scale,
-# h = gamma + ln 2 + (1/2) ln pi - 1/2 (from the digamma identity psi(3/2) = 2 - gamma - ln 4).
-_H_LEVEL1 = float(np.euler_gamma) + math.log(2.0) + 0.5 * math.log(math.pi) - 0.5
-
 
 class CriterionResult(NamedTuple):
     """One criterion evaluation: value, named intermediates, and the violation verdict.
@@ -151,15 +147,13 @@ def reid_value(state: FockState, spec: QuadratureSpec = DEFAULT_SPEC,
 
 def _conditional_entropy(c: np.ndarray, spec: QuadratureSpec) -> tuple[float, bool]:
     """h(B2|B1) = H(B1,B2) - H(B1) in oscillator units, and whether both met the
-    tolerance. A factorized state has h(B2|B1) = h(B2), exact when mode 2 occupies one
-    level n <= 1; otherwise that 1-d marginal entropy is integrated numerically."""
-    factorized = _is_uncorrelated(c)
-    levels = np.flatnonzero(c.any(axis=0))
-    if factorized and levels.size == 1 and levels[0] <= 1:
-        return (0.5 * LN_PI_E if levels[0] == 0 else _H_LEVEL1), True
+    tolerance. With mode 2 in its ground level alone, h(B2|B1) = (1/2) ln(pi e) exactly;
+    any other factorized state has h(B2|B1) = h(B2), its 1-d marginal entropy."""
+    if not c[:, 1:].any():
+        return 0.5 * LN_PI_E, True
     width, fold = _window(c, spec)
     espec = replace(spec, half_width=width)
-    if factorized:
+    if _is_uncorrelated(c):
         res = integrate_entropy_1d(lambda b: _marginal(c.T, b), espec,
                                    breakpoints=_marginal_zero_hints(c) + (0.0,), fold=fold)
         return res.value, res.converged

@@ -358,17 +358,19 @@ def conditional_mean(state: FockState, a: float, dom: Domain = Domain.POSITION,
     """E[b | a] = int b P(a, b) db / marginal(a): the estimator minimizing the
     conditional variance.
 
-    Raises ValueError for a non-finite ``a``, before any evaluation, and
-    DegenerateMarginal when the marginal at ``a`` is at or below the density floor;
+    Raises ValueError for an ``a`` that is not one finite number, before any evaluation,
+    and DegenerateMarginal when the marginal at ``a`` is at or below the density floor;
     callers forming weighted averages must treat such points as contributing zero
     (their weight is the marginal itself).
     """
     s, y = _oscillator_units(units, dom, a=a)
+    if y.size != 1:
+        raise ValueError(f"a must be one number, got shape {y.shape}")
     root = math.sqrt(s)
     m, n = _moments(_amplitudes(state, dom), y.reshape(1))
     marginal = float(root * m[0])
     if not marginal > DENSITY_FLOOR:
-        raise DegenerateMarginal(f"marginal at {float(a)!r} is {marginal!r}")
+        raise DegenerateMarginal(f"marginal at {float(np.ravel(a)[0])!r} is {marginal!r}")
     return float(n[0] / m[0] / root)
 
 

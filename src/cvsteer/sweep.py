@@ -11,9 +11,10 @@ matrix that ``fock._series_roots`` builds from the Chebyshev recurrence
 (``_chebyshev_position``), are probed on the true criterion; each sign change between
 neighbouring evaluations is polished by Illinois steps (kind ``crossing``). Samples
 where the value equals the bound exactly with no sign change are touch-points (kind
-``touch``, zero-width bracket). The bound is met exactly only where the evaluators are
-exact, at product states; for every family cos(theta)|A> + sin(theta)|B> those sit at
-0, pi/2 and pi, the ends of the two halves.
+``touch``, zero-width bracket). The bound is met exactly only at product states, and by
+Reid and entropic only where mode 2 is in its ground level (any other product's
+entropic value is a 1-D integral). For every family cos(theta)|A> + sin(theta)|B> the
+products sit at 0, pi/2 and pi, the ends of the two halves.
 
 When a local mode parity separates A and B (``fock._parities``), every criterion takes
 the same value at theta and pi - theta. Only [pi/2, pi] is then sampled, probed and

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermroots
 
 from cvsteer.criteria import (
     CHSH_CLASSICAL_BOUND,
@@ -179,8 +180,42 @@ class TestConditionalEntropy:
     def test_product_ground(self):
         assert h_x2_given_x1(make_psi(0.0)) == pytest.approx(0.5 * LN_PI_E, abs=1e-14)
 
+    @staticmethod
+    def level_entropy(n: int) -> float:
+        """-int rho ln rho of rho = u_n^2, the level-n density, by scipy's quad with the
+        zeros of H_n as breakpoints."""
+        from scipy.integrate import quad
+        from scipy.special import eval_hermite
+
+        norm = (2.0 ** n * math.factorial(n) * math.sqrt(math.pi)) ** -0.5
+
+        def integrand(y):
+            rho = (norm * eval_hermite(n, y) * math.exp(-0.5 * y * y)) ** 2
+            return -rho * math.log(rho) if rho > 0.0 else 0.0
+
+        edge = math.sqrt(2 * n + 1) + 12.0
+        return quad(integrand, -edge, edge, points=hermroots([0] * n + [1]), epsabs=1e-13,
+                    epsrel=1e-13, limit=400)[0]
+
     def test_product_excited(self):
         assert h_x2_given_x1(make_psi(math.pi / 2)) == pytest.approx(H_LEVEL1, abs=1e-14)
+        assert self.level_entropy(1) == pytest.approx(H_LEVEL1, abs=1e-14)
+
+    @pytest.mark.parametrize("spec, bound", [
+        (DEFAULT_SPEC, 1e-12), (QuadratureSpec(panel_tol=1e-7, half_width=6), 1e-11)],
+        ids=["default", "loose"])
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_single_level_products(self, m, spec, bound):
+        # |m, n>: mode 2's conditional entropy is its level's, in both domains (the
+        # momentum amplitude's phase (-i)^n leaves the density alone). Only the ground
+        # level is exact, at the constant that the criterion subtracts from
+        ground = entropic_value(FockState.from_terms([(m, 0, 1.0)]), spec=spec)
+        assert list(ground.components.values()) == [0.5 * LN_PI_E] * 2 and ground.value == 0.0
+        for n in range(1, 9):
+            res = entropic_value(FockState.from_terms([(m, n, 1.0)]), spec=spec)
+            assert res.converged
+            for h in res.components.values():
+                assert h == pytest.approx(self.level_entropy(n), abs=bound), (n, h)
 
     @pytest.mark.parametrize("theta", list(COND_ENTROPY_ORACLE))
     def test_against_scipy_oracle(self, theta):
@@ -938,7 +973,7 @@ class TestMatrixContract:
             assert all(ok for _value, ok in got) and want.converged
 
 
-class TestHeldWorkspaces:
+class TestEvaluationsShareNothing:
     """The engine holds no workspace: every array of an evaluation is its own, so
     threads share none, no result is overwritten and nothing is retained."""
 
@@ -978,7 +1013,7 @@ class TestHeldWorkspaces:
         entropic_value(state)
         assert all(np.array_equal(x, k) for x, k in zip(got, kept))
 
-    def test_template_states_hold_at_most_600_kb(self):
+    def test_template_states_hold_under_4_kb(self):
         # The numpy array data that a fresh thread still holds, under tracemalloc, after
         # Reid, entropic and CHSH of every general-states template: none. With one
         # workspace per nesting depth and block scratch held per thread, 488,031 bytes.

@@ -544,7 +544,8 @@ class TestConditionalMean:
         with pytest.raises(DegenerateMarginal):
             conditional_mean(make_psi(0.9), 40.0)
 
-    @pytest.mark.parametrize("a", [0.0, np.float64(0.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("a", [0.0, np.float64(0.0), (0.0,), np.array([[0.0]])],
+                             ids=["float", "float64", "tuple", "array-1x1"])
     def test_degenerate_marginal_message_prints_python_floats(self, a):
         # |1, 0>'s marginal vanishes at a = 0; the message printed np.float64(0.0)
         with pytest.raises(DegenerateMarginal, match=r"^marginal at 0\.0 is 0\.0$"):
@@ -559,6 +560,24 @@ class TestConditionalMean:
             with pytest.raises(ValueError, match="^a must be finite") as info:
                 conditional_mean(make_psi(0.9), a)
         assert info.type is ValueError
+
+    @pytest.mark.parametrize("a, shape", [
+        ([0.1, 0.2], (2,)), ([], (0,)), (np.zeros((2, 1)), (2, 1)), (np.zeros((1, 0)), (1, 0)),
+    ], ids=["two", "empty", "column", "empty-row"])
+    def test_abscissa_not_one_number_rejected_before_evaluation(self, a, shape, monkeypatch):
+        # numpy's "cannot reshape array of size 2 into shape (1,)" came out of the
+        # evaluation and did not name a
+        monkeypatch.setattr("cvsteer.fock._moments", lambda *args: pytest.fail("evaluated"))
+        message = re.escape(f"a must be one number, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            conditional_mean(make_psi(0.7), a)
+
+    @pytest.mark.parametrize("a", [(0.3,), [0.3], np.array([0.3]), np.array([[0.3]])],
+                             ids=["tuple", "list", "array", "array-1x1"])
+    def test_one_element_abscissa_keeps_its_value(self, a):
+        state = make_psi(0.7)
+        for dom in Domain:
+            assert conditional_mean(state, a, dom).hex() == conditional_mean(state, 0.3, dom).hex()
 
     @pytest.mark.parametrize("density, coordinates, name", [
         (joint_density, (math.inf, 0.0), "a"),

@@ -394,7 +394,7 @@ def record_integrand_calls(monkeypatch) -> list:
     return calls
 
 
-class TestSweepWorkspace:
+class TestSweepBlocks:
     """The engine's sweeps fill arrays local to each call, so nothing passes from one
     integral to the next; the integrand is called on blocks of at most
     quadrature._BLOCK_POINTS points."""
